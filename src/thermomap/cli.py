@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -40,6 +41,7 @@ from .errors import (
     DomainError,
 )
 from .keller import SampledFunction, norm_chain_audit, norm_report
+from .maps import DEFAULT_NODE_BUDGET as DEFAULT_BUDGET
 from .maps import IntervalMap, full_linear_map, logistic4_map, pw_linear_map
 from .potentials import (
     BranchConstantPotential,
@@ -62,7 +64,6 @@ from .transfer import (
     smoothed_indicator,
 )
 
-DEFAULT_BUDGET = 20_000_000
 DEFAULT_GRID = 4096
 DEFAULT_TOL = 1e-12
 
@@ -79,6 +80,10 @@ COMMANDS = (
 )
 
 
+# Rows per formatting step of an all-float table (see write_csv).
+CSV_CHUNK_ROWS = 1024
+
+
 def _fmt(x) -> str:
     if x is None:
         return "nan"
@@ -86,6 +91,30 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write `header` and `rows` as CSV; numbers get 17 significant digits.
+
+    A 2-D float ndarray with one column per header field is streamed to the
+    file CSV_CHUNK_ROWS rows at a time, each chunk formatted by a single
+    ``%`` over a ``"%.17g,...\\n" * rows`` template. ``"%.17g" % x`` equals
+    ``_fmt(x)`` for every float64, so both paths write the same bytes. Any
+    other iterable of rows is formatted cell by cell; string cells pass
+    through unchanged.
+    """
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.dtype.kind == "f"
+        and rows.ndim == 2
+        and rows.shape[1] == len(header)
+    ):
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        full = row * CSV_CHUNK_ROWS
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(rows), CSV_CHUNK_ROWS):
+                chunk = rows[start:start + CSV_CHUNK_ROWS]
+                template = full if len(chunk) == CSV_CHUNK_ROWS else row * len(chunk)
+                fh.write(template % tuple(chunk.ravel().tolist()))
+        return
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
@@ -94,7 +123,8 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 def write_measure(path: Path, measure: AtomicMeasure) -> None:
     """Serialize atoms as `point,mass` rows with 17 significant digits."""
-    write_csv(path, ("point", "mass"), zip(measure.points, measure.masses))
+    table = np.column_stack((measure.points, measure.masses))
+    write_csv(path, ("point", "mass"), table)
 
 
 def read_measure(path: Path) -> AtomicMeasure:
@@ -190,7 +220,11 @@ def build_map(spec: dict, raw: str, path: str) -> IntervalMap:
     )
 
 
-def build_potential(spec, raw: str, path: str) -> Optional[Potential]:
+def build_potential(
+    spec, raw: str, path: str, domain: tuple[float, float]
+) -> Optional[Potential]:
+    """Validated potential; `domain` is the map's interval, over which a
+    cosine series takes its frequencies."""
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -220,6 +254,8 @@ def build_potential(spec, raw: str, path: str) -> Optional[Potential]:
         return CosineSeriesPotential(
             tuple(_require(spec, "coefficients", "potential", raw, path)),
             offset=float(spec.get("offset", 0.0)),
+            lo=float(domain[0]),
+            hi=float(domain[1]),
         )
     if kind == "pw_linear":
         _reject_unknown(
@@ -261,7 +297,7 @@ class Experiment:
             _require(data, "map", "config", raw, config_path), raw, config_path
         )
         self.potential = build_potential(
-            data.get("potential"), raw, config_path
+            data.get("potential"), raw, config_path, self.imap.domain
         )
         params = data.get("command_params", {})
         if not isinstance(params, dict):
@@ -288,6 +324,9 @@ class Experiment:
 # command pipelines
 
 
+PRESSURE_HEADER = ("n", "p_n", "P_hat", "delta", "status")
+
+
 def _pressure_rows(report, requested_max: int):
     status = "ok" if report.depths[-1] >= requested_max else "budget"
     rows = [
@@ -297,11 +336,15 @@ def _pressure_rows(report, requested_max: int):
     return rows, status
 
 
-def cmd_pressure(exp: Experiment, out: Path) -> int:
+def cmd_tree_pressure(
+    exp: Experiment, out: Path, *, filename: str, weighted: bool
+) -> int:
+    """`pressure` (weighted by the configured potential) and `entropy` (no
+    potential): tree_pressure per depth, written to `filename`."""
     p = exp.take({"x0": 0.3, "n_min": 1, "n_max": 12})
     report = tree_pressure(
         exp.imap,
-        exp.potential,
+        exp.potential if weighted else None,
         p["x0"],
         p["n_max"],
         n_min=p["n_min"],
@@ -309,23 +352,7 @@ def cmd_pressure(exp: Experiment, out: Path) -> int:
         partial_on_budget=True,
     )
     rows, status = _pressure_rows(report, p["n_max"])
-    write_csv(out / "pressure.csv", ("n", "p_n", "P_hat", "delta", "status"), rows)
-    return 0 if status == "ok" else 3
-
-
-def cmd_entropy(exp: Experiment, out: Path) -> int:
-    p = exp.take({"x0": 0.3, "n_min": 1, "n_max": 12})
-    report = tree_pressure(
-        exp.imap,
-        None,
-        p["x0"],
-        p["n_max"],
-        n_min=p["n_min"],
-        budget=exp.budget,
-        partial_on_budget=True,
-    )
-    rows, status = _pressure_rows(report, p["n_max"])
-    write_csv(out / "entropy.csv", ("n", "p_n", "P_hat", "delta", "status"), rows)
+    write_csv(out / filename, PRESSURE_HEADER, rows)
     return 0 if status == "ok" else 3
 
 
@@ -564,7 +591,7 @@ def cmd_curve(exp: Experiment, out: Path) -> int:
     )
     if p["chi"] is None:
         raise ConfigError(f"{exp.path}: curve requires command_params.chi")
-    chi = build_potential(p["chi"], exp.raw, exp.path)
+    chi = build_potential(p["chi"], exp.raw, exp.path, exp.imap.domain)
     ts = np.linspace(p["t_lo"], p["t_hi"], p["t_count"])
     curve = pressure_curve(
         exp.imap,
@@ -654,7 +681,7 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
         exp.imap, exp.potential, p["x0"], p["tree_depth"], budget=exp.budget
     )
     rows, status = _pressure_rows(tree, p["tree_depth"])
-    write_csv(out / "pressure.csv", ("n", "p_n", "P_hat", "delta", "status"), rows)
+    write_csv(out / "pressure.csv", PRESSURE_HEADER, rows)
     write_measure(out / "measure.csv", limit.measure)
     write_csv(
         out / "conformal.csv",
@@ -757,8 +784,8 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
 
 
 RUNNERS: dict[str, Callable[[Experiment, Path], int]] = {
-    "pressure": cmd_pressure,
-    "entropy": cmd_entropy,
+    "pressure": partial(cmd_tree_pressure, filename="pressure.csv", weighted=True),
+    "entropy": partial(cmd_tree_pressure, filename="entropy.csv", weighted=False),
     "conformal": cmd_conformal,
     "equilibrium": cmd_equilibrium,
     "correlations": cmd_correlations,

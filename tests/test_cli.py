@@ -14,10 +14,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from thermomap.cli import main, read_measure, write_measure
+from thermomap.cli import (
+    CSV_CHUNK_ROWS,
+    _fmt,
+    main,
+    read_measure,
+    write_csv,
+    write_measure,
+)
 from thermomap.conformal import AtomicMeasure
 from thermomap.errors import ConfigError
+from thermomap.maps import pw_linear_map
+from thermomap.potentials import CosineSeriesPotential
+from thermomap.pressure import pressure_curve, tree_pressure
 
 from helpers import tent_bernoulli_atoms
 
@@ -102,6 +114,72 @@ class TestMeasureFiles:
             read_measure(path)
 
 
+# Float64 edge cases planted into the random tables below.
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+]
+
+
+class TestFloatTableStreaming:
+    """The chunked all-float path of write_csv against the per-cell _fmt
+    reference, and the measure-file round trip across chunk boundaries."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n_rows=st.sampled_from(
+            [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]
+        ),
+        n_cols=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.lists(
+            st.tuples(
+                st.integers(0, 3 * (CSV_CHUNK_ROWS + 1) - 1),
+                st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+            ),
+            max_size=24,
+        ),
+    )
+    def test_matches_per_cell_reference(self, tmp_path, n_rows, n_cols, seed, planted):
+        # random bit patterns reach every float64 class: nan payloads,
+        # subnormals, both zeros, both infinities, exponents up to 1e+-308
+        bits = np.random.default_rng(seed).integers(
+            0, 2**64, size=(n_rows, n_cols), dtype=np.uint64
+        )
+        table = bits.view(np.float64).copy()
+        flat = table.reshape(-1)
+        for index, value in planted:
+            flat[index % flat.size] = value
+        header = [f"c{j}" for j in range(n_cols)]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, table)
+        expected = "".join(
+            [",".join(header) + "\n"]
+            + [",".join(_fmt(x) for x in row) + "\n" for row in table]
+        )
+        assert path.read_bytes() == expected.encode()
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_measure_round_trip_above_one_chunk(self, tmp_path_factory, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * CSV_CHUNK_ROWS + 7
+        points = np.unique(rng.random(n))
+        weights = rng.random(points.size) + 1e-3
+        m = AtomicMeasure(points=points, masses=weights / weights.sum(),
+                          domain=(0.0, 1.0))
+        path = tmp_path_factory.mktemp("m") / "m.csv"
+        write_measure(path, m)
+        back = read_measure(path)
+        np.testing.assert_array_equal(back.points, m.points)
+        np.testing.assert_array_equal(back.masses, m.masses)
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key_exits_64(self, tmp_path, capsys):
         path = write_config(tmp_path, extra_stuff=1)
@@ -184,6 +262,49 @@ class TestPressureCommand:
         assert main(["entropy", str(path)]) == 0
         _, rows = read_csv(tmp_path / "out" / "entropy.csv")
         assert abs(float(rows[-1][2]) - LOG2) < 1e-12
+
+
+# The tent map on [0, 2] and a cosine series that must follow that domain.
+TENT_0_2 = {
+    "kind": "pw_linear",
+    "breakpoints": [0.0, 1.0, 2.0],
+    "slopes": [2.0, -2.0],
+    "intercepts": [0.0, 4.0],
+}
+COSINE = {"kind": "cosine_series", "coefficients": [0.3, -0.2]}
+
+
+class TestCosineOnMapDomain:
+    def _imap_and_cosine(self):
+        imap = pw_linear_map([0.0, 1.0, 2.0], [2.0, -2.0], [0.0, 4.0])
+        return imap, CosineSeriesPotential((0.3, -0.2), lo=0.0, hi=2.0)
+
+    def test_pressure_potential_spans_map_domain(self, tmp_path):
+        path = write_config(
+            tmp_path, map=TENT_0_2, potential=COSINE,
+            command_params={"x0": 0.6, "n_max": 8},
+        )
+        assert main(["pressure", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "pressure.csv")
+        imap, cosine = self._imap_and_cosine()
+        report = tree_pressure(imap, cosine, 0.6, 8)
+        assert [float(r[1]) for r in rows] == list(report.p_values)
+
+    def test_curve_chi_spans_map_domain(self, tmp_path):
+        path = write_config(
+            tmp_path, map=TENT_0_2,
+            command_params={
+                "x0": 0.6, "n_max": 6, "t_lo": -1.0, "t_hi": 1.0,
+                "t_count": 5, "chi": COSINE,
+            },
+        )
+        assert main(["curve", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "curve.csv")
+        imap, cosine = self._imap_and_cosine()
+        curve = pressure_curve(
+            imap, None, cosine, np.linspace(-1.0, 1.0, 5), x0=0.6, n_max=6
+        )
+        assert [float(r[1]) for r in rows] == list(curve.estimates)
 
 
 class TestConformalCommand:
