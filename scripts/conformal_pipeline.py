@@ -21,12 +21,14 @@ from thermomap import (
     conformality_audit,
     equilibrium_state,
     full_linear_map,
+    level_sums,
     power_iteration,
+    pressure_report,
     transition_parameter,
-    tree_pressure,
     weak_limit,
 )
 from thermomap.cli import write_measure
+from thermomap.conformal import window_start
 
 
 def main():
@@ -40,12 +42,15 @@ def main():
     phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     p_left = 1.0 / (1.0 + np.exp(-1.0))
 
-    tree = tree_pressure(imap, phi, 0.3, min(args.depth, 14))
+    # one walk of the preimage tree feeds all three tree estimators
+    sums = level_sums(imap, phi, 0.3, args.depth,
+                      retain_from=window_start(args.depth))
+    tree = pressure_report(sums, min(args.depth, 14))
     print(f"tree pressure      : {tree.estimate:.10f} "
           f"(exact {np.log(1 + np.exp(-1.0)):.10f})")
 
-    trans = transition_parameter(imap, phi, 0.3, args.depth)
-    limit = weak_limit(imap, phi, 0.3, trans.c, args.depth, tol=1e-6)
+    trans = transition_parameter(sums)
+    limit = weak_limit(sums, trans.c, tol=1e-6)
     m = limit.measure
     print(f"weak limit         : {m.points.size} atoms, "
           f"converged={limit.converged}, stability={limit.stability:.2e}")

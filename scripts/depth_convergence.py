@@ -19,8 +19,9 @@ import numpy as np
 from thermomap import (
     full_linear_map,
     golden_tent_map,
+    level_sums,
+    pressure_report,
     transition_parameter,
-    tree_pressure,
 )
 
 
@@ -39,8 +40,9 @@ def main():
     rows = ["map,n,p_n,averaged_tail,slope,exact"]
     for name, imap, exact in cases:
         depth = args.depth if len(imap.branches) < 3 else min(args.depth, 10)
-        rep = tree_pressure(imap, None, 0.3, depth)
-        trans = transition_parameter(imap, None, 0.3, depth)
+        sums = level_sums(imap, None, 0.3, depth)
+        rep = pressure_report(sums, depth)
+        trans = transition_parameter(sums)
         print(f"\n{name} (exact rate {exact:.6f})")
         print(f"  averaged tail : {rep.estimate:.6f}  "
               f"err {abs(rep.estimate - exact):.2e}")

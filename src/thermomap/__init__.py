@@ -34,7 +34,9 @@ from .potentials import (
 from .pressure import (
     appendix_construct,
     hyperbolicity_check,
+    level_sums,
     pressure_curve,
+    pressure_report,
     separated_pressure,
     topological_entropy,
     tree_pressure,
@@ -73,12 +75,14 @@ __all__ = [
     "full_linear_map",
     "golden_tent_map",
     "hyperbolicity_check",
+    "level_sums",
     "logistic4_map",
     "norm_chain_audit",
     "norm_report",
     "p_variation",
     "power_iteration",
     "pressure_curve",
+    "pressure_report",
     "pw_linear_map",
     "separated_pressure",
     "spectral_gap_estimate",

@@ -32,6 +32,7 @@ from .conformal import (
     transition_parameter,
     uniform_atoms,
     weak_limit,
+    window_start,
 )
 from .errors import (
     AuditError,
@@ -53,7 +54,9 @@ from .potentials import (
 from .pressure import (
     appendix_construct,
     hyperbolicity_check,
+    level_sums,
     pressure_curve,
+    pressure_report,
     tree_pressure,
 )
 from .transfer import (
@@ -230,18 +233,15 @@ def build_potential(
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: 'potential' must be an object or null")
     kind = _require(spec, "kind", "potential", raw, path)
-    alpha = spec.get("alpha", 1.0)
-    if not (isinstance(alpha, (int, float)) and 0 < alpha <= 1):
-        raise ConfigError(f"{path}: potential.alpha must lie in (0, 1]")
     if kind == "constant":
-        _reject_unknown(spec, {"kind", "values", "alpha"}, "potential", raw, path)
+        _reject_unknown(spec, {"kind", "values"}, "potential", raw, path)
         values = _require(spec, "values", "potential", raw, path)
         if len(values) != 1:
             raise ConfigError(f"{path}: constant potential takes one value")
         return ConstantPotential(float(values[0]))
     if kind == "branch_pw_constant":
         _reject_unknown(
-            spec, {"kind", "segments", "values", "alpha"}, "potential", raw, path
+            spec, {"kind", "segments", "values"}, "potential", raw, path
         )
         return BranchConstantPotential(
             tuple(_require(spec, "segments", "potential", raw, path)),
@@ -249,7 +249,7 @@ def build_potential(
         )
     if kind == "cosine_series":
         _reject_unknown(
-            spec, {"kind", "coefficients", "offset", "alpha"}, "potential", raw, path
+            spec, {"kind", "coefficients", "offset"}, "potential", raw, path
         )
         return CosineSeriesPotential(
             tuple(_require(spec, "coefficients", "potential", raw, path)),
@@ -259,7 +259,7 @@ def build_potential(
         )
     if kind == "pw_linear":
         _reject_unknown(
-            spec, {"kind", "segments", "values", "alpha"}, "potential", raw, path
+            spec, {"kind", "segments", "values"}, "potential", raw, path
         )
         return PiecewiseLinearPotential(
             tuple(_require(spec, "segments", "potential", raw, path)),
@@ -357,21 +357,30 @@ def cmd_tree_pressure(
 
 
 def _conformal_pipeline(exp: Experiment, p: dict):
-    trans = transition_parameter(
-        exp.imap, exp.potential, p["x0"], p["n_max"], budget=exp.budget
-    )
-    limit = weak_limit(
+    """Transition parameter, weak limit and tree pressure report (None
+    without `tree_depth`) from one preimage walk to max(n_max, tree_depth);
+    its retained levels die with this frame, before any power iteration."""
+    n_max, tree_depth = p["n_max"], p.get("tree_depth")
+    sums = level_sums(
         exp.imap,
         exp.potential,
         p["x0"],
+        max(n_max, tree_depth or 0),
+        exp.budget,
+        retain_from=window_start(n_max),
+        retain_to=n_max,
+    )
+    head = sums.upto(n_max)
+    trans = transition_parameter(head)
+    limit = weak_limit(
+        head,
         trans.c,
-        p["n_max"],
         bins=p["bins"],
         tol=max(exp.tol, 1e-6),
         weights=WeightSchedule(theta=p["theta"]),
-        budget=exp.budget,
     )
-    return trans, limit
+    tree = None if tree_depth is None else pressure_report(sums, tree_depth)
+    return trans, limit, tree
 
 
 CONFORMAL_PARAMS = {"x0": 0.3, "n_max": 14, "bins": 64, "theta": 0.0}
@@ -406,7 +415,7 @@ CONFORMAL_HEADER = (
 
 def cmd_conformal(exp: Experiment, out: Path) -> int:
     p = exp.take(CONFORMAL_PARAMS)
-    trans, limit = _conformal_pipeline(exp, p)
+    trans, limit, _ = _conformal_pipeline(exp, p)
     status = "ok" if limit.converged else "not_converged"
     write_measure(out / "measure.csv", limit.measure)
     write_csv(
@@ -433,10 +442,7 @@ EQUILIBRIUM_HEADER = (
 )
 
 
-def _equilibrium_pipeline(exp: Experiment, p: dict, mu: AtomicMeasure):
-    tree = tree_pressure(
-        exp.imap, exp.potential, p["x0"], p["tree_depth"], budget=exp.budget
-    )
+def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
     eigen = power_iteration(
         exp.imap, exp.potential, grid_size=exp.grid, tol=exp.tol, mu=mu
     )
@@ -447,7 +453,7 @@ def _equilibrium_pipeline(exp: Experiment, p: dict, mu: AtomicMeasure):
         exp.imap, exp.potential, mu, eigen,
         hyperbolic=hyper.verdict == "hyperbolic",
     )
-    return tree, eigen, hyper, state
+    return eigen, hyper, state
 
 
 def _equilibrium_row(tree, eigen, hyper, state, status):
@@ -468,8 +474,8 @@ def _equilibrium_row(tree, eigen, hyper, state, status):
 
 def cmd_equilibrium(exp: Experiment, out: Path) -> int:
     p = exp.take({**CONFORMAL_PARAMS, "tree_depth": 12})
-    trans, limit = _conformal_pipeline(exp, p)
-    tree, eigen, hyper, state = _equilibrium_pipeline(exp, p, limit.measure)
+    trans, limit, tree = _conformal_pipeline(exp, p)
+    eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
     status = "ok" if (limit.converged and eigen.converged) else "not_converged"
     write_measure(out / "mu.csv", limit.measure)
     write_measure(out / "nu.csv", state.nu)
@@ -490,8 +496,8 @@ def cmd_correlations(exp: Experiment, out: Path) -> int:
             "observables": None,
         }
     )
-    trans, limit = _conformal_pipeline(exp, p)
-    tree, eigen, hyper, state = _equilibrium_pipeline(exp, p, limit.measure)
+    trans, limit, tree = _conformal_pipeline(exp, p)
+    eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
     lo, hi = exp.imap.domain
     obs_specs = p["observables"]
     if obs_specs is None:
@@ -676,10 +682,7 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
             "adjoint_bound": 1e-2,
         }
     )
-    trans, limit = _conformal_pipeline(exp, p)
-    tree = tree_pressure(
-        exp.imap, exp.potential, p["x0"], p["tree_depth"], budget=exp.budget
-    )
+    trans, limit, tree = _conformal_pipeline(exp, p)
     rows, status = _pressure_rows(tree, p["tree_depth"])
     write_csv(out / "pressure.csv", PRESSURE_HEADER, rows)
     write_measure(out / "measure.csv", limit.measure)

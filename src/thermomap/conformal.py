@@ -16,12 +16,21 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ConvergenceError, DomainError
-from .maps import DEFAULT_NODE_BUDGET, IntervalMap, iter_preimage_levels
+from .errors import DomainError
+# unused here (estimators reduce a LevelSums); kept bound because the benchmark
+# harness test checks that its tracer wraps this module's copy too
+from .maps import IntervalMap, iter_preimage_levels  # noqa: F401
 from .potentials import Potential
-from .pressure import _reject_breakpoint
+from .pressure import LevelSums
 
 MASS_TOL = 1e-12
+
+# weak_limit: s_j = c + SCHEDULE_START * 2**-j, j <= MAX_STEPS, until Cauchy and
+# s - c <= ETA_FLOOR, over the deepest min(WINDOW_MAX, n_max // 2) levels
+SCHEDULE_START = 0.5
+ETA_FLOOR = 0.05
+MAX_STEPS = 16
+WINDOW_MAX = 11
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,6 @@ def uniform_atoms(count: int, domain: tuple[float, float] = (0.0, 1.0)) -> Atomi
     return AtomicMeasure(pts, np.full(count, 1.0 / count), (lo, hi))
 
 
-def dirac(x: float, domain: Optional[tuple[float, float]] = None) -> AtomicMeasure:
-    dom = domain if domain is not None else (x, x)
-    return AtomicMeasure(np.array([float(x)]), np.array([1.0]), dom)
-
-
 @dataclass(frozen=True)
 class WeightSchedule:
     """Depth weights b_n = n**theta; theta = 0 gives the flat default."""
@@ -136,27 +140,16 @@ class TransitionSequence:
     x0: float
 
 
-def transition_parameter(
-    imap: IntervalMap,
-    potential: Optional[Potential],
-    x0: float,
-    n_max: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> TransitionSequence:
+def transition_parameter(sums: LevelSums) -> TransitionSequence:
     """Fit a_n = c n + b over the deep half of the level sums.
 
     The slope is insensitive to the bounded prefactor that biases a_n / n,
     which makes it the preferred estimate of the critical exponent for the
     conformal construction.
     """
-    _reject_breakpoint(imap, x0)
-    a_values = []
-    for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
-        if level.depth >= 1:
-            a_values.append(float(logsumexp(level.birkhoff)))
-    depths = np.arange(1, len(a_values) + 1)
-    a_arr = np.asarray(a_values)
-    upper = depths > n_max // 2
+    depths = np.arange(1, sums.depth + 1)
+    a_arr = sums.a_values
+    upper = depths > sums.depth // 2
     if upper.sum() < 2:
         raise DomainError("need at least two depths in the upper half")
     slope, intercept = np.polyfit(depths[upper], a_arr[upper], 1)
@@ -170,69 +163,7 @@ def transition_parameter(
         intercept=float(intercept),
         residual=residual,
         limsup_diagnostic=limsup,
-        x0=float(x0),
-    )
-
-
-@dataclass(frozen=True)
-class MsMeasure:
-    """One member of the s-family with its truncation diagnostics."""
-
-    measure: AtomicMeasure
-    s: float
-    c: float
-    n_max: int
-    tail_fraction: float
-    level_log_masses: np.ndarray  # log of each depth slice's unnormalized mass
-
-
-def build_ms(
-    imap: IntervalMap,
-    potential: Optional[Potential],
-    x0: float,
-    c: float,
-    s: float,
-    n_max: int,
-    weights: WeightSchedule = WeightSchedule(),
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> MsMeasure:
-    """Accumulate the truncated series measure at parameter s > c.
-
-    Fails when the deepest level still contributes at least 1e-3 of the
-    total mass, since then the truncation misrepresents the series.
-    """
-    if s <= c:
-        raise DomainError("s must lie strictly above the transition parameter")
-    _reject_breakpoint(imap, x0)
-    pts_parts: list[np.ndarray] = []
-    logw_parts: list[np.ndarray] = []
-    level_logs = []
-    for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
-        if level.depth == 0:
-            continue
-        n = level.depth
-        logw = level.birkhoff - n * s + float(weights.log_weight(np.asarray(n)))
-        pts_parts.append(level.points.copy())
-        logw_parts.append(logw)
-        level_logs.append(float(logsumexp(logw)))
-    level_logs = np.asarray(level_logs)
-    total_log = float(logsumexp(level_logs))
-    tail_fraction = float(np.exp(level_logs[-1] - total_log))
-    if tail_fraction >= 1e-3:
-        raise ConvergenceError(
-            f"truncated tail carries {tail_fraction:.2e} of the mass; "
-            "increase n_max or s - c"
-        )
-    points = np.concatenate(pts_parts)
-    log_masses = np.concatenate(logw_parts) - total_log
-    measure = AtomicMeasure.normalized(points, np.exp(log_masses), imap.domain)
-    return MsMeasure(
-        measure=measure,
-        s=float(s),
-        c=float(c),
-        n_max=n_max,
-        tail_fraction=tail_fraction,
-        level_log_masses=level_logs,
+        x0=sums.x0,
     )
 
 
@@ -250,87 +181,73 @@ class WeakLimitResult:
     eta_final: float
 
 
+def window_start(n_max: int) -> int:
+    """First depth of weak_limit's window for level sums of depth n_max."""
+    return max(1, n_max - min(WINDOW_MAX, n_max // 2) + 1)
+
+
 def weak_limit(
-    imap: IntervalMap,
-    potential: Optional[Potential],
-    x0: float,
+    sums: LevelSums,
     c: float,
-    n_max: int,
     bins: int = 64,
-    window: Optional[int] = None,
-    schedule_start: float = 0.5,
-    eta_floor: float = 0.05,
     tol: float = 1e-3,
-    max_steps: int = 16,
     weights: WeightSchedule = WeightSchedule(),
-    budget: int = DEFAULT_NODE_BUDGET,
 ) -> WeakLimitResult:
     """Drive s down toward c and return the stabilized deep-tree measure.
 
-    A truncated series at fixed n_max cannot follow s all the way to c: the
-    true limit pushes its mass to ever deeper levels, so the shallow slices
-    of any fixed truncation eventually misrepresent it. The surrogate used
-    here mixes only the deepest `window` levels, reweighted per s by their
-    aggregate masses, and declares convergence when consecutive binned
-    snapshots are Cauchy at `tol` and s - c has dropped below `eta_floor`.
-    Binned snapshots at each s are cheap (per-level histograms are fixed),
-    so the schedule runs entirely on precomputed level data.
+    A truncated series at fixed n_max = sums.depth cannot follow s all the
+    way to c: the true limit pushes its mass to ever deeper levels, so the
+    shallow slices of any fixed truncation eventually misrepresent it. The
+    surrogate used here mixes only the levels from window_start(n_max) on,
+    which `sums` must retain, reweighted per s by their aggregate masses,
+    and declares convergence when consecutive binned snapshots are Cauchy
+    at `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots at each
+    s are cheap (per-level histograms are fixed), so the schedule runs
+    entirely on the retained level data.
     """
+    n_max = sums.depth
     if n_max < 4:
         raise DomainError("need n_max >= 4")
-    _reject_breakpoint(imap, x0)
-    n_lo = max(1, n_max - (window if window is not None else min(11, n_max // 2)) + 1)
-    kept_pts: list[np.ndarray] = []
-    kept_birk: list[np.ndarray] = []
-    a_values = np.empty(n_max + 1)
-    a_values[0] = 0.0
-    level_hist: list[np.ndarray] = []
-    lo, hi = imap.domain
-    for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
-        if level.depth == 0:
-            continue
-        a_values[level.depth] = float(logsumexp(level.birkhoff))
-        if level.depth >= n_lo:
-            kept_pts.append(level.points.copy())
-            kept_birk.append(level.birkhoff.copy())
-            w = np.exp(level.birkhoff - a_values[level.depth])
-            hist, _ = np.histogram(
-                level.points, bins=bins, range=(lo, hi), weights=w
-            )
-            level_hist.append(hist)
+    n_lo = window_start(n_max)
+    first = n_lo - sums.retain_from
+    if first < 0 or len(sums.points) < n_max - sums.retain_from + 1:
+        raise DomainError(f"level sums must retain depths {n_lo}..{n_max}")
+    kept_pts = sums.points[first:]
+    kept_birk = sums.birkhoff[first:]
     depths = np.arange(n_lo, n_max + 1)
+    a_window = sums.a_values[n_lo - 1:]
+    hist_matrix = np.asarray([  # (W, bins), each row sums to 1
+        np.histogram(pts, bins=bins, range=sums.domain, weights=np.exp(birk - a))[0]
+        for pts, birk, a in zip(kept_pts, kept_birk, a_window)
+    ])
     log_b = weights.log_weight(depths)
-    hist_matrix = np.asarray(level_hist)  # (W, bins), each row sums to 1
 
-    def binned_at(s: float) -> tuple[np.ndarray, np.ndarray]:
-        logw = log_b + a_values[n_lo:] - depths * s
-        omega = np.exp(logw - logsumexp(logw))
-        return omega @ hist_matrix, omega
+    def binned_at(s: float) -> np.ndarray:
+        logw = log_b + a_window - depths * s
+        return np.exp(logw - logsumexp(logw)) @ hist_matrix
 
     s_values = []
     prev = None
     stability = np.inf
     converged = False
-    omega = None
-    for j in range(1, max_steps + 1):
-        s = c + schedule_start * 2.0**-j
+    for j in range(1, MAX_STEPS + 1):
+        s = c + SCHEDULE_START * 2.0**-j
         s_values.append(s)
-        cur, omega = binned_at(s)
+        cur = binned_at(s)
         if prev is not None:
             stability = float(np.max(np.abs(cur - prev)))
-            if stability < tol and (s - c) <= eta_floor:
+            if stability < tol and (s - c) <= ETA_FLOOR:
                 converged = True
                 prev = cur
                 break
         prev = cur
     s_final = s_values[-1]
-    parts = []
-    for i, n in enumerate(depths):
-        parts.append(kept_birk[i] - n * s_final + log_b[i])
-    logw_all = np.concatenate(parts)
+    logw_all = np.concatenate(
+        [birk - n * s_final + lb for birk, n, lb in zip(kept_birk, depths, log_b)]
+    )
     points = np.concatenate(kept_pts)
     masses = np.exp(logw_all - logsumexp(logw_all))
-    measure = AtomicMeasure.normalized(points, masses, imap.domain)
+    measure = AtomicMeasure.normalized(points, masses, sums.domain)
     return WeakLimitResult(
         measure=measure,
         binned=prev,

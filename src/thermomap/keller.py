@@ -1,12 +1,12 @@
 """Oscillation seminorms and variation norms against atomic reference measures.
 
 The pseudo-distance between two points is the mass of the closed interval
-joining them; balls are sublevel sets d(x, .) < eps. Oscillation of a
-sampled function over a ball is the max minus min of its sample values
-there, the essential sup being realized as a max over samples. All norms
-come with the caveat that the reference measure is atomic: the continuum
-inequalities acquire explicit boundary-atom slack terms, reported rather
-than hidden.
+joining them (``AtomicMeasure.mass_interval``); balls are sublevel sets
+d(x, .) < eps. Oscillation of a sampled function over a ball is the max
+minus min of its sample values there, the essential sup being realized as
+a max over samples. All norms come with the caveat that the reference
+measure is atomic: the continuum inequalities acquire explicit boundary-atom
+slack terms, reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ class SampledFunction:
         if not np.array_equal(self.positions, other.positions):
             raise DomainError("product needs identical sample positions")
         return SampledFunction(self.positions, self.values * other.values)
-
-
-def pseudo_distance(m: AtomicMeasure, x: float, y: float) -> float:
-    """Mass of the closed interval between x and y."""
-    return m.mass_interval(x, y)
 
 
 class _RangeTable:
@@ -139,17 +134,6 @@ def osc_profile(
     lo, hi = _ball_windows(h, m, eps)
     table = _RangeTable(h.values)
     return table.spread(lo, hi), lo > hi
-
-
-def osc(h: SampledFunction, m: AtomicMeasure, eps: float, x: float) -> float:
-    """Oscillation of h over the single ball B_d(x, eps)."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    dists = np.array([m.mass_interval(x, q) for q in h.positions])
-    inside = h.values[dists < eps]
-    if inside.size == 0:
-        return 0.0
-    return float(inside.max() - inside.min())
 
 
 def osc1(h: SampledFunction, m: AtomicMeasure, eps: float) -> float:

@@ -1,8 +1,10 @@
 """Pressure estimation along preimage trees and over separated sets.
 
-The tree estimator averages log-level sums of weighted preimages; the
-separated-set estimator greedily packs grid points under the iterated sup
-metric and serves as an independent cross-check. The module also houses the
+``level_sums`` walks the preimage tree once and returns the log-level sums
+of weighted preimages, optionally with the deep levels themselves; the tree
+estimator averages those sums, and the conformal construction reduces the
+same walk. The separated-set estimator greedily packs grid points under the
+iterated sup metric and serves as an independent cross-check. The module also houses the
 hyperbolicity and bounded-range classifiers, the pressure-curve smoothness
 probe, and the four-branch construction separating those two conditions.
 """
@@ -10,7 +12,7 @@ probe, and the four-branch construction separating those two conditions.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +67,120 @@ def _reject_breakpoint(imap: IntervalMap, x0: float) -> None:
         )
 
 
+@dataclass(frozen=True)
+class LevelSums:
+    """One walk of the preimage tree of x0: ``a_values[n - 1]`` is a_n = log
+    sum over f^{-n}(x0) of exp(S_n phi), n = 1..depth; ``points`` and
+    ``birkhoff`` hold the levels retain_from, retain_from + 1, ...; and
+    ``budget_error`` is set when the node budget stopped the walk early."""
+
+    x0: float
+    domain: tuple[float, float]
+    a_values: np.ndarray
+    retain_from: int
+    points: tuple[np.ndarray, ...] = ()
+    birkhoff: tuple[np.ndarray, ...] = ()
+    budget_error: Optional[BudgetError] = None
+
+    @property
+    def depth(self) -> int:
+        return int(self.a_values.size)
+
+    @property
+    def complete(self) -> bool:
+        return self.budget_error is None
+
+    @property
+    def feasible_depth(self) -> Optional[int]:
+        return None if self.complete else self.budget_error.feasible_depth
+
+    def upto(self, n: int) -> "LevelSums":
+        """The same walk cut at depth n (complete if it reached n)."""
+        if n >= self.depth:
+            if n > self.depth and self.complete:
+                raise DomainError(f"level sums stop at depth {self.depth}")
+            return self
+        keep = max(0, n - self.retain_from + 1)
+        return replace(
+            self,
+            a_values=self.a_values[:n],
+            points=self.points[:keep],
+            birkhoff=self.birkhoff[:keep],
+            budget_error=None,
+        )
+
+
+def level_sums(
+    imap: IntervalMap,
+    potential: Optional[Potential],
+    x0: float,
+    n_max: int,
+    budget: int = DEFAULT_NODE_BUDGET,
+    retain_from: Optional[int] = None,
+    retain_to: Optional[int] = None,
+    partial_on_budget: bool = False,
+) -> LevelSums:
+    """Walk the preimage tree of x0 once to depth n_max, keeping the
+    max-shifted log-sum-exp a_n of every level and the points and Birkhoff
+    sums of levels retain_from..retain_to (default n_max). With
+    partial_on_budget the levels that fit the budget are returned."""
+    _reject_breakpoint(imap, x0)
+    retain_from = n_max + 1 if retain_from is None else max(1, retain_from)
+    retain_to = n_max if retain_to is None else retain_to
+    a_values: list[float] = []
+    points: list[np.ndarray] = []
+    birkhoff: list[np.ndarray] = []
+    budget_error = None
+    try:
+        for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
+            if level.depth == 0:
+                continue
+            a_values.append(float(logsumexp(level.birkhoff)))
+            if retain_from <= level.depth <= retain_to:
+                points.append(level.points)
+                birkhoff.append(level.birkhoff)
+    except BudgetError as exc:
+        if not partial_on_budget:
+            raise
+        budget_error = exc
+    return LevelSums(
+        x0=float(x0),
+        domain=imap.domain,
+        a_values=np.asarray(a_values),
+        retain_from=retain_from,
+        points=tuple(points),
+        birkhoff=tuple(birkhoff),
+        budget_error=budget_error,
+    )
+
+
+def pressure_report(sums: LevelSums, n_max: int, n_min: int = 1) -> PressureReport:
+    """Pressure estimates p_n = a_n / n for n_min <= n <= n_max; a walk the
+    budget stopped is reported incomplete, or raises if it ends below n_min."""
+    if n_max < n_min or n_min < 1:
+        raise DomainError("need 1 <= n_min <= n_max")
+    sums = sums.upto(n_max)
+    if not sums.complete and sums.feasible_depth < n_min:
+        raise sums.budget_error
+    depths = np.arange(1, sums.depth + 1)
+    p_all = sums.a_values / depths
+    keep = depths >= n_min
+    depths, a_arr, p_vals = depths[keep], sums.a_values[keep], p_all[keep]
+    estimate = float(np.mean(p_vals[-3:]))
+    fluctuation = float(np.max(np.abs(p_vals[-5:] - estimate)))
+    return PressureReport(
+        estimate=estimate,
+        fluctuation=fluctuation,
+        depths=depths,
+        p_values=p_vals,
+        a_values=a_arr,
+        x0=sums.x0,
+        requested_depth=n_max,
+        complete=sums.complete,
+        feasible_depth=sums.feasible_depth,
+    )
+
+
 def tree_pressure(
     imap: IntervalMap,
     potential: Optional[Potential],
@@ -76,45 +192,17 @@ def tree_pressure(
 ) -> PressureReport:
     """Estimate pressure from weighted preimage counts of depth up to n_max.
 
-    p_n = (1/n) log sum over f^{-n}(x0) of exp(S_n(potential)); the level
-    sums are evaluated with max-shifted log-sum-exp. With partial_on_budget
-    the report covers the depths that fit in the budget and is flagged
-    incomplete instead of raising.
+    p_n = (1/n) log sum over f^{-n}(x0) of exp(S_n(potential)); the walk
+    streams its levels and keeps only the level sums. With
+    partial_on_budget the report covers the depths that fit in the budget
+    and is flagged incomplete instead of raising.
     """
     if n_max < n_min or n_min < 1:
         raise DomainError("need 1 <= n_min <= n_max")
-    _reject_breakpoint(imap, x0)
-    a_values: list[float] = []
-    feasible: Optional[int] = None
-    complete = True
-    try:
-        for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
-            if level.depth == 0:
-                continue
-            a_values.append(float(logsumexp(level.birkhoff)))
-    except BudgetError as exc:
-        if not partial_on_budget or exc.feasible_depth < n_min:
-            raise
-        complete = False
-        feasible = exc.feasible_depth
-    depths = np.arange(1, len(a_values) + 1)
-    a_arr = np.asarray(a_values)
-    p_all = a_arr / depths
-    keep = depths >= n_min
-    depths, a_arr, p_vals = depths[keep], a_arr[keep], p_all[keep]
-    estimate = float(np.mean(p_vals[-3:]))
-    fluctuation = float(np.max(np.abs(p_vals[-5:] - estimate)))
-    return PressureReport(
-        estimate=estimate,
-        fluctuation=fluctuation,
-        depths=depths,
-        p_values=p_vals,
-        a_values=a_arr,
-        x0=float(x0),
-        requested_depth=n_max,
-        complete=complete,
-        feasible_depth=feasible,
+    sums = level_sums(
+        imap, potential, x0, n_max, budget, partial_on_budget=partial_on_budget
     )
+    return pressure_report(sums, n_max, n_min)
 
 
 def topological_entropy(

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .conformal import AtomicMeasure, uniform_atoms
-from .errors import AuditError, DomainError
+from .errors import AuditError, ConvergenceError, DomainError
 from .maps import IntervalMap
 from .potentials import Potential
 
@@ -171,7 +171,7 @@ def power_iteration(
         image = apply_transfer(imap, potential, psi)
         lam = float(np.max(np.abs(image.values)))
         if lam <= 0:
-            raise DomainError("operator annihilated the iterate")
+            raise ConvergenceError("operator annihilated the iterate")
         psi = image.with_values(image.values / lam)
         if abs(lam - lam_prev) < tol:
             residual = float(

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import helpers
-from thermomap.conformal import transition_parameter, weak_limit
+from thermomap.conformal import transition_parameter, weak_limit, window_start
 from thermomap.maps import full_linear_map, logistic4_map
 from thermomap.potentials import BranchConstantPotential
+from thermomap.pressure import level_sums
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +21,9 @@ def bern_limit():
     """Converged weak limit for the doubling map with weights (1, e^-1)."""
     imap = full_linear_map(2)
     phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
-    trans = transition_parameter(imap, phi, 0.3, 16)
-    limit = weak_limit(imap, phi, 0.3, trans.c, 16, bins=64, tol=1e-6)
+    sums = level_sums(imap, phi, 0.3, 16, retain_from=window_start(16))
+    trans = transition_parameter(sums)
+    limit = weak_limit(sums, trans.c, bins=64, tol=1e-6)
     return imap, phi, trans, limit
 
 
@@ -29,8 +31,9 @@ def bern_limit():
 def logistic_limit():
     """Converged weak limit for the full quadratic map, zero potential."""
     imap = logistic4_map()
-    trans = transition_parameter(imap, None, 0.3, 16)
-    limit = weak_limit(imap, None, 0.3, trans.c, 16, bins=64, tol=1e-6)
+    sums = level_sums(imap, None, 0.3, 16, retain_from=window_start(16))
+    trans = transition_parameter(sums)
+    limit = weak_limit(sums, trans.c, bins=64, tol=1e-6)
     return imap, trans, limit
 
 

@@ -58,6 +58,16 @@ def draw_piecewise_holder(rng, alpha, positions):
     return SampledFunction(positions, v)
 
 
+def osc(h, m, eps, x):
+    """Oscillation of h over the single ball {q : m([x, q]) < eps}, by a scan
+    of every sample; the oracle for keller.osc_profile."""
+    dists = np.array([m.mass_interval(x, q) for q in h.positions])
+    inside = h.values[dists < eps]
+    if inside.size == 0:
+        return 0.0
+    return float(inside.max() - inside.min())
+
+
 def brute_p_variation(values, p):
     """Exhaustive maximum over all increasing index subsets (k <= ~14)."""
     values = np.asarray(values, dtype=float)

@@ -10,6 +10,7 @@ and byte-identical output regardless of the threads flag.
 
 import filecmp
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,12 @@ class TestConfigValidation:
         assert main(["pressure", str(path)]) == 64
         assert "slope" in capsys.readouterr().err
 
+    def test_alpha_potential_key_exits_64(self, tmp_path, capsys):
+        # potentials take no Holder exponent from the config
+        path = write_config(tmp_path, potential={**BERNOULLI, "alpha": 0.5})
+        assert main(["pressure", str(path)]) == 64
+        assert "'alpha'" in capsys.readouterr().err
+
     def test_unknown_command_param_exits_64(self, tmp_path, capsys):
         path = write_config(tmp_path, command_params={"n_maxx": 9})
         assert main(["pressure", str(path)]) == 64
@@ -345,6 +352,17 @@ class TestEquilibriumCommand:
         nu = read_measure(tmp_path / "out" / "nu.csv")
         assert abs(float(nu.masses.sum()) - 1.0) < 1e-9
 
+    def test_annihilated_iterate_is_a_numerical_failure(self, tmp_path, capsys):
+        # a valid config whose weights exp(-800) underflow the transfer
+        # operator to zero: a convergence failure (3), not a config error
+        path = write_config(
+            tmp_path,
+            potential={"kind": "constant", "values": [-800.0]},
+            command_params={"n_max": 10},
+        )
+        assert main(["equilibrium", str(path)]) == 3
+        assert "annihilated" in capsys.readouterr().err
+
 
 class TestCorrelationsCommand:
     def test_default_observable_schema(self, tmp_path):
@@ -476,3 +494,54 @@ class TestAuditAll:
             f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()
         }
         assert first == second
+
+
+class TestOneTreeWalk:
+    """Each tree pipeline walks the preimage tree once and reduces that walk
+    to the pressure, the transition parameter and the weak limit."""
+
+    @pytest.mark.parametrize(
+        "command", ["conformal", "equilibrium", "correlations", "audit-all"]
+    )
+    def test_pipeline_walks_once(self, tmp_path, monkeypatch, command):
+        import thermomap.maps as maps
+
+        walks = []
+        real = maps.iter_preimage_levels
+
+        def counting(*args, **kwargs):
+            walks.append(args[3])
+            return real(*args, **kwargs)
+
+        # every module-level copy, so a walk from any module is counted
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thermomap") and (
+                getattr(module, "iter_preimage_levels", None) is real
+            ):
+                monkeypatch.setattr(module, "iter_preimage_levels", counting)
+        params = {"n_max": 10}
+        if command != "conformal":
+            params["tree_depth"] = 12
+        if command == "correlations":
+            params["lags"] = 6
+        path = write_config(tmp_path, potential=BERNOULLI, command_params=params)
+        assert main([command, str(path)]) == 0
+        assert walks == [10 if command == "conformal" else 12]
+
+    @pytest.mark.parametrize("tree_depth", [9, 13])
+    def test_audit_all_files_match_single_commands(self, tmp_path, tree_depth):
+        def run(command, name, **params):
+            cfg = write_config(
+                tmp_path, name=f"{name}.json", potential=BERNOULLI,
+                command_params=params, output_dir=str(tmp_path / name),
+            )
+            assert main([command, str(cfg)]) == 0
+            return tmp_path / name
+
+        audit = run("audit-all", "audit", n_max=11, tree_depth=tree_depth)
+        pressure = run("pressure", "pressure", n_max=tree_depth)
+        conformal = run("conformal", "conformal", n_max=11)
+        assert (audit / "pressure.csv").read_bytes() == (
+            pressure / "pressure.csv").read_bytes()
+        for name in ("measure.csv", "conformal.csv"):
+            assert (audit / name).read_bytes() == (conformal / name).read_bytes()

@@ -2,9 +2,7 @@
 
 Oracle notes. For a full-branch map with branch-constant weights the level
 sums factorize, a_n = n * log(sum_b exp(v_b)) exactly, so the transition
-parameter and all slice masses have closed forms. For the tent map with
-zero potential and s = log 2 + 1 the depth slices of the series measure
-are geometric with ratio exp(-1). For the golden tent the level counts are
+parameter and all slice masses have closed forms. For the golden tent the level counts are
 Fibonacci numbers, whose logarithms are affine in n up to an exponentially
 small correction, pinning the fitted slope.
 """
@@ -13,22 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from thermomap.conformal import (
     AtomicMeasure,
     WeightSchedule,
     atom_audit,
-    build_ms,
     conformality_audit,
-    dirac,
     transition_parameter,
     uniform_atoms,
     weak_limit,
+    window_start,
 )
-from thermomap.errors import ConvergenceError, DomainError
+from thermomap.errors import DomainError
 from thermomap.maps import golden_tent_map, tent_map
 from thermomap.potentials import BranchConstantPotential
+from thermomap.pressure import level_sums
 
 LOG2 = np.log(2.0)
 C_BERN = np.log(1.0 + np.exp(-1.0))
@@ -37,6 +34,15 @@ P0 = 1.0 / (1.0 + np.exp(-1.0))
 
 def bernoulli_potential():
     return BranchConstantPotential(np.array([0.0, 0.5, 1.0]), np.array([0.0, -1.0]))
+
+
+def point_mass(x):
+    return AtomicMeasure(np.array([x]), np.array([1.0]), (0.0, 1.0))
+
+
+def window_sums(imap, potential, n_max, x0=0.3):
+    """Level sums retaining exactly the levels weak_limit mixes."""
+    return level_sums(imap, potential, x0, n_max, retain_from=window_start(n_max))
 
 
 class TestAtomicMeasure:
@@ -82,7 +88,7 @@ class TestAtomicMeasure:
             AtomicMeasure.normalized(np.array([0.2]), np.array([0.0]))
 
     def test_dirac(self):
-        mu = dirac(0.5, domain=(0.0, 1.0))
+        mu = point_mass(0.5)
         assert mu.mass_interval(0.5, 0.5) == 1.0
         assert mu.bin_masses(8).max() == 1.0
 
@@ -116,7 +122,7 @@ class TestWeightSchedule:
 
 class TestTransitionParameter:
     def test_tent_counting(self):
-        seq = transition_parameter(tent_map(), None, 0.3, n_max=12)
+        seq = transition_parameter(level_sums(tent_map(), None, 0.3, 12))
         # a_n = n log 2 exactly, so slope, intercept and residual are pinned
         assert seq.c == pytest.approx(LOG2, abs=1e-12)
         assert abs(seq.intercept) < 1e-10
@@ -125,12 +131,14 @@ class TestTransitionParameter:
         np.testing.assert_allclose(seq.a_values, seq.depths * LOG2, atol=1e-10)
 
     def test_bernoulli_weights(self):
-        seq = transition_parameter(tent_map(), bernoulli_potential(), 0.3, n_max=12)
+        seq = transition_parameter(
+            level_sums(tent_map(), bernoulli_potential(), 0.3, 12)
+        )
         assert seq.c == pytest.approx(C_BERN, abs=1e-12)
 
     def test_golden_slope_is_log_golden_ratio(self):
         beta = (1.0 + np.sqrt(5.0)) / 2.0
-        seq = transition_parameter(golden_tent_map(), None, 0.3, n_max=18)
+        seq = transition_parameter(level_sums(golden_tent_map(), None, 0.3, 18))
         # log F_{n+1} = (n+1) log beta - log sqrt 5 + O(beta^{-2n}), so the
         # upper-half fit recovers log beta far better than a_n / n does
         assert seq.c == pytest.approx(np.log(beta), abs=1e-4)
@@ -138,43 +146,12 @@ class TestTransitionParameter:
 
     def test_rejects_breakpoint_base(self):
         with pytest.raises(DomainError):
-            transition_parameter(tent_map(), None, 0.5, n_max=6)
-
-
-class TestBuildMs:
-    def test_geometric_slice_masses(self):
-        ms = build_ms(tent_map(), None, 0.3, c=LOG2, s=LOG2 + 1.0, n_max=12)
-        level_masses = np.exp(ms.level_log_masses - logsumexp(ms.level_log_masses))
-        n = np.arange(1, 13)
-        expected = np.exp(-1.0 * n)
-        expected /= expected.sum()
-        np.testing.assert_allclose(level_masses, expected, rtol=1e-12)
-        assert ms.measure.size == 2**13 - 2
-        assert ms.measure.masses.sum() == pytest.approx(1.0, abs=1e-12)
-        assert ms.tail_fraction < 1e-4
-
-    def test_tail_gate_raises(self):
-        with pytest.raises(ConvergenceError, match="increase n_max or s - c"):
-            build_ms(tent_map(), None, 0.3, c=LOG2, s=LOG2 + 0.01, n_max=10)
-
-    def test_rejects_s_at_or_below_c(self):
-        with pytest.raises(DomainError):
-            build_ms(tent_map(), None, 0.3, c=LOG2, s=LOG2, n_max=8)
-
-    def test_polynomial_weights_shift_slices(self):
-        flat = build_ms(tent_map(), None, 0.3, c=LOG2, s=LOG2 + 1.0, n_max=10)
-        poly = build_ms(
-            tent_map(), None, 0.3, c=LOG2, s=LOG2 + 1.0, n_max=10,
-            weights=WeightSchedule(theta=1.0),
-        )
-        # b_n = n tilts mass toward deeper slices by exactly log n
-        diff = poly.level_log_masses - flat.level_log_masses
-        np.testing.assert_allclose(diff, np.log(np.arange(1, 11)), atol=1e-10)
+            transition_parameter(level_sums(tent_map(), None, 0.5, 6))
 
 
 @pytest.fixture(scope="module")
 def bernoulli_limit():
-    return weak_limit(tent_map(), bernoulli_potential(), 0.3, c=C_BERN, n_max=18)
+    return weak_limit(window_sums(tent_map(), bernoulli_potential(), 18), c=C_BERN)
 
 
 class TestWeakLimit:
@@ -208,7 +185,7 @@ class TestWeakLimit:
         assert bernoulli_limit.measure.bin_masses(512).max() <= 3.0 * P0**9
 
     def test_tent_counting_limit_is_uniform(self):
-        res = weak_limit(tent_map(), None, 0.3, c=LOG2, n_max=18)
+        res = weak_limit(window_sums(tent_map(), None, 18), c=LOG2)
         assert res.converged
         # zero potential weights every branch word equally; dyadic bins then
         # carry equal mass up to endpoint-atom placement
@@ -225,7 +202,24 @@ class TestWeakLimit:
 
     def test_rejects_tiny_depth(self):
         with pytest.raises(DomainError):
-            weak_limit(tent_map(), None, 0.3, c=LOG2, n_max=3)
+            weak_limit(window_sums(tent_map(), None, 3), c=LOG2)
+
+    def test_rejects_sums_without_the_window(self):
+        sums = level_sums(tent_map(), None, 0.3, 12, retain_from=window_start(12) + 1)
+        with pytest.raises(DomainError, match="retain depths 7..12"):
+            weak_limit(sums, c=LOG2)
+        with pytest.raises(DomainError, match="retain depths"):
+            weak_limit(level_sums(tent_map(), None, 0.3, 12), c=LOG2)
+
+    def test_deeper_walk_cut_to_depth_gives_same_measure(self, bernoulli_limit):
+        # one walk retaining more levels, deeper than n_max, reduces to the
+        # same weak limit once cut at n_max
+        sums = level_sums(tent_map(), bernoulli_potential(), 0.3, 20, retain_from=3)
+        res = weak_limit(sums.upto(18), c=C_BERN)
+        assert res.window == bernoulli_limit.window
+        np.testing.assert_array_equal(res.measure.points, bernoulli_limit.measure.points)
+        np.testing.assert_array_equal(res.measure.masses, bernoulli_limit.measure.masses)
+        np.testing.assert_array_equal(res.s_values, bernoulli_limit.s_values)
 
 
 class TestConformalityAudit:
@@ -240,9 +234,7 @@ class TestConformalityAudit:
         assert rep.max_delta <= 2e-3
 
     def test_weak_limit_is_nearly_conformal(self):
-        res = weak_limit(
-            tent_map(), bernoulli_potential(), 0.3, c=C_BERN, n_max=18
-        )
+        res = weak_limit(window_sums(tent_map(), bernoulli_potential(), 18), c=C_BERN)
         rep = conformality_audit(
             res.measure, tent_map(), bernoulli_potential(), C_BERN,
             [(0.0, 0.25), (0.125, 0.375), (0.5, 0.75), (0.625, 0.875)],
@@ -256,16 +248,14 @@ class TestConformalityAudit:
 
     def test_dirac_violates_conformality(self):
         # a point mass off the fixed point cannot be conformal for counting
-        mu = dirac(0.3, domain=(0.0, 1.0))
+        mu = point_mass(0.3)
         rep = conformality_audit(mu, tent_map(), None, LOG2, [(0.25, 0.35)])
         assert rep.max_delta > 0.5
 
 
 class TestAtomAudit:
     def test_decay_for_spread_measure(self):
-        res = weak_limit(
-            tent_map(), bernoulli_potential(), 0.3, c=C_BERN, n_max=18
-        )
+        res = weak_limit(window_sums(tent_map(), bernoulli_potential(), 18), c=C_BERN)
         audit = atom_audit(res.measure, [8, 64, 512])
         assert np.all(np.diff(audit.max_bin_masses) < 0)
         assert audit.max_bin_masses[-1] < 0.07

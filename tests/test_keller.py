@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_p_variation, draw_piecewise_holder
-from thermomap.conformal import AtomicMeasure, dirac, uniform_atoms
+from helpers import brute_p_variation, draw_piecewise_holder, osc
+from thermomap.conformal import AtomicMeasure, uniform_atoms
 from thermomap.errors import DomainError
 from thermomap.keller import (
     NormReport,
@@ -27,11 +27,9 @@ from thermomap.keller import (
     keller_seminorm,
     norm_chain_audit,
     norm_report,
-    osc,
     osc1,
     osc_profile,
     p_variation,
-    pseudo_distance,
 )
 
 
@@ -64,19 +62,22 @@ class TestSampledFunction:
 
 
 class TestPseudoDistance:
+    """The pseudo-distance d(x, y) is AtomicMeasure.mass_interval(x, y)."""
+
     def test_uniform_atoms(self):
         m = uniform_atoms(64)
-        assert pseudo_distance(m, 0.0, 0.5) == pytest.approx(0.5)
+        assert m.mass_interval(0.0, 0.5) == pytest.approx(0.5)
         # a single point carries its own atom mass, or none off the grid
-        assert pseudo_distance(m, m.points[10], m.points[10]) == pytest.approx(1 / 64)
-        assert pseudo_distance(m, 0.25, 0.25) == 0.0
+        assert m.mass_interval(m.points[10], m.points[10]) == pytest.approx(1 / 64)
+        assert m.mass_interval(0.25, 0.25) == 0.0
 
     def test_dirac(self):
-        assert pseudo_distance(dirac(0.5), 0.0, 1.0) == 1.0
+        m = AtomicMeasure(np.array([0.5]), np.array([1.0]), (0.5, 0.5))
+        assert m.mass_interval(0.0, 1.0) == 1.0
 
     def test_symmetry(self):
         m = uniform_atoms(32)
-        assert pseudo_distance(m, 0.7, 0.2) == pseudo_distance(m, 0.2, 0.7)
+        assert m.mass_interval(0.7, 0.2) == m.mass_interval(0.2, 0.7)
 
 
 class TestOsc:
@@ -110,7 +111,19 @@ class TestOsc:
         m = uniform_atoms(8)
         h = step_function(m.points)
         with pytest.raises(DomainError):
-            osc(h, m, 0.0, 0.5)
+            osc_profile(h, m, 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_profile_matches_single_ball_oracle_at_every_atom(self, seed):
+        rng = np.random.default_rng(seed)
+        m = AtomicMeasure.normalized(
+            np.sort(rng.uniform(0, 1, 40)), rng.uniform(0.1, 3.0, 40), (0.0, 1.0)
+        )
+        h = draw_piecewise_holder(rng, 0.5, m.points)
+        for eps in (0.01, 0.05, 0.2, 0.7):
+            vals, _ = osc_profile(h, m, eps)
+            oracle = [osc(h, m, eps, x) for x in m.points]
+            np.testing.assert_array_equal(vals, oracle)
 
 
 class TestOsc1:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermomap.errors import DomainError
+from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
     full_linear_map,
     golden_tent_map,
@@ -21,7 +21,9 @@ from thermomap.pressure import (
     appendix_construct,
     bounded_range_check,
     hyperbolicity_check,
+    level_sums,
     pressure_curve,
+    pressure_report,
     separated_pressure,
     topological_entropy,
     tree_pressure,
@@ -89,6 +91,56 @@ def test_tree_pressure_partial_budget():
     assert rep.feasible_depth == 8
     assert rep.depths[-1] == 8
     assert rep.estimate == pytest.approx(LOG2, abs=1e-10)
+
+
+def test_tree_pressure_partial_budget_below_n_min_raises():
+    with pytest.raises(BudgetError, match="feasible max depth is 8"):
+        tree_pressure(
+            tent_map(), None, 0.3, 24, n_min=9, budget=1000, partial_on_budget=True
+        )
+
+
+class TestLevelSums:
+    def test_sums_and_retained_levels(self):
+        phi = CosineSeriesPotential((0.3, -0.2))
+        sums = level_sums(tent_map(), phi, 0.3, 9, retain_from=6, retain_to=8)
+        assert sums.depth == 9 and sums.complete and sums.feasible_depth is None
+        assert [p.size for p in sums.points] == [64, 128, 256]
+        for birk, a in zip(sums.birkhoff, sums.a_values[5:8]):
+            assert np.log(np.sum(np.exp(birk))) == pytest.approx(a, abs=1e-12)
+        assert level_sums(tent_map(), phi, 0.3, 9).points == ()
+
+    def test_upto_cuts_sums_and_levels(self):
+        sums = level_sums(tent_map(), None, 0.3, 10, retain_from=4)
+        head = sums.upto(6)
+        assert head.depth == 6
+        np.testing.assert_array_equal(head.a_values, sums.a_values[:6])
+        assert [p.size for p in head.points] == [16, 32, 64]
+        assert sums.upto(10) is sums
+        with pytest.raises(DomainError, match="stop at depth 10"):
+            sums.upto(11)
+
+    def test_report_of_one_walk_matches_streaming_estimator(self):
+        phi = CosineSeriesPotential((0.3, -0.2))
+        sums = level_sums(tent_map(), phi, 0.3, 12, retain_from=7)
+        for n_max, n_min in ((12, 1), (9, 1), (9, 4)):
+            got = pressure_report(sums, n_max, n_min)
+            ref = tree_pressure(tent_map(), phi, 0.3, n_max, n_min=n_min)
+            assert got.estimate == ref.estimate
+            assert got.fluctuation == ref.fluctuation
+            np.testing.assert_array_equal(got.p_values, ref.p_values)
+            assert got.requested_depth == n_max and got.complete
+
+    def test_partial_walk(self):
+        sums = level_sums(
+            tent_map(), None, 0.3, 24, budget=1000, partial_on_budget=True
+        )
+        assert not sums.complete
+        assert sums.depth == sums.feasible_depth == 8
+        assert sums.upto(24) is sums
+        assert sums.upto(5).complete
+        with pytest.raises(BudgetError):
+            level_sums(tent_map(), None, 0.3, 24, budget=1000)
 
 
 def test_separated_singleton_when_epsilon_exceeds_diameter():
