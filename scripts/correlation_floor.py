@@ -19,6 +19,8 @@ import numpy as np
 
 from thermomap import correlation, full_linear_map, uniform_atoms
 
+MIN_POWER = 14  # log2 of the smallest atom count in the sweep
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -26,6 +28,9 @@ def main():
     ap.add_argument("--lags", type=int, default=20)
     ap.add_argument("--out", type=Path, default=Path("out"))
     args = ap.parse_args()
+    if args.max_power < MIN_POWER:
+        ap.error(f"--max-power must be at least {MIN_POWER} (the sweep starts "
+                 f"at 2^{MIN_POWER} atoms)")
     args.out.mkdir(parents=True, exist_ok=True)
 
     imap = full_linear_map(2)
@@ -35,7 +40,7 @@ def main():
     rows = ["log2_atoms,n,c_n,turn_lag,clean_rho"]
     print(f"{'atoms':>10} {'turn lag':>8} {'clean-window rate':>18} "
           f"{'full-window rate':>17}")
-    for power in range(14, args.max_power + 1, 2):
+    for power in range(MIN_POWER, args.max_power + 1, 2):
         atoms = uniform_atoms(2**power)
         rep = correlation(imap, obs, obs, atoms, n_max=args.lags)
         turn = int(rep.ns[np.argmin(rep.c_values)])

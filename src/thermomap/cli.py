@@ -8,9 +8,11 @@ configs and seeds produce byte-identical artifacts regardless of the
 ``--threads`` flag, which is accepted for interface stability but never
 changes results (orchestration is single-threaded by design).
 
-Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure
-(partial artifacts are still written, with a status column), 64 malformed
-configuration (message anchored to the offending line).
+Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
+64 malformed configuration (message anchored to the offending line). On exit
+3 a flagged result is still written, with status ``budget`` (pressure,
+entropy) or ``not_converged`` (conformal, equilibrium, audit-all); a raised
+BudgetError or ConvergenceError writes nothing after it.
 """
 
 from __future__ import annotations

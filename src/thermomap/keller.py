@@ -204,17 +204,15 @@ def p_variation(h: SampledFunction, p: float) -> float:
     return float(np.max(best) ** (1.0 / p))
 
 
-def holder_seminorm(h: SampledFunction, alpha: float, block: int = 1024) -> float:
+def holder_seminorm(h: SampledFunction, alpha: float) -> float:
     """Exact max of |h(x)-h(y)| / |x-y|^alpha over all sample pairs."""
     if not 0 < alpha <= 1:
         raise DomainError("alpha must lie in (0, 1]")
     x, v = h.positions, h.values
     best = 0.0
-    for start in range(0, x.size - 1, block):
-        stop = min(start + block, x.size - 1)
-        for i in range(start, stop):
-            gaps = (x[i + 1 :] - x[i]) ** alpha
-            best = max(best, float(np.max(np.abs(v[i + 1 :] - v[i]) / gaps)))
+    for i in range(x.size - 1):
+        gaps = (x[i + 1 :] - x[i]) ** alpha
+        best = max(best, float(np.max(np.abs(v[i + 1 :] - v[i]) / gaps)))
     return best
 
 

@@ -21,6 +21,7 @@ TOL_CONTINUITY = 1e-9
 TOL_COVER = 1e-12
 TOL_DEDUP = 1e-12
 DEFAULT_NODE_BUDGET = 20_000_000
+VALIDATE_SAMPLES_PER_BRANCH = 257
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -166,14 +167,6 @@ class IntervalMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
 
-    def orbit(self, x: float, n: int) -> np.ndarray:
-        """Forward orbit [x, f(x), ..., f^n(x)] of length n + 1."""
-        pts = np.empty(n + 1)
-        pts[0] = x
-        for i in range(n):
-            pts[i + 1] = self.eval(pts[i])
-        return pts
-
     def preimages(self, y: float) -> np.ndarray:
         """All solutions of f(x) = y, ascending, merged at shared breakpoints.
 
@@ -291,7 +284,7 @@ class MapDiagnostics:
     injective: bool
 
 
-def validate(imap: IntervalMap, samples_per_branch: int = 257) -> MapDiagnostics:
+def validate(imap: IntervalMap) -> MapDiagnostics:
     """Check global continuity and per-branch monotonicity by sampling.
 
     Raises DomainError when adjacent branch values disagree by more than
@@ -312,7 +305,7 @@ def validate(imap: IntervalMap, samples_per_branch: int = 257) -> MapDiagnostics
     monotone_ok = True
     surjective = []
     for br in imap.branches:
-        xs = np.linspace(br.lo, br.hi, samples_per_branch)
+        xs = np.linspace(br.lo, br.hi, VALIDATE_SAMPLES_PER_BRANCH)
         vals = br.forward(xs)
         diffs = np.diff(vals)
         if br.increasing:
@@ -514,6 +507,29 @@ def preimage_tree(
     return PreimageTree(x0=float(x0), levels=levels)
 
 
+def forward_orbit(
+    imap: IntervalMap,
+    x: np.ndarray,
+    n: int,
+    potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Yield (f^j x, S_{j+1} phi(x)) for j = 0 .. n-1; sums are None without phi.
+
+    The one forward-orbit kernel: f is applied only when the next iterate is
+    requested, so n iterates cost n - 1 evaluations, and only the current
+    iterate and running sum are kept. Points are 1-d arrays even for a
+    scalar x; the sum accumulates phi(f^j x) in j order from zeros.
+    """
+    cur = np.atleast_1d(np.asarray(x, dtype=float))
+    total = None if potential is None else np.zeros_like(cur)
+    for j in range(n):
+        if j:
+            cur = imap.eval(cur)
+        if potential is not None:
+            total = total + np.asarray(potential(cur), dtype=float)
+        yield cur, total
+
+
 def birkhoff_sum(
     imap: IntervalMap,
     potential: Callable[[np.ndarray], np.ndarray],
@@ -521,9 +537,7 @@ def birkhoff_sum(
     n: int,
 ) -> np.ndarray:
     """Forward Birkhoff sum phi(x) + phi(f x) + ... + phi(f^(n-1) x)."""
-    cur = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    total = np.zeros_like(cur)
-    for _ in range(n):
-        total += np.asarray(potential(cur), dtype=float)
-        cur = np.atleast_1d(imap.eval(cur))
+    total = np.zeros(np.shape(np.atleast_1d(x)))
+    for _, total in forward_orbit(imap, x, n, potential):
+        pass
     return total if np.ndim(x) else float(total[0])

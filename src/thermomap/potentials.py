@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AuditError, DomainError
-from .maps import IntervalMap
+from .maps import IntervalMap, birkhoff_sum, forward_orbit
 
 
 class Potential(abc.ABC):
@@ -223,25 +223,17 @@ class AveragedPotential(Potential):
             raise DomainError("averaging window must be at least 1")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        cur = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-        acc = np.zeros_like(cur)
-        for _ in range(self.window):
-            acc += np.asarray(self.base(cur), dtype=float)
-            cur = np.atleast_1d(self.imap.eval(cur))
-        acc /= self.window
-        return acc if np.ndim(x) else float(acc[0])
+        return birkhoff_sum(self.imap, self.base, x, self.window) / self.window
 
     def scale(self, c: float) -> "AveragedPotential":
         return AveragedPotential(self.imap, self.base.scale(c), self.window)
 
     def transfer_term(self, x: np.ndarray) -> np.ndarray:
         """The function u with avg = base + u o f - u."""
-        cur = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-        acc = np.zeros_like(cur)
-        for j in range(self.window):
-            acc += (self.window - 1 - j) * np.asarray(self.base(cur), dtype=float)
-            cur = np.atleast_1d(self.imap.eval(cur))
-        acc /= self.window
+        acc = 0.0
+        for j, (cur, _) in enumerate(forward_orbit(self.imap, x, self.window)):
+            acc = acc + (self.window - 1 - j) * np.asarray(self.base(cur), dtype=float)
+        acc = acc / self.window
         return acc if np.ndim(x) else float(acc[0])
 
     def coboundary_sup_bound(self) -> float:

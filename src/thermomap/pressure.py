@@ -22,6 +22,7 @@ from .errors import BudgetError, DomainError
 from .maps import (
     DEFAULT_NODE_BUDGET,
     IntervalMap,
+    forward_orbit,
     iter_preimage_levels,
     pw_linear_map,
 )
@@ -33,6 +34,7 @@ from .potentials import (
 )
 
 BREAKPOINT_REJECT_TOL = 1e-12
+CURVE_FIT_WINDOW = 0.2
 
 
 @dataclass(frozen=True)
@@ -255,16 +257,9 @@ def separated_pressure(
     lo, hi = imap.domain
     xs = np.linspace(lo, hi, grid_size)
     orbit = np.empty((n, grid_size))
-    cur = xs.copy()
-    for i in range(n):
+    for i, (cur, total) in enumerate(forward_orbit(imap, xs, n, potential)):
         orbit[i] = cur
-        cur = imap.eval(cur)
-    if potential is not None:
-        weights = np.zeros(grid_size)
-        for i in range(n):
-            weights += np.asarray(potential(orbit[i]), dtype=float)
-    else:
-        weights = np.zeros(grid_size)
+    weights = np.zeros(grid_size) if total is None else total
     order = np.argsort(-weights, kind="stable")
     adm_pos: list[float] = []
     adm_idx: list[int] = []
@@ -329,15 +324,12 @@ def hyperbolicity_check(
     failure up to n_max proves nothing and is reported as "unknown".
     """
     lo, hi = imap.domain
-    cur = np.linspace(lo, hi, grid_size)
-    acc = np.zeros(grid_size)
-    for depth in range(1, n_max + 1):
-        if potential is not None:
-            acc += np.asarray(potential(cur), dtype=float)
-        sup_avg = float(acc.max()) / depth
+    grid = np.linspace(lo, hi, grid_size)
+    sums = forward_orbit(imap, grid, n_max, potential)
+    for depth, (_, acc) in enumerate(sums, 1):
+        sup_avg = (0.0 if acc is None else float(acc.max())) / depth
         if sup_avg < pressure_estimate:
             return HyperbolicityReport("hyperbolic", depth, pressure_estimate - sup_avg)
-        cur = imap.eval(cur)
     return HyperbolicityReport("unknown", None, 0.0)
 
 
@@ -357,7 +349,6 @@ class PressureCurve:
     first_diff: np.ndarray
     second_diff: np.ndarray
     fit_residual: float
-    fit_window: float
     fit_points: int
 
 
@@ -369,13 +360,12 @@ def pressure_curve(
     x0: float = 0.3,
     n_max: int = 8,
     budget: int = DEFAULT_NODE_BUDGET,
-    fit_window: float = 0.2,
 ) -> PressureCurve:
     """Tree pressure of phi + t*chi on a uniform t grid.
 
     Reports central first and second differences (ends are nan) and the RMS
-    residual of a least-squares cubic over the points with |t| <= fit_window,
-    a purely diagnostic smoothness probe.
+    residual of a least-squares cubic over the points with
+    |t| <= CURVE_FIT_WINDOW, a purely diagnostic smoothness probe.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
@@ -397,7 +387,7 @@ def pressure_curve(
     second = np.full(ts.size, np.nan)
     first[1:-1] = (estimates[2:] - estimates[:-2]) / (2 * dt)
     second[1:-1] = (estimates[2:] - 2 * estimates[1:-1] + estimates[:-2]) / dt**2
-    mask = np.abs(ts) <= fit_window + 1e-12
+    mask = np.abs(ts) <= CURVE_FIT_WINDOW + 1e-12
     if mask.sum() >= 5:
         coeffs = np.polyfit(ts[mask], estimates[mask], 3)
         resid = estimates[mask] - np.polyval(coeffs, ts[mask])
@@ -415,7 +405,6 @@ def pressure_curve(
         first_diff=first,
         second_diff=second,
         fit_residual=fit_residual,
-        fit_window=fit_window,
         fit_points=fit_points,
     )
 

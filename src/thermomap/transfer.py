@@ -16,11 +16,12 @@ import numpy as np
 
 from .conformal import AtomicMeasure, uniform_atoms
 from .errors import AuditError, ConvergenceError, DomainError
-from .maps import IntervalMap
+from .maps import IntervalMap, forward_orbit
 from .potentials import Potential
 
 MIN_GRID = 16
 CORRELATION_FLOOR = 1e-13
+DEFLATE_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,6 @@ def power_iteration(
     max_iter: int = 500,
     mu: Optional[AtomicMeasure] = None,
     probe: Optional[GridFunction] = None,
-    deflate_window: int = 10,
 ) -> EigenReport:
     """Sup-normalized power iteration for the leading eigenpair.
 
@@ -156,7 +156,7 @@ def power_iteration(
     is below 10 tol. The eigenfunction is rescaled to integrate to 1
     against mu (uniform midpoint atoms when omitted). The subdominant rate
     rho_hat is fitted from the decay of a deflated probe under the
-    normalized operator, using the last `deflate_window` resolvable steps.
+    normalized operator, using the last DEFLATE_WINDOW resolvable steps.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -211,7 +211,7 @@ def power_iteration(
             break
     usable = np.asarray([r for r in rates if r > 1e-14])
     if usable.size >= 3:
-        tail = usable[-deflate_window:]
+        tail = usable[-DEFLATE_WINDOW:]
         rho_hat, r2 = _log_linear_rate(np.log(tail))
         fit_points = int(tail.size)
     else:
@@ -337,10 +337,10 @@ def correlation(
     psi_vals = np.asarray(psi(pts), dtype=float)
     phi_mean = float(np.sum(w * np.asarray(phi_obs(pts), dtype=float)))
     psi_mean = float(np.sum(w * psi_vals))
-    cur = pts.copy()
     cs = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        cur = imap.eval(cur)
+    orbit = forward_orbit(imap, pts, n_max + 1)
+    next(orbit)  # f^0: the atoms themselves
+    for n, (cur, _) in enumerate(orbit, 1):
         phi_n = np.asarray(phi_obs(cur), dtype=float)
         cs[n - 1] = abs(float(np.sum(w * phi_n * psi_vals)) - phi_mean * psi_mean)
     ns = np.arange(1, n_max + 1)
@@ -438,38 +438,3 @@ def spectral_gap_estimate(
         eigen=eigen,
         corr=corr,
     )
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    satisfied: bool
-    n: Optional[int]
-    sup_g_n: float
-
-
-def gn_contraction_check(
-    imap: IntervalMap,
-    potential: Optional[Potential],
-    log_lambda: float,
-    grid_size: int = 4096,
-    n_max: int = 20,
-) -> ContractionReport:
-    """Find n <= n_max with sup over the grid of exp(S_n(phi) - n log lambda) < 1.
-
-    This witnesses the iterated-weight contraction hypothesis behind the
-    spectral machinery; zero potential satisfies it at n = 1 whenever
-    log lambda > 0.
-    """
-    lo, hi = imap.domain
-    x = np.linspace(lo, hi, grid_size)
-    s = np.zeros(grid_size)
-    cur = x.copy()
-    best = np.inf
-    for n in range(1, n_max + 1):
-        s += potential(cur) if potential is not None else 0.0
-        cur = imap.eval(cur)
-        sup_gn = float(np.max(np.exp(s - n * log_lambda)))
-        best = min(best, sup_gn)
-        if sup_gn < 1.0:
-            return ContractionReport(satisfied=True, n=n, sup_g_n=sup_gn)
-    return ContractionReport(satisfied=False, n=None, sup_g_n=best)

@@ -68,6 +68,15 @@ def osc(h, m, eps, x):
     return float(inside.max() - inside.min())
 
 
+def orbit(imap, x, n):
+    """Forward orbit [x, f(x), ..., f^n(x)] of a scalar, one evaluation per
+    step; the oracle for maps.forward_orbit."""
+    pts = [float(x)]
+    for _ in range(n):
+        pts.append(imap.eval(pts[-1]))
+    return np.array(pts)
+
+
 def brute_p_variation(values, p):
     """Exhaustive maximum over all increasing index subsets (k <= ~14)."""
     values = np.asarray(values, dtype=float)

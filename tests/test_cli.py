@@ -271,6 +271,37 @@ class TestPressureCommand:
         assert abs(float(rows[-1][2]) - LOG2) < 1e-12
 
 
+class TestExitThree:
+    """Exit 3 from a flagged result keeps every artifact, marked in its status
+    column; exit 3 from a raised budget or convergence failure writes nothing
+    after the failure."""
+
+    def test_flagged_results_write_raised_failures_do_not(self, tmp_path):
+        def run(command, name, *flags, **overrides):
+            out = tmp_path / name
+            path = write_config(
+                tmp_path, name=f"{name}.json", output_dir=str(out), **overrides
+            )
+            assert main([command, str(path), *flags]) == 3
+            return sorted(p.name for p in out.iterdir())
+
+        budget = ("--budget", "5000")
+        annihilating = {"kind": "constant", "values": [-800.0]}
+        assert run(
+            "pressure", "flagged", *budget, command_params={"n_max": 30}
+        ) == ["pressure.csv"]
+        _, rows = read_csv(tmp_path / "flagged" / "pressure.csv")
+        assert rows and all(r[4] == "budget" for r in rows)
+        assert run("audit-all", "over_budget", *budget,
+                   command_params={"n_max": 12}) == []
+        assert run("equilibrium", "annihilated", potential=annihilating,
+                   command_params={"n_max": 10}) == []
+        # audit-all writes its tree artifacts before the power iteration
+        assert run("audit-all", "audit_annihilated", potential=annihilating,
+                   command_params={"n_max": 10}) == [
+            "conformal.csv", "measure.csv", "pressure.csv"]
+
+
 # The tent map on [0, 2] and a cosine series that must follow that domain.
 TENT_0_2 = {
     "kind": "pw_linear",

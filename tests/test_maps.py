@@ -1,15 +1,20 @@
-"""Map evaluation, preimage trees, and Markov witnesses."""
+"""Map evaluation, forward orbits, preimage trees, and Markov witnesses."""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import orbit
+from thermomap.conformal import uniform_atoms
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
     Branch,
     IntervalMap,
     birkhoff_sum,
+    forward_orbit,
     full_linear_map,
     golden_tent_map,
     is_topologically_exact,
@@ -20,7 +25,9 @@ from thermomap.maps import (
     tent_map,
     validate,
 )
-from thermomap.potentials import CosineSeriesPotential
+from thermomap.potentials import CosineSeriesPotential, average_transform
+from thermomap.pressure import hyperbolicity_check, separated_pressure
+from thermomap.transfer import correlation
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -80,8 +87,9 @@ def test_logistic_preimage_of_one_merges():
 
 def test_orbit_values():
     f = tent_map()
-    orb = f.orbit(0.2, 3)
-    assert np.allclose(orb, [0.2, 0.4, 0.8, 0.4])
+    assert np.allclose(orbit(f, 0.2, 3), [0.2, 0.4, 0.8, 0.4])
+    pts = [p for p, _ in forward_orbit(f, 0.2, 4)]
+    assert np.allclose(np.concatenate(pts), [0.2, 0.4, 0.8, 0.4])
 
 
 def test_golden_tent_is_continuous_at_kink():
@@ -268,8 +276,115 @@ def test_birkhoff_additivity(x, m, n):
     f = tent_map()
     phi = CosineSeriesPotential((0.2, -0.05), offset=0.3)
     total = birkhoff_sum(f, phi, x, m + n)
-    split = birkhoff_sum(f, phi, x, m) + birkhoff_sum(f, phi, f.orbit(x, m)[-1], n)
+    split = birkhoff_sum(f, phi, x, m) + birkhoff_sum(f, phi, orbit(f, x, m)[-1], n)
     assert total == pytest.approx(split, abs=1e-9)
+
+
+KERNEL_MAPS = {
+    "tent": tent_map(),
+    "logistic4": logistic4_map(),
+    "golden_tent": golden_tent_map(),
+    "sawtooth3": full_linear_map(3),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    name=st.sampled_from(sorted(KERNEL_MAPS)),
+    xs=st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                min_size=1, max_size=5),
+    n=st.integers(min_value=0, max_value=8),
+)
+def test_forward_orbit_matches_scalar_oracle(name, xs, n):
+    f = KERNEL_MAPS[name]
+    phi = CosineSeriesPotential((0.2, -0.05), offset=0.3)
+    x = np.asarray(xs)
+    oracle = np.array([orbit(f, xi, n) for xi in xs])  # one row per start
+    steps = list(forward_orbit(f, x, n, phi))
+    assert len(steps) == n
+    for j, (pts, total) in enumerate(steps):
+        assert np.array_equal(pts, oracle[:, j])
+        expected = [sum(float(phi(p)) for p in row[: j + 1]) for row in oracle]
+        assert np.allclose(total, expected, rtol=1e-12, atol=1e-12)
+    expected = [sum(float(phi(p)) for p in row[:n]) for row in oracle]
+    assert np.allclose(birkhoff_sum(f, phi, x, n), expected, rtol=1e-12, atol=1e-12)
+    assert all(total is None for _, total in forward_orbit(f, x, n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_forward_orbit_evaluates_only_requested_iterates(monkeypatch, n):
+    calls = []
+    real = IntervalMap.eval
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return real(self, x)
+
+    monkeypatch.setattr(IntervalMap, "eval", counting)
+    f = tent_map()
+    phi = CosineSeriesPotential((0.3,))
+    xs = np.linspace(0.0, 1.0, 11)
+    steps = forward_orbit(f, xs, n, phi)
+    assert calls == []  # nothing runs before the first request
+    assert len(list(steps)) == n
+    assert calls == [11] * max(n - 1, 0)
+    calls.clear()
+    birkhoff_sum(f, phi, xs, n)
+    assert len(calls) == max(n - 1, 0)
+
+
+def test_birkhoff_sum_scalar_in_scalar_out():
+    f = tent_map()
+    phi = CosineSeriesPotential((0.3,), offset=-0.1)
+    for n in (0, 1, 4):
+        total = birkhoff_sum(f, phi, 0.3, n)
+        assert isinstance(total, float)
+        assert total == birkhoff_sum(f, phi, np.array([0.3]), n)[0]
+
+
+class TestOneOrbitKernel:
+    """Every forward orbit and Birkhoff sum in the package is a reduction of
+    maps.forward_orbit, the only caller of IntervalMap.eval besides
+    IntervalMap.__call__."""
+
+    def test_orbit_consumers_go_through_the_kernel(self, monkeypatch):
+        kernel_calls = []
+        real = forward_orbit
+
+        def counting(*args, **kwargs):
+            kernel_calls.append(args[2])
+            return real(*args, **kwargs)
+
+        # every module-level copy, so a kernel use from any module is counted
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thermomap") and (
+                getattr(module, "forward_orbit", None) is real
+            ):
+                monkeypatch.setattr(module, "forward_orbit", counting)
+        callers = []
+        real_eval = IntervalMap.eval
+
+        def tracking(self, x):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_eval(self, x)
+
+        monkeypatch.setattr(IntervalMap, "eval", tracking)
+        f = tent_map()
+        phi = CosineSeriesPotential((0.3,))
+        runs = {
+            "separated_pressure": lambda: separated_pressure(f, phi, 4, 0.05, 40),
+            "hyperbolicity_check": lambda: hyperbolicity_check(f, phi, -1.0, n_max=3),
+            "correlation": lambda: correlation(
+                f, phi, phi, uniform_atoms(64, f.domain), n_max=5),
+            "AveragedPotential": lambda: average_transform(f, phi, 3)(
+                np.linspace(0.0, 1.0, 9)),
+        }
+        for name, run in runs.items():
+            kernel_calls.clear()
+            callers.clear()
+            run()
+            assert kernel_calls, name
+            assert callers and set(callers) == {"forward_orbit"}, name
 
 
 @settings(deadline=None, max_examples=60)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import orbit
 from thermomap.errors import AuditError, DomainError
 from thermomap.maps import birkhoff_sum, tent_map
 from thermomap.potentials import (
@@ -113,8 +114,17 @@ def test_averaged_potential_matches_direct_mean():
     base = CosineSeriesPotential((0.3,), offset=-0.2)
     avg = average_transform(f, base, 4)
     xs = np.linspace(0, 1, 41)
-    direct = birkhoff_sum(f, base, xs, 4) / 4.0
+    direct = [np.mean([float(base(p)) for p in orbit(f, x, 3)]) for x in xs]
     assert np.allclose(avg(xs), direct, atol=1e-12)
+
+
+def test_averaged_potential_scalar_in_scalar_out():
+    f = tent_map()
+    avg = average_transform(f, CosineSeriesPotential((0.3,), offset=-0.2), 4)
+    for fn in (avg, avg.transfer_term):
+        value = fn(0.3)
+        assert isinstance(value, float)
+        assert value == fn(np.array([0.3]))[0]
 
 
 def test_averaged_window_one_is_identity():

@@ -26,18 +26,21 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(tmp_path, script):
-    args, outputs = SCRIPTS[script]
+def run_script(script, args, out):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args,
-         "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(tmp_path, script):
+    args, outputs = SCRIPTS[script]
+    proc = run_script(script, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         lines = (tmp_path / name).read_text().splitlines()
@@ -46,3 +49,11 @@ def test_script_runs(tmp_path, script):
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
+
+
+def test_correlation_floor_rejects_empty_sweep(tmp_path):
+    # below 2^14 atoms the sweep has no step and would write a bare header
+    proc = run_script("correlation_floor.py", ["--max-power", "12"], tmp_path)
+    assert proc.returncode == 2
+    assert "--max-power must be at least 14" in proc.stderr
+    assert not (tmp_path / "correlation_floor.csv").exists()

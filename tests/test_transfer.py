@@ -28,14 +28,13 @@ from thermomap.potentials import (
     PiecewiseLinearPotential,
     average_transform,
 )
-from thermomap.pressure import tree_pressure
+from thermomap.pressure import hyperbolicity_check, tree_pressure
 from thermomap.transfer import (
     GridFunction,
     adjoint_invariance_audit,
     apply_transfer,
     correlation,
     equilibrium_state,
-    gn_contraction_check,
     power_iteration,
     smoothed_indicator,
     spectral_gap_estimate,
@@ -379,27 +378,35 @@ class TestSpectralGap:
 
 
 class TestGnContraction:
+    """The iterated-weight contraction sup g_n < 1, g_n = exp(S_n phi - n log
+    lambda), is the hyperbolicity inequality at P = log lambda: a witness at
+    depth n with margin m gives sup g_n = exp(-n m)."""
+
+    @staticmethod
+    def sup_g_n(rep):
+        return float(np.exp(-rep.witness_depth * rep.margin))
+
     def test_tent_zero_potential_immediate(self):
-        rep = gn_contraction_check(tent_map(), None, LOG2)
-        assert rep.satisfied
-        assert rep.n == 1
-        assert rep.sup_g_n == pytest.approx(0.5, abs=1e-12)
+        rep = hyperbolicity_check(tent_map(), None, LOG2)
+        assert rep.verdict == "hyperbolic"
+        assert rep.witness_depth == 1
+        assert self.sup_g_n(rep) == pytest.approx(0.5, abs=1e-12)
 
     def test_bernoulli_immediate(self):
-        rep = gn_contraction_check(tent_map(), bern_potential(), np.log(LAM_BERN))
-        assert rep.satisfied
-        assert rep.n == 1
-        assert rep.sup_g_n == pytest.approx(P0, abs=1e-12)
+        rep = hyperbolicity_check(tent_map(), bern_potential(), np.log(LAM_BERN))
+        assert rep.verdict == "hyperbolic"
+        assert rep.witness_depth == 1
+        assert self.sup_g_n(rep) == pytest.approx(P0, abs=1e-12)
 
     def test_cosine_potential_contracts(self):
         phi = CosineSeriesPotential((2.0,))
         eig = power_iteration(tent_map(), phi, grid_size=1024)
-        rep = gn_contraction_check(tent_map(), phi, eig.log_eigenvalue)
-        assert rep.satisfied
-        assert rep.sup_g_n < 1.0
+        rep = hyperbolicity_check(tent_map(), phi, eig.log_eigenvalue)
+        assert rep.verdict == "hyperbolic"
+        assert self.sup_g_n(rep) < 1.0
 
     def test_zero_pressure_never_contracts(self):
-        rep = gn_contraction_check(tent_map(), None, 0.0, n_max=5)
-        assert not rep.satisfied
-        assert rep.n is None
-        assert rep.sup_g_n >= 1.0
+        rep = hyperbolicity_check(tent_map(), None, 0.0, n_max=5)
+        assert rep.verdict == "unknown"
+        assert rep.witness_depth is None
+        assert rep.margin == 0.0
