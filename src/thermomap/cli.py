@@ -685,15 +685,6 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
         }
     )
     trans, limit, tree = _conformal_pipeline(exp, p)
-    rows, status = _pressure_rows(tree, p["tree_depth"])
-    write_csv(out / "pressure.csv", PRESSURE_HEADER, rows)
-    write_measure(out / "measure.csv", limit.measure)
-    write_csv(
-        out / "conformal.csv",
-        CONFORMAL_HEADER,
-        [_conformal_row(trans, limit, "ok" if limit.converged else "not_converged")],
-    )
-
     audits = []
 
     conf = conformality_audit(
@@ -712,6 +703,16 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
     eigen = power_iteration(
         exp.imap, exp.potential, grid_size=exp.grid, tol=exp.tol, mu=limit.measure
     )
+    # the tree artifacts wait for power iteration, which can raise
+    rows, _ = _pressure_rows(tree, p["tree_depth"])
+    write_csv(out / "pressure.csv", PRESSURE_HEADER, rows)
+    write_measure(out / "measure.csv", limit.measure)
+    write_csv(
+        out / "conformal.csv",
+        CONFORMAL_HEADER,
+        [_conformal_row(trans, limit, "ok" if limit.converged else "not_converged")],
+    )
+
     gap = abs(eigen.log_eigenvalue - tree.estimate)
     audits.append(
         ("eigen_vs_tree", gap, max(2.0 * tree.fluctuation, 1e-2))

@@ -77,6 +77,20 @@ def orbit(imap, x, n):
     return np.array(pts)
 
 
+def verify_separated(orbit, positions, indices, epsilon):
+    """Scalar pairwise check of admitted orbits: every pair closer than
+    epsilon in space must be at least epsilon apart under the iterated sup
+    metric. The oracle for pressure._verify_separated."""
+    for i in range(positions.size):
+        j = i + 1
+        while j < positions.size and positions[j] - positions[i] < epsilon:
+            d = float(np.max(np.abs(orbit[:, indices[i]] - orbit[:, indices[j]])))
+            if d < epsilon:
+                return False
+            j += 1
+    return True
+
+
 def brute_p_variation(values, p):
     """Exhaustive maximum over all increasing index subsets (k <= ~14)."""
     values = np.asarray(values, dtype=float)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import verify_separated
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
+    forward_orbit,
     full_linear_map,
     golden_tent_map,
     logistic4_map,
@@ -18,6 +20,7 @@ from thermomap.potentials import (
     CosineSeriesPotential,
 )
 from thermomap.pressure import (
+    _verify_separated,
     appendix_construct,
     bounded_range_check,
     hyperbolicity_check,
@@ -148,6 +151,7 @@ def test_separated_singleton_when_epsilon_exceeds_diameter():
     phi = CosineSeriesPotential((0.2,), offset=0.1)
     est = separated_pressure(f, phi, 1, 2.0, 100)
     assert est.count == 1
+    assert not est.saturated
     xs = np.linspace(0, 1, 100)
     assert est.value == pytest.approx(float(np.max(phi(xs))))
     assert est.verified
@@ -162,6 +166,7 @@ def test_separated_zero_potential_value_counts_points():
     assert est.value == pytest.approx(np.log(est.count) / 8, abs=1e-12)
     assert est.count > 1900
     assert est.value > LOG2 + 0.2
+    assert est.saturated
 
 
 def test_separated_count_shrinks_with_epsilon():
@@ -170,6 +175,7 @@ def test_separated_count_shrinks_with_epsilon():
     assert coarse.count < fine.count
     assert coarse.value < fine.value
     assert coarse.verified and fine.verified
+    assert not coarse.saturated
 
 
 def test_separated_cross_validation_at_matched_scale():
@@ -178,6 +184,7 @@ def test_separated_cross_validation_at_matched_scale():
     # Markov oracle and stays within a documented band elsewhere
     est = separated_pressure(golden_tent_map(), None, 10, 0.3, 10_000)
     assert abs(est.value - np.log(GOLDEN)) <= 0.05
+    assert not est.saturated
     est = separated_pressure(logistic4_map(), None, 10, 0.3, 10_000)
     assert -0.12 <= est.value - LOG2 <= 0.05
     est = separated_pressure(tent_map(), None, 10, 0.3, 10_000)
@@ -189,6 +196,95 @@ def test_separated_weighted_matches_bernoulli_closed_form():
     phi = BranchConstantPotential.from_map(f, [0.0, -1.0])
     est = separated_pressure(f, phi, 10, 0.3, 10_000)
     assert abs(est.value - BERNOULLI_PRESSURE) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "imap, phi, n, grid",
+    [
+        (tent_map(), BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)), 10, 3000),
+        (tent_map(), None, 10, 10_000),
+        (full_linear_map(4), None, 10, 10_000),
+    ],
+    ids=["tent-bernoulli-3000", "tent-1e4", "sawtooth4-1e4"],
+)
+def test_separated_fine_epsilon_saturates_the_grid(imap, phi, n, grid):
+    # n iterates stretch the grid spacing past epsilon = 0.01, so adjacent
+    # grid points are admitted and the grid, not epsilon, sets the count
+    est = separated_pressure(imap, phi, n, 0.01, grid)
+    assert est.verified
+    assert est.saturated
+
+
+@st.composite
+def verify_cases(draw):
+    """Sorted positions on a 1/8 lattice, an orbit matrix of multiples of
+    1/8 and the admitted columns; the dyadic values make exact ties at
+    epsilon, in space and along orbits, common."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 40), max_size=24, unique=True))
+    positions = np.sort(np.asarray(cells, dtype=float)) / 8
+    grid = positions.size + draw(st.integers(0, 4))
+    entries = draw(
+        st.lists(st.integers(0, 24), min_size=n * grid, max_size=n * grid)
+    )
+    orbit = np.asarray(entries, dtype=float).reshape(n, grid) / 8
+    columns = draw(st.permutations(range(grid)))[: positions.size]
+    epsilon = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    return orbit, positions, np.asarray(columns, dtype=int), epsilon
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=verify_cases())
+def test_verify_separated_matches_scalar_oracle(case):
+    assert _verify_separated(*case) == verify_separated(*case)
+
+
+def _planted_case():
+    """Twelve admitted points an eighth apart at epsilon = 1/2, so offsets
+    1-3 are compared and offset 4 is exactly epsilon apart in space; orbit
+    k sits at k * epsilon in its first row, so neighbors are exactly
+    epsilon apart along the orbit."""
+    epsilon = 0.5
+    positions = np.arange(12) / 8
+    orbit = np.vstack([np.arange(12) * epsilon, np.zeros(12)])
+    return orbit, positions, np.arange(12), epsilon
+
+
+@pytest.mark.parametrize(
+    "plant, separated",
+    [
+        (None, True),  # neighbors exactly epsilon apart are accepted
+        ((4, 5), False),  # violation at offset 1
+        ((4, 7), False),  # violation at offset 3 only
+        ((4, 8), True),  # equal orbits exactly epsilon apart in space
+    ],
+    ids=["exact-epsilon", "offset-1", "offset-3", "spatial-epsilon"],
+)
+def test_verify_separated_planted_pairs(plant, separated):
+    orbit, positions, indices, epsilon = _planted_case()
+    if plant is not None:
+        i, j = plant
+        orbit[:, j] = orbit[:, i]
+    assert verify_separated(orbit, positions, indices, epsilon) is separated
+    assert _verify_separated(orbit, positions, indices, epsilon) is separated
+
+
+def test_verify_separated_rejects_forced_equal_columns():
+    # the orbit separated_pressure packs, rebuilt; forcing one admitted orbit
+    # onto a spatial neighbor's must fail the check
+    f, n, epsilon, grid = tent_map(), 8, 0.05, 800
+    est = separated_pressure(f, None, n, epsilon, grid)
+    xs = np.linspace(0.0, 1.0, grid)
+    orbit = np.array([cur for cur, _ in forward_orbit(f, xs, n)])
+    indices = np.searchsorted(xs, est.points)
+    assert np.array_equal(xs[indices], est.points)
+    assert _verify_separated(orbit, est.points, indices, epsilon)
+    near = np.flatnonzero(np.diff(est.points) < epsilon)
+    for i in near[[0, near.size // 2, -1]]:
+        forced = orbit.copy()
+        forced[:, indices[i + 1]] = forced[:, indices[i]]
+        assert not _verify_separated(forced, est.points, indices, epsilon)
+        assert not verify_separated(forced, est.points, indices, epsilon)
 
 
 def test_hyperbolicity_immediate_for_zero_potential():
