@@ -531,6 +531,14 @@ def cmd_norms(exp: Experiment, out: Path) -> int:
     p = exp.take(
         {"alpha": 0.5, "scale": 0.5, "draws": 20, "atoms": 48, "p": None}
     )
+    for key in ("draws", "atoms"):
+        if type(p[key]) is not int or p[key] < 1:
+            raise ConfigError(
+                f"{exp.path}: command_params.{key} must be an integer >= 1"
+            )
+    for key in ("alpha", "scale", "p"):
+        if type(p[key]) not in (int, float) and not (key == "p" and p[key] is None):
+            raise ConfigError(f"{exp.path}: command_params.{key} must be a number")
     rng = np.random.default_rng(exp.seed)
     m = uniform_atoms(p["atoms"], exp.imap.domain)
     rows = []
@@ -546,7 +554,7 @@ def cmd_norms(exp: Experiment, out: Path) -> int:
             values += rng.uniform(-1, 1) * np.abs(m.points - c) ** p["alpha"]
         h = SampledFunction(m.points, values)
         report = norm_report(h, m, p["alpha"], p["scale"], p=p["p"])
-        audit = norm_chain_audit(h, m, p["alpha"], p["scale"])
+        audit = norm_chain_audit(h, m, p["alpha"], p["scale"], report=report)
         all_passed &= audit.passed
         worst = min(chk.slack for chk in audit.checks)
         rows.append(

@@ -380,7 +380,13 @@ def smoothed_indicator(
 
 @dataclass(frozen=True)
 class GapEstimate:
-    """Conservative subdominant-rate estimate from two independent routes."""
+    """Conservative subdominant-rate estimate from two independent routes.
+
+    `deflation_rate` is `EigenReport.rho_hat`. On the tent map it is 0.0:
+    the cos(pi x) probe is annihilated by the deflated operator at once
+    (`rho_hat` 0.0, `fit_points` 0), so `value` is the correlation route
+    alone there.
+    """
 
     value: float
     deflation_rate: float

@@ -103,3 +103,27 @@ def brute_p_variation(values, p):
         sel = values[idx]
         best = max(best, float(np.sum(np.abs(np.diff(sel)) ** p)))
     return best ** (1.0 / p)
+
+
+def dp_p_variation(values, p):
+    """Dynamic program over every sample: best[i] is the largest sum of p-th
+    powers among increasing subsets ending at sample i, O(k^2). The oracle
+    for keller.p_variation, which runs the same program on the extrema."""
+    v = np.asarray(values, dtype=float)
+    if v.size < 2:
+        return 0.0
+    best = np.zeros(v.size)
+    for i in range(1, v.size):
+        best[i] = np.max(best[:i] + np.abs(v[i] - v[:i]) ** p)
+    return float(np.max(best) ** (1.0 / p))
+
+
+def loop_holder_seminorm(positions, values, alpha):
+    """max |v_i - v_j| / |x_i - x_j|^alpha over every pair, one pass per
+    left index i. The oracle for keller.holder_seminorm."""
+    x, v = np.asarray(positions, dtype=float), np.asarray(values, dtype=float)
+    best = 0.0
+    for i in range(x.size - 1):
+        gaps = (x[i + 1 :] - x[i]) ** alpha
+        best = max(best, float(np.max(np.abs(v[i + 1 :] - v[i]) / gaps)))
+    return best

@@ -437,6 +437,23 @@ class TestNormsCommand:
         )
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", "x"), ("atoms", 0), ("atoms", 48.5), ("draws", -1), ("draws", 0)],
+        ids=["p-string", "atoms-zero", "atoms-fraction", "draws-negative",
+             "draws-zero"],
+    )
+    def test_bad_param_exits_64_and_writes_nothing(
+        self, tmp_path, capsys, key, value
+    ):
+        path = write_config(
+            tmp_path, command_params={"draws": 2, "atoms": 16, key: value}
+        )
+        assert main(["norms", str(path)]) == 64
+        assert f"command_params.{key}" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestCurveCommand:
     def test_schema_and_convexity(self, tmp_path):
         path = write_config(

@@ -9,12 +9,20 @@ and |x|^alpha functions realize their Holder constants exactly at the
 bump center.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_p_variation, draw_piecewise_holder, osc
+from helpers import (
+    brute_p_variation,
+    dp_p_variation,
+    draw_piecewise_holder,
+    loop_holder_seminorm,
+    osc,
+)
 from thermomap.conformal import AtomicMeasure, uniform_atoms
 from thermomap.errors import DomainError
 from thermomap.keller import (
@@ -35,6 +43,54 @@ from thermomap.keller import (
 
 def step_function(points):
     return SampledFunction.from_callable(lambda x: (x >= 0.5).astype(float), points)
+
+
+def norms_draw(rng, points, alpha):
+    """Steps plus |x - c|^alpha bumps, drawn the way `thermomap norms` draws."""
+    values = np.zeros(points.size)
+    for _ in range(rng.integers(0, 4)):
+        values += rng.uniform(-1, 1) * (points >= rng.uniform(0.0, 1.0))
+    for _ in range(rng.integers(1, 4)):
+        c = rng.uniform(0.0, 1.0)
+        values += rng.uniform(-1, 1) * np.abs(points - c) ** alpha
+    return SampledFunction(points, values)
+
+
+FINITE = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shaped_values(draw):
+    """Concatenated plateaus, monotone runs, zig-zags and free stretches."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["plateau", "up", "down", "zigzag", "free"]))
+        n = draw(st.integers(1, 8))
+        if kind == "plateau":
+            out += [draw(FINITE)] * n
+        elif kind == "zigzag":
+            out += [draw(FINITE), draw(FINITE)] * n
+        else:
+            run = draw(st.lists(FINITE, min_size=n, max_size=n))
+            out += run if kind == "free" else sorted(run, reverse=kind == "down")
+    return np.array(out)
+
+
+@st.composite
+def irregular_samples(draw):
+    """Irregularly spaced positions; values drawn partly from a small pool,
+    so ties are common and a one-value pool gives a constant."""
+    k = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.floats(1e-6, 3.0), min_size=k, max_size=k))
+    positions = draw(st.floats(-2, 2)) + np.cumsum(gaps)
+    pool = draw(st.lists(FINITE, min_size=1, max_size=4))
+    tied = st.sampled_from(pool)
+    value = draw(st.sampled_from([tied, st.one_of(tied, FINITE)]))
+    values = draw(st.lists(value, min_size=k, max_size=k))
+    return SampledFunction(positions, np.array(values))
+
+
+ALPHAS = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.1, 1.0))
 
 
 class TestSampledFunction:
@@ -234,6 +290,41 @@ class TestPVariation:
         h = SampledFunction(np.arange(vals.size, dtype=float), vals)
         assert p_variation(h, p) == pytest.approx(brute_p_variation(vals, p), abs=1e-9)
 
+    @given(shaped_values(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_extrema_match_full_dp(self, vals, p):
+        h = SampledFunction(np.arange(vals.size, dtype=float), vals)
+        got, want = p_variation(h, p), dp_p_variation(vals, p)
+        assert abs(got - want) <= 1e-12 * want
+
+    @given(
+        st.lists(FINITE, min_size=1, max_size=3),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_short_inputs_match_full_dp(self, vals, p):
+        vals = np.asarray(vals)
+        h = SampledFunction(np.arange(vals.size, dtype=float), vals)
+        got, want = p_variation(h, p), dp_p_variation(vals, p)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_no_samples_is_rejected(self):
+        assert dp_p_variation([], 2.0) == 0.0
+        with pytest.raises(DomainError):
+            SampledFunction(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_all_equal_values(self, p):
+        h = SampledFunction(np.linspace(0, 1, 50), np.full(50, -1.25))
+        assert p_variation(h, p) == dp_p_variation(h.values, p) == 0.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_bit_equal_at_p2_on_norms_dense_draws(self, seed):
+        m = uniform_atoms(4096)
+        h = norms_draw(np.random.default_rng(seed), m.points, 0.5)
+        assert p_variation(h, 2.0) == dp_p_variation(h.values, 2.0)
+
 
 class TestHolderNorm:
     def test_constant(self):
@@ -261,6 +352,30 @@ class TestHolderNorm:
             for j in range(i + 1, h.size)
         )
         assert holder_seminorm(h, 1.0) == pytest.approx(direct, rel=1e-12)
+
+    @given(irregular_samples(), ALPHAS)
+    @settings(max_examples=300, deadline=None)
+    def test_offset_scan_bit_equal_to_pair_loop(self, h, alpha):
+        assert holder_seminorm(h, alpha) == loop_holder_seminorm(
+            h.positions, h.values, alpha
+        )
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_offset_scan_bit_equal_on_norms_draws(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        points = np.sort(rng.uniform(0, 1, 600))
+        h = norms_draw(rng, points, alpha)
+        assert holder_seminorm(h, alpha) == loop_holder_seminorm(
+            h.positions, h.values, alpha
+        )
+
+    def test_one_sample_and_constant(self):
+        one = SampledFunction(np.array([0.3]), np.array([7.0]))
+        assert holder_seminorm(one, 0.5) == loop_holder_seminorm([0.3], [7.0], 0.5)
+        assert holder_seminorm(one, 0.5) == 0.0
+        flat = SampledFunction(np.array([0.0, 1e-9, 0.5, 2.0]), np.full(4, 3.0))
+        assert holder_seminorm(flat, 0.3) == 0.0
 
 
 class TestCStar:
@@ -324,6 +439,57 @@ class TestNormChainAudit:
                 assert audit.passed, [
                     (c.name, c.lhs, c.rhs) for c in audit.checks if not c.passed
                 ]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_passed_report_gives_bit_equal_checks(self, alpha):
+        m = uniform_atoms(256)
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            h = norms_draw(rng, m.points, alpha)
+            rep = norm_report(h, m, alpha, 0.5)
+            with_rep = norm_chain_audit(h, m, alpha, 0.5, report=rep)
+            assert with_rep.checks == norm_chain_audit(h, m, alpha, 0.5).checks
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_achieving_eps_matches_keller_seminorm(self, alpha):
+        rng = np.random.default_rng(29)
+        m = AtomicMeasure.normalized(
+            np.sort(rng.uniform(0, 1, 256)), rng.uniform(0.1, 3.0, 256), (0.0, 1.0)
+        )
+        for _ in range(4):
+            h = norms_draw(rng, m.points, alpha)
+            rep = norm_report(h, m, alpha, 0.5)
+            eps = keller_seminorm(h, m, alpha, 0.5).argmax_eps
+            factor = (1.0 + float(np.max(m.masses)) / eps) ** alpha
+            check = norm_chain_audit(h, m, alpha, 0.5, report=rep).checks[1]
+            assert check.rhs == 2.0**alpha * rep.bv_norm * factor
+            assert check.detail.startswith(f"eps*={eps:.6g},")
+
+    def test_passed_report_is_used(self):
+        m = uniform_atoms(128)
+        h = norms_draw(np.random.default_rng(4), m.points, 0.5)
+        rep = norm_report(h, m, 0.5, 0.5)
+        doctored = replace(rep, bv_norm=rep.bv_norm + 1.0)
+        audit = norm_chain_audit(h, m, 0.5, 0.5, report=doctored)
+        assert audit.checks[0].lhs == rep.bv_norm + 1.0
+
+    def test_report_for_another_p_is_recomputed(self):
+        m = uniform_atoms(128)
+        h = norms_draw(np.random.default_rng(5), m.points, 0.5)
+        rep = norm_report(h, m, 0.5, 0.5, p=3.0)
+        assert rep.var_p != norm_report(h, m, 0.5, 0.5).var_p
+        audit = norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        assert audit.checks == norm_chain_audit(h, m, 0.5, 0.5).checks
+
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", 1.0), ("A", 0.25), ("measure_size", 129)]
+    )
+    def test_mismatched_report_raises(self, field, value):
+        m = uniform_atoms(128)
+        h = norms_draw(np.random.default_rng(6), m.points, 0.5)
+        rep = replace(norm_report(h, m, 0.5, 0.5), **{field: value})
+        with pytest.raises(DomainError):
+            norm_chain_audit(h, m, 0.5, 0.5, report=rep)
 
     def test_triangle_inequality_for_keller_norm(self):
         m = uniform_atoms(256)
