@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from thermomap import correlation, full_linear_map, uniform_atoms
+from thermomap.transfer import fit_decay
 
 MIN_POWER = 14  # log2 of the smallest atom count in the sweep
 
@@ -45,7 +46,8 @@ def main():
         rep = correlation(imap, obs, obs, atoms, n_max=args.lags)
         turn = int(rep.ns[np.argmin(rep.c_values)])
         window = max(5, turn - 2)
-        clean = correlation(imap, obs, obs, atoms, n_max=window)
+        # the first `window` lags of the same pushforward, refitted
+        clean = fit_decay(rep.ns[:window], rep.c_values[:window])
         clean_rho = clean.rho if clean.rho is not None else float("nan")
         full_rho = rep.rho if rep.rho is not None else float("nan")
         print(f"{2**power:>10} {turn:>8} {clean_rho:>18.4f} {full_rho:>17.4f}")

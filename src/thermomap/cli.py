@@ -489,6 +489,37 @@ def cmd_equilibrium(exp: Experiment, out: Path) -> int:
     return 0 if status == "ok" else 3
 
 
+def _observables(exp: Experiment, specs) -> list[Callable]:
+    """Smoothed indicators from command_params.observables, all checked first."""
+    lo, hi = exp.imap.domain
+    if specs is None:
+        specs = [{"lo": lo, "hi": lo + (hi - lo) / 3.0, "width": 0.05}]
+    if not isinstance(specs, list) or not specs:
+        raise ConfigError(
+            f"{exp.path}: command_params.observables must be a nonempty list"
+        )
+    for idx, spec in enumerate(specs):
+        where = f"{exp.path}: command_params.observables[{idx}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where} must be an object")
+        if set(spec) - {"lo", "hi", "width"}:
+            raise ConfigError(f"{where}: observable keys are lo, hi, width")
+        for key in ("lo", "hi"):
+            if key not in spec:
+                raise ConfigError(f"{where}: missing key {key!r}")
+        for key, value in spec.items():
+            if type(value) not in (int, float) or not np.isfinite(value):
+                raise ConfigError(f"{where}.{key} must be a finite number")
+        if spec.get("width", 0.05) <= 0:
+            raise ConfigError(f"{where}.width must be positive")
+    return [
+        smoothed_indicator(
+            float(spec["lo"]), float(spec["hi"]), float(spec.get("width", 0.05))
+        )
+        for spec in specs
+    ]
+
+
 def cmd_correlations(exp: Experiment, out: Path) -> int:
     p = exp.take(
         {
@@ -498,22 +529,14 @@ def cmd_correlations(exp: Experiment, out: Path) -> int:
             "observables": None,
         }
     )
+    if type(p["lags"]) is not int or p["lags"] < 5:
+        raise ConfigError(f"{exp.path}: command_params.lags must be an integer >= 5")
+    fns = _observables(exp, p["observables"])
     trans, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
-    lo, hi = exp.imap.domain
-    obs_specs = p["observables"]
-    if obs_specs is None:
-        obs_specs = [{"lo": lo, "hi": lo + (hi - lo) / 3.0, "width": 0.05}]
+    batch = correlation(exp.imap, fns, fns, state, n_max=p["lags"])
     rows = []
-    for idx, spec in enumerate(obs_specs):
-        if set(spec) - {"lo", "hi", "width"}:
-            raise ConfigError(
-                f"{exp.path}: observable keys are lo, hi, width"
-            )
-        fn = smoothed_indicator(
-            float(spec["lo"]), float(spec["hi"]), float(spec.get("width", 0.05))
-        )
-        rep = correlation(exp.imap, fn, fn, state, n_max=p["lags"])
+    for idx, rep in enumerate(batch.reports):
         status = "below_resolution" if rep.below_resolution else "ok"
         rho = rep.rho if rep.rho is not None else float("nan")
         r2 = rep.r_squared if rep.r_squared is not None else float("nan")

@@ -44,7 +44,9 @@ class AtomicMeasure:
     points: np.ndarray
     masses: np.ndarray
     domain: tuple[float, float]
-    _cum: np.ndarray = field(repr=False, compare=False, default=None)
+    _cum: Optional[np.ndarray] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.points.size != self.masses.size or self.points.size == 0:
@@ -55,9 +57,6 @@ class AtomicMeasure:
             raise DomainError("masses must be nonnegative")
         if abs(float(self.masses.sum()) - 1.0) > MASS_TOL:
             raise DomainError("total mass must be 1 within 1e-12")
-        object.__setattr__(
-            self, "_cum", np.concatenate([[0.0], np.cumsum(self.masses)])
-        )
 
     @classmethod
     def normalized(
@@ -93,6 +92,11 @@ class AtomicMeasure:
         lo, hi = (a, b) if a <= b else (b, a)
         left = np.searchsorted(self.points, lo, side="left")
         right = np.searchsorted(self.points, hi, side="right")
+        if self._cum is None:
+            # built on first use: most measures never answer an interval query
+            object.__setattr__(
+                self, "_cum", np.concatenate([[0.0], np.cumsum(self.masses)])
+            )
         return float(self._cum[right] - self._cum[left])
 
     def bin_masses(self, bins: int) -> np.ndarray:

@@ -423,10 +423,9 @@ def norm_chain_audit(
     )
 
     cstar = c_star(alpha, A, float(m.masses.sum()))
-    rep_g = rep_h if g is h else norm_report(g, m, alpha, A)
-    rep_hg = norm_report(h * g, m, alpha, A)
-    lhs = rep_hg.keller_norm
-    rhs = 2.0 * cstar * rep_h.keller_norm * rep_g.keller_norm
+    g_norm = rep_h.keller_norm if g is h else keller_seminorm(g, m, alpha, A).norm
+    lhs = keller_seminorm(h * g, m, alpha, A).norm
+    rhs = 2.0 * cstar * rep_h.keller_norm * g_norm
     checks.append(
         InequalityCheck(
             name="product_bound",

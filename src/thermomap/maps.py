@@ -161,7 +161,7 @@ class IntervalMap:
             mask = idx == b
             if mask.any():
                 out[mask] = br.forward(x_arr[mask])
-        out = np.clip(out, lo, hi)
+        np.clip(out, lo, hi, out=out)
         return out if np.ndim(x) else float(out[0])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .potentials import Potential
 
 MIN_GRID = 16
 CORRELATION_FLOOR = 1e-13
+CORRELATION_CHUNK = 16384  # atoms per observable call in the correlation sum
 DEFLATE_WINDOW = 10
 
 
@@ -316,53 +317,96 @@ class CorrelationReport:
     below_resolution: bool
 
 
-def correlation(
-    imap: IntervalMap,
-    phi_obs: Callable,
-    psi: Callable,
-    nu: Union[AtomicMeasure, EquilibriumState],
-    n_max: int = 12,
-) -> CorrelationReport:
-    """C_n = |int phi(f^n) psi dnu - int phi dnu int psi dnu| for n = 1..n_max.
+@dataclass(frozen=True)
+class CorrelationBatch:
+    """Lags shared by a batch of observable pairs, one report per pair."""
 
-    Orbits of the atoms are pushed forward exactly through the map, so the
-    only error is that of nu itself. Observables may be grid functions or
-    plain callables; exact callables keep cancellation effects intact.
+    ns: np.ndarray
+    reports: tuple[CorrelationReport, ...]
+
+
+def fit_decay(ns: np.ndarray, c_values: np.ndarray) -> CorrelationReport:
+    """Log-linear fit of C_n = prefactor rho^n over the lags above the floor.
+
+    Fewer than two lags above CORRELATION_FLOOR leave the sequence
+    `below_resolution` with no fit.
     """
-    if n_max < 5:
-        raise DomainError("need n_max >= 5")
-    measure = nu.nu if isinstance(nu, EquilibriumState) else nu
-    pts = measure.points
-    w = measure.masses
-    psi_vals = np.asarray(psi(pts), dtype=float)
-    phi_mean = float(np.sum(w * np.asarray(phi_obs(pts), dtype=float)))
-    psi_mean = float(np.sum(w * psi_vals))
-    cs = np.empty(n_max)
-    orbit = forward_orbit(imap, pts, n_max + 1)
-    next(orbit)  # f^0: the atoms themselves
-    for n, (cur, _) in enumerate(orbit, 1):
-        phi_n = np.asarray(phi_obs(cur), dtype=float)
-        cs[n - 1] = abs(float(np.sum(w * phi_n * psi_vals)) - phi_mean * psi_mean)
-    ns = np.arange(1, n_max + 1)
-    valid = cs > CORRELATION_FLOOR
+    valid = c_values > CORRELATION_FLOOR
     if valid.sum() < 2:
         return CorrelationReport(
-            ns=ns, c_values=cs, rho=None, prefactor=None,
+            ns=ns, c_values=c_values, rho=None, prefactor=None,
             r_squared=None, below_resolution=True,
         )
-    slope, intercept = np.polyfit(ns[valid], np.log(cs[valid]), 1)
+    slope, intercept = np.polyfit(ns[valid], np.log(c_values[valid]), 1)
     fitted = slope * ns[valid] + intercept
-    log_c = np.log(cs[valid])
+    log_c = np.log(c_values[valid])
     ss_tot = float(np.sum((log_c - log_c.mean()) ** 2))
     r2 = 1.0 - float(np.sum((log_c - fitted) ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return CorrelationReport(
         ns=ns,
-        c_values=cs,
+        c_values=c_values,
         rho=float(np.exp(slope)),
         prefactor=float(np.exp(intercept)),
         r_squared=r2,
         below_resolution=False,
     )
+
+
+def correlation(
+    imap: IntervalMap,
+    phi_obs: Union[Callable, Sequence[Callable]],
+    psi: Union[Callable, Sequence[Callable]],
+    nu: Union[AtomicMeasure, EquilibriumState],
+    n_max: int = 12,
+) -> Union[CorrelationReport, CorrelationBatch]:
+    """C_n = |int phi(f^n) psi dnu - int phi dnu int psi dnu| for n = 1..n_max.
+
+    Orbits of the atoms are pushed forward exactly through the map, so the
+    only error is that of nu itself. Observables may be grid functions or
+    plain callables; exact callables keep cancellation effects intact.
+
+    `phi_obs` and `psi` are either one callable each, giving one
+    `CorrelationReport`, or two equal-length sequences of callables, giving
+    a `CorrelationBatch` with one report per pair (phi_obs[k], psi[k]).
+    Either way the atoms are pushed forward once. At each lag the products
+    w phi(f^n x) psi(x) are written into one buffer CORRELATION_CHUNK atoms
+    at a time and summed over the whole buffer, so phi is called on slices
+    of the orbit: observables must act pointwise.
+    """
+    single = callable(phi_obs)
+    if single != callable(psi):
+        raise DomainError("phi_obs and psi must both be callables or both sequences")
+    phis = [phi_obs] if single else list(phi_obs)
+    psis = [psi] if single else list(psi)
+    if not phis or len(phis) != len(psis):
+        raise DomainError("need equal-length, nonempty observable sequences")
+    if n_max < 5:
+        raise DomainError("need n_max >= 5")
+    measure = nu.nu if isinstance(nu, EquilibriumState) else nu
+    pts = measure.points
+    w = measure.masses
+    psi_vals = []
+    mean_products = []
+    for phi, ps in zip(phis, psis):
+        vals = np.asarray(ps(pts), dtype=float)
+        phi_vals = vals if phi is ps else np.asarray(phi(pts), dtype=float)
+        psi_vals.append(vals)
+        mean_products.append(float(np.sum(w * phi_vals)) * float(np.sum(w * vals)))
+    cs = np.empty((len(phis), n_max))
+    buf = np.empty(pts.size)
+    orbit = forward_orbit(imap, pts, n_max + 1)
+    next(orbit)  # f^0: the atoms themselves
+    for n, (cur, _) in enumerate(orbit):
+        for k, phi in enumerate(phis):
+            for lo in range(0, pts.size, CORRELATION_CHUNK):
+                part = slice(lo, lo + CORRELATION_CHUNK)
+                out = buf[part]
+                np.multiply(w[part], np.asarray(phi(cur[part]), dtype=float), out=out)
+                np.multiply(out, psi_vals[k][part], out=out)
+            cs[k, n] = abs(float(np.sum(buf)) - mean_products[k])
+    ns = np.arange(1, n_max + 1)
+    reports = tuple(fit_decay(ns, row) for row in cs)
+    return reports[0] if single else CorrelationBatch(ns=ns, reports=reports)
 
 
 def smoothed_indicator(

@@ -406,6 +406,79 @@ class TestCorrelationsCommand:
         assert len(rows) == 6
         assert [int(r[1]) for r in rows] == [1, 2, 3, 4, 5, 6]
 
+    def test_bad_second_observable_stops_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import thermomap.cli as cli
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "correlation", lambda *a, **k: calls.append(a)
+        )
+        path = write_config(
+            tmp_path,
+            potential=BERNOULLI,
+            command_params={
+                "n_max": 10,
+                "lags": 6,
+                "observables": [
+                    {"lo": 0.1, "hi": 0.4},
+                    {"lo": 0.2, "hi": 0.6, "depth": 3},
+                ],
+            },
+        )
+        assert main(["correlations", str(path)]) == 64
+        assert "observables[1]" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"observables": []},
+            {"observables": {"lo": 0.1, "hi": 0.4}},
+            {"observables": [0.1]},
+            {"observables": [{"lo": 0.1}]},
+            {"observables": [{"lo": "0.1", "hi": 0.4}]},
+            {"observables": [{"lo": 0.1, "hi": 0.4, "width": 0}]},
+            {"observables": [{"lo": 0.1, "hi": 0.4, "width": True}]},
+            {"lags": 4},
+            {"lags": 6.0},
+        ],
+        ids=["empty", "not-a-list", "not-an-object", "missing-hi", "string-lo",
+             "zero-width", "bool-width", "lags-4", "lags-float"],
+    )
+    def test_bad_params_exit_64_and_write_nothing(self, tmp_path, capsys, params):
+        path = write_config(
+            tmp_path, potential=BERNOULLI,
+            command_params={"n_max": 10, "lags": 6, **params},
+        )
+        assert main(["correlations", str(path)]) == 64
+        key = "observables" if "observables" in params else "lags"
+        assert f"command_params.{key}" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_observables_share_one_pushforward(self, tmp_path):
+        # each observable's rows equal the rows of a run with it alone
+        specs = [{"lo": 0.1, "hi": 0.4}, {"lo": 0.3, "hi": 0.9, "width": 0.1}]
+
+        def run(name, observables):
+            cfg = write_config(
+                tmp_path, name=f"{name}.json", potential=BERNOULLI,
+                command_params={"n_max": 10, "lags": 6,
+                                "observables": observables},
+                output_dir=str(tmp_path / name),
+            )
+            assert main(["correlations", str(cfg)]) == 0
+            return read_csv(tmp_path / name / "correlations.csv")[1]
+
+        both = run("both", specs)
+        for idx, spec in enumerate(specs):
+            alone = run(f"alone{idx}", [spec])
+            assert [r[1:] for r in both if r[0] == str(idx)] == [
+                r[1:] for r in alone
+            ]
+
 
 class TestNormsCommand:
     def test_chain_audit_passes_and_writes_slack(self, tmp_path):

@@ -7,6 +7,8 @@ Fibonacci numbers, whose logarithms are affine in n up to an exponentially
 small correction, pinning the fitted slope.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,15 @@ class TestAtomicMeasure:
         assert mu.mass_interval(0.8, 0.9) == 0.0
         # argument order does not matter
         assert mu.mass_interval(0.75, 0.25) == pytest.approx(0.6)
+
+    def test_replaced_masses_get_their_own_interval_sums(self):
+        # the cumulative masses are built on the first interval query; a
+        # measure copied with new masses must not inherit the old ones
+        mu = uniform_atoms(4)
+        assert mu.mass_interval(0.0, 0.3) == 0.25
+        nu = replace(mu, masses=np.array([0.7, 0.1, 0.1, 0.1]))
+        assert nu.mass_interval(0.0, 0.3) == 0.7
+        assert mu.mass_interval(0.0, 0.3) == 0.25
 
     def test_bin_masses_partition_unity(self):
         mu = uniform_atoms(1000)

@@ -491,6 +491,38 @@ class TestNormChainAudit:
         with pytest.raises(DomainError):
             norm_chain_audit(h, m, 0.5, 0.5, report=rep)
 
+    @pytest.mark.parametrize("with_g", [False, True])
+    def test_product_check_matches_full_reports(self, with_g):
+        m = uniform_atoms(256)
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            h = norms_draw(rng, m.points, 0.5)
+            g = norms_draw(rng, m.points, 0.5) if with_g else h
+            rep = norm_report(h, m, 0.5, 0.5)
+            check = norm_chain_audit(
+                h, m, 0.5, 0.5, g=g if with_g else None, report=rep
+            ).checks[3]
+            cstar = c_star(0.5, 0.5)
+            assert check.lhs == norm_report(h * g, m, 0.5, 0.5).keller_norm
+            assert check.rhs == 2.0 * cstar * rep.keller_norm * norm_report(
+                g, m, 0.5, 0.5).keller_norm
+
+    def test_product_check_builds_no_report(self, monkeypatch):
+        import thermomap.keller as keller
+
+        m = uniform_atoms(128)
+        rng = np.random.default_rng(37)
+        h, g = norms_draw(rng, m.points, 0.5), norms_draw(rng, m.points, 0.5)
+        rep = norm_report(h, m, 0.5, 0.5)
+        calls = []
+        real = keller.norm_report
+        monkeypatch.setattr(
+            keller, "norm_report", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        norm_chain_audit(h, m, 0.5, 0.5, g=g, report=rep)
+        assert calls == []
+
     def test_triangle_inequality_for_keller_norm(self):
         m = uniform_atoms(256)
         rng = np.random.default_rng(19)

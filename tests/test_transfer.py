@@ -10,13 +10,18 @@ measure is the arcsine law; the eigenfunction of the collocation operator is
 the constant, and the arcsine shape lives in the measure, not in h.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import tent_bernoulli_atoms
+from helpers import pair_correlation, tent_bernoulli_atoms
 from thermomap.conformal import AtomicMeasure, uniform_atoms
 from thermomap.errors import AuditError, DomainError
 from thermomap.maps import (
+    IntervalMap,
     full_linear_map,
     golden_tent_map,
     logistic4_map,
@@ -30,11 +35,14 @@ from thermomap.potentials import (
 )
 from thermomap.pressure import hyperbolicity_check, tree_pressure
 from thermomap.transfer import (
+    CORRELATION_CHUNK,
+    CorrelationBatch,
     GridFunction,
     adjoint_invariance_audit,
     apply_transfer,
     correlation,
     equilibrium_state,
+    fit_decay,
     power_iteration,
     smoothed_indicator,
     spectral_gap_estimate,
@@ -341,6 +349,133 @@ class TestCorrelation:
                 uniform_atoms(64, (0.0, 1.0)),
                 n_max=3,
             )
+
+
+CHUNK_COUNTS = (
+    1,
+    CORRELATION_CHUNK - 1,
+    CORRELATION_CHUNK,
+    CORRELATION_CHUNK + 1,
+    3 * CORRELATION_CHUNK + 5,
+)
+CORRELATION_MAPS = {
+    "tent": tent_map(),
+    "doubling": full_linear_map(2),
+    "logistic4": logistic4_map(),
+}
+
+
+@lru_cache(maxsize=None)
+def small_eigen(name):
+    imap = CORRELATION_MAPS[name]
+    return power_iteration(imap, CosineSeriesPotential((0.3,)), grid_size=256)
+
+
+def assert_same_report(got, want):
+    assert np.array_equal(got.ns, want.ns)
+    assert np.array_equal(got.c_values, want.c_values)
+    assert (got.rho, got.prefactor, got.r_squared, got.below_resolution) == (
+        want.rho, want.prefactor, want.r_squared, want.below_resolution
+    )
+
+
+@st.composite
+def observable(draw):
+    kind = draw(st.sampled_from(["smoothed", "step", "cosine", "grid"]))
+    a = draw(st.floats(0.0, 0.7))
+    b = a + draw(st.floats(0.05, 0.3))
+    if kind == "smoothed":
+        return smoothed_indicator(a, b, draw(st.floats(0.01, 0.2)))
+    if kind == "step":
+        return lambda x: (np.asarray(x, dtype=float) <= a).astype(float)
+    freq = draw(st.integers(1, 4))
+    if kind == "cosine":
+        return lambda x: np.cos(np.pi * freq * np.asarray(x, dtype=float))
+    return GridFunction.from_callable(lambda x: np.sin(freq * x) + b, 64)
+
+
+class TestBatchedCorrelation:
+    """`correlation` pushes the atoms forward once for every observable pair
+    and reduces each lag chunk by chunk; `helpers.pair_correlation` is the
+    old full-array loop, one pushforward per pair."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        name=st.sampled_from(sorted(CORRELATION_MAPS)),
+        count=st.sampled_from(CHUNK_COUNTS),
+        kind=st.sampled_from(["uniform", "random", "equilibrium"]),
+        pairs=st.lists(
+            st.tuples(observable(), observable(), st.booleans()),
+            min_size=1, max_size=3,
+        ),
+        n_max=st.integers(5, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_equal_to_pair_loop(self, name, count, kind, pairs, n_max, seed):
+        imap = CORRELATION_MAPS[name]
+        if kind == "uniform":
+            nu = uniform_atoms(count)
+        else:
+            rng = np.random.default_rng(seed)
+            nu = AtomicMeasure.normalized(
+                rng.uniform(0.0, 1.0, count), rng.uniform(0.1, 2.0, count),
+                (0.0, 1.0),
+            )
+            if kind == "equilibrium":
+                nu = equilibrium_state(
+                    imap, CosineSeriesPotential((0.3,)), nu, small_eigen(name)
+                )
+        phis = [phi for phi, _, _ in pairs]
+        psis = [phi if same else psi for phi, psi, same in pairs]
+        batch = correlation(imap, phis, psis, nu, n_max=n_max)
+        assert isinstance(batch, CorrelationBatch)
+        assert np.array_equal(batch.ns, np.arange(1, n_max + 1))
+        assert len(batch.reports) == len(pairs)
+        for phi, psi, rep in zip(phis, psis, batch.reports):
+            assert_same_report(rep, pair_correlation(imap, phi, psi, nu, n_max))
+        single = correlation(imap, phis[0], psis[0], nu, n_max)
+        assert_same_report(single, batch.reports[0])
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_one_pushforward_whatever_the_pairs(self, monkeypatch, pairs):
+        calls = []
+        real_eval = IntervalMap.eval
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return real_eval(self, x)
+
+        monkeypatch.setattr(IntervalMap, "eval", counting)
+        fns = [smoothed_indicator(0.1 * k, 0.1 * k + 0.3) for k in range(pairs)]
+        nu = uniform_atoms(2 * CORRELATION_CHUNK + 3)
+        batch = correlation(tent_map(), fns, fns[::-1], nu, n_max=7)
+        assert len(batch.reports) == pairs
+        assert calls == [nu.size] * 7
+
+    def test_prefix_refit_equals_shorter_run(self):
+        # what scripts/correlation_floor.py relies on for its clean window
+        obs = lambda x: (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
+        nu = uniform_atoms(2**12)
+        full = correlation(full_linear_map(2), obs, obs, nu, n_max=12)
+        for window in range(5, 13):
+            short = correlation(full_linear_map(2), obs, obs, nu, n_max=window)
+            assert_same_report(
+                fit_decay(full.ns[:window], full.c_values[:window]), short
+            )
+
+    @pytest.mark.parametrize(
+        "phis, psis",
+        [
+            ([np.cos], [np.cos, np.sin]),
+            ([], []),
+            (np.cos, [np.cos]),
+            ([np.cos], np.cos),
+        ],
+        ids=["unequal", "empty", "callable-sequence", "sequence-callable"],
+    )
+    def test_rejects_mismatched_observables(self, phis, psis):
+        with pytest.raises(DomainError):
+            correlation(tent_map(), phis, psis, uniform_atoms(64), n_max=5)
 
 
 class TestSpectralGap:
