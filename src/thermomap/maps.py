@@ -3,14 +3,15 @@
 A map is a finite ordered list of monotone branches over contiguous
 subintervals of its domain. Branches are linear or one of the two monotone
 halves of the degree-4 logistic family, which keeps inverse branches
-closed-form and numerically stable. The preimage tree enumerates f^{-n}(x0)
-level by level together with backward Birkhoff sums of a potential, under
-an explicit node budget that fails loudly instead of thrashing memory.
+closed-form and numerically stable. The preimage walk enumerates f^{-n}(x0)
+level by level together with backward Birkhoff sums of a potential, holding
+one level at a time, under an explicit node budget that fails loudly
+instead of thrashing memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,10 @@ from .errors import BudgetError, DomainError
 TOL_CONTINUITY = 1e-9
 TOL_COVER = 1e-12
 TOL_DEDUP = 1e-12
+# cumulative nodes of one preimage walk; a streaming tree_pressure peaks near
+# 58 B per node of its deepest level (tracemalloc: 7.25 float64 arrays of
+# that size on the doubling map, 7.28 on the golden tent), so a doubling-map
+# walk stopped here (8.4M deepest nodes) needs about 0.5 GB
 DEFAULT_NODE_BUDGET = 20_000_000
 VALIDATE_SAMPLES_PER_BRANCH = 257
 
@@ -397,17 +402,14 @@ class PreimageLevel:
     """One level of a preimage tree.
 
     ``points[i]`` satisfies f^depth(points[i]) = x0 and ``birkhoff[i]`` is the
-    forward Birkhoff sum of the potential along its orbit down to x0. Points
-    are ordered lexicographically by branch word (earliest inverse step most
-    significant); ``parent`` indexes the previous level and ``branch`` is the
-    branch containing the point.
+    forward Birkhoff sum of the potential along its orbit down to x0 (zeros
+    without a potential). Points are ordered by the branches of their inverse
+    steps, the earliest step most significant.
     """
 
     depth: int
     points: np.ndarray
     birkhoff: np.ndarray
-    parent: np.ndarray
-    branch: np.ndarray
 
 
 def iter_preimage_levels(
@@ -421,7 +423,10 @@ def iter_preimage_levels(
 
     Candidate preimages produced by adjacent branches that coincide at a
     shared breakpoint (within 1e-12) are merged, keeping the lower branch,
-    so each geometric preimage appears exactly once.
+    so each geometric preimage appears exactly once. Only the current level
+    is held: the mask, gather indices and candidate table are freed before
+    each yield, and a level where no candidate was masked or merged is the
+    candidate table itself.
     """
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
@@ -429,8 +434,7 @@ def iter_preimage_levels(
     k = len(imap.branches)
     pts = np.array([float(np.clip(x0, lo, hi))])
     birk = np.zeros(1)
-    sentinel = np.full(1, -1, dtype=np.int64)
-    yield PreimageLevel(0, pts, birk, sentinel, sentinel)
+    yield PreimageLevel(0, pts, birk)
     used = 1
     for depth in range(1, n_max + 1):
         p = pts.size
@@ -448,63 +452,25 @@ def iter_preimage_levels(
                 & (np.abs(cand[:, b] - cand[:, b - 1]) <= TOL_DEDUP)
             )
             valid[dup, b] = False
-        idx = np.flatnonzero(valid.ravel())
-        if idx.size == 0:
+        size = int(np.count_nonzero(valid))
+        if size == 0:
             raise DomainError(f"no preimages at depth {depth}; map is not onto")
-        if used + idx.size > budget:
+        if used + size > budget:
             raise BudgetError(depth - 1, n_max, budget)
-        used += idx.size
-        parent = idx // k
-        branch_id = idx % k
-        pts = cand.ravel()[idx]
-        if potential is not None:
-            birk = np.asarray(potential(pts), dtype=float) + birk[parent]
+        used += size
+        if size == cand.size:
+            # no candidate was masked or merged: the table is the level
+            pts = cand.reshape(-1)
+            birk = np.repeat(birk, k)
         else:
-            birk = birk[parent]
-        yield PreimageLevel(depth, pts, birk, parent, branch_id.astype(np.int64))
-
-
-@dataclass(frozen=True)
-class PreimageTree:
-    """All levels of f^{-n}(x0) up to a requested depth."""
-
-    x0: float
-    levels: tuple[PreimageLevel, ...] = field(repr=False)
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def level(self, n: int) -> PreimageLevel:
-        return self.levels[n]
-
-    def counts(self) -> np.ndarray:
-        return np.array([lv.points.size for lv in self.levels])
-
-    def words(self, n: int) -> np.ndarray:
-        """Branch words (b_1 .. b_n) for level n, one row per point.
-
-        b_t is the branch containing the ancestor t inverse steps from x0,
-        so rows appear in lexicographic order.
-        """
-        size = self.levels[n].points.size
-        out = np.empty((size, n), dtype=np.int64)
-        cur = np.arange(size)
-        for lev in range(n, 0, -1):
-            out[:, lev - 1] = self.levels[lev].branch[cur]
-            cur = self.levels[lev].parent[cur]
-        return out
-
-
-def preimage_tree(
-    imap: IntervalMap,
-    potential: Optional[Callable[[np.ndarray], np.ndarray]],
-    x0: float,
-    n_max: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> PreimageTree:
-    levels = tuple(iter_preimage_levels(imap, potential, x0, n_max, budget))
-    return PreimageTree(x0=float(x0), levels=levels)
+            idx = np.flatnonzero(valid)
+            pts = cand.reshape(-1)[idx]
+            birk = birk[idx // k]
+            del idx
+        del cand, valid
+        if potential is not None:
+            birk += np.asarray(potential(pts), dtype=float)
+        yield PreimageLevel(depth, pts, birk)
 
 
 def forward_orbit(

@@ -72,13 +72,15 @@ def _reject_breakpoint(imap: IntervalMap, x0: float) -> None:
 @dataclass(frozen=True)
 class LevelSums:
     """One walk of the preimage tree of x0: ``a_values[n - 1]`` is a_n = log
-    sum over f^{-n}(x0) of exp(S_n phi), n = 1..depth; ``points`` and
-    ``birkhoff`` hold the levels retain_from, retain_from + 1, ...; and
-    ``budget_error`` is set when the node budget stopped the walk early."""
+    sum over f^{-n}(x0) of exp(S_n phi) and ``counts[n - 1]`` the number of
+    preimages #f^{-n}(x0), n = 1..depth; ``points`` and ``birkhoff`` hold the
+    levels retain_from, retain_from + 1, ...; and ``budget_error`` is set
+    when the node budget stopped the walk early."""
 
     x0: float
     domain: tuple[float, float]
     a_values: np.ndarray
+    counts: np.ndarray
     retain_from: int
     points: tuple[np.ndarray, ...] = ()
     birkhoff: tuple[np.ndarray, ...] = ()
@@ -106,6 +108,7 @@ class LevelSums:
         return replace(
             self,
             a_values=self.a_values[:n],
+            counts=self.counts[:n],
             points=self.points[:keep],
             birkhoff=self.birkhoff[:keep],
             budget_error=None,
@@ -130,6 +133,7 @@ def level_sums(
     retain_from = n_max + 1 if retain_from is None else max(1, retain_from)
     retain_to = n_max if retain_to is None else retain_to
     a_values: list[float] = []
+    counts: list[int] = []
     points: list[np.ndarray] = []
     birkhoff: list[np.ndarray] = []
     budget_error = None
@@ -138,6 +142,7 @@ def level_sums(
             if level.depth == 0:
                 continue
             a_values.append(float(logsumexp(level.birkhoff)))
+            counts.append(level.points.size)
             if retain_from <= level.depth <= retain_to:
                 points.append(level.points)
                 birkhoff.append(level.birkhoff)
@@ -149,6 +154,7 @@ def level_sums(
         x0=float(x0),
         domain=imap.domain,
         a_values=np.asarray(a_values),
+        counts=np.asarray(counts, dtype=np.int64),
         retain_from=retain_from,
         points=tuple(points),
         birkhoff=tuple(birkhoff),

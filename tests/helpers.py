@@ -1,9 +1,13 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from thermomap.conformal import AtomicMeasure
+from thermomap.errors import BudgetError, DomainError
 from thermomap.keller import SampledFunction
+from thermomap.maps import TOL_CONTINUITY, TOL_DEDUP, PreimageLevel
 from thermomap.transfer import (
     CORRELATION_FLOOR,
     CorrelationReport,
@@ -80,6 +84,83 @@ def orbit(imap, x, n):
     for _ in range(n):
         pts.append(imap.eval(pts[-1]))
     return np.array(pts)
+
+
+def reference_preimage_levels(imap, potential, x0, n_max, budget):
+    """The preimage walk that gathers every level through parent indices:
+    candidates of all branches in one table, merged at shared breakpoints,
+    then selected with flatnonzero. The oracle for maps.iter_preimage_levels,
+    whose points and Birkhoff sums must be bit-equal to these."""
+    lo, hi = imap.domain
+    if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
+        raise DomainError(f"base point {x0} outside domain [{lo}, {hi}]")
+    k = len(imap.branches)
+    pts = np.array([float(np.clip(x0, lo, hi))])
+    birk = np.zeros(1)
+    yield PreimageLevel(0, pts, birk)
+    used = 1
+    for depth in range(1, n_max + 1):
+        p = pts.size
+        cand = np.full((p, k), np.nan)
+        valid = np.zeros((p, k), dtype=bool)
+        for b, br in enumerate(imap.branches):
+            mask = br.covers(pts)
+            if mask.any():
+                cand[mask, b] = br.inverse(pts[mask])
+                valid[:, b] = mask
+        for b in range(1, k):
+            dup = (
+                valid[:, b - 1]
+                & valid[:, b]
+                & (np.abs(cand[:, b] - cand[:, b - 1]) <= TOL_DEDUP)
+            )
+            valid[dup, b] = False
+        idx = np.flatnonzero(valid.ravel())
+        if idx.size == 0:
+            raise DomainError(f"no preimages at depth {depth}; map is not onto")
+        if used + idx.size > budget:
+            raise BudgetError(depth - 1, n_max, budget)
+        used += idx.size
+        parent = idx // k
+        pts = cand.ravel()[idx]
+        if potential is not None:
+            birk = np.asarray(potential(pts), dtype=float) + birk[parent]
+        else:
+            birk = birk[parent]
+        yield PreimageLevel(depth, pts, birk)
+
+
+def branch_preimage(imap, b, y):
+    """The solution of f(x) = y on branch b, or None when branch b misses y
+    or its solution coincides (within 1e-12) with branch b - 1's at their
+    shared breakpoint, where the lower branch keeps it."""
+    br = imap.branches[b]
+    if not br.covers(np.asarray(y)):
+        return None
+    x = float(br.inverse(np.asarray(y)))
+    if b > 0:
+        left = branch_preimage(imap, b - 1, y)
+        if left is not None and abs(x - left) <= TOL_DEDUP:
+            return None
+    return x
+
+
+def preimage_words(imap, x0, n):
+    """Every branch word (b_1 .. b_n) whose inverse branches compose from
+    x0, in lexicographic order, with the preimage of x0 it reaches: b_t is
+    the branch of the ancestor t inverse steps from x0. Brute force over all
+    k^n words; the oracle for the point order of maps.iter_preimage_levels."""
+    words, points = [], []
+    for word in itertools.product(range(len(imap.branches)), repeat=n):
+        x = float(x0)
+        for b in word:
+            x = branch_preimage(imap, b, x)
+            if x is None:
+                break
+        else:
+            words.append(word)
+            points.append(x)
+    return np.array(words, dtype=np.int64).reshape(len(words), n), np.array(points)
 
 
 def pair_correlation(imap, phi_obs, psi, nu, n_max):

@@ -1,13 +1,15 @@
 """Map evaluation, forward orbits, preimage trees, and Markov witnesses."""
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orbit
+from helpers import orbit, preimage_words, reference_preimage_levels
+from thermomap import pressure
 from thermomap.conformal import uniform_atoms
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -18,18 +20,26 @@ from thermomap.maps import (
     full_linear_map,
     golden_tent_map,
     is_topologically_exact,
+    iter_preimage_levels,
     logistic4_map,
     markov_witness,
-    preimage_tree,
     pw_linear_map,
     tent_map,
     validate,
 )
-from thermomap.potentials import CosineSeriesPotential, average_transform
-from thermomap.pressure import hyperbolicity_check, separated_pressure
+from thermomap.potentials import (
+    BranchConstantPotential,
+    CosineSeriesPotential,
+    average_transform,
+)
+from thermomap.pressure import hyperbolicity_check, level_sums, separated_pressure
 from thermomap.transfer import correlation
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+# the appendix construction's map: four full branches of slope +-4
+FOUR_BRANCH = pw_linear_map(
+    [0.0, 0.25, 0.5, 0.75, 1.0], [4.0, -4.0, 4.0, -4.0], [0.0, 2.0, -2.0, 4.0]
+)
 
 
 def test_tent_eval_matches_closed_form():
@@ -148,49 +158,53 @@ def test_sawtooth_is_full_and_continuous():
 
 def test_preimage_counts_full_branches():
     f = full_linear_map(3)
-    tree = preimage_tree(f, None, 0.3, 6)
-    assert np.array_equal(tree.counts(), [1, 3, 9, 27, 81, 243, 729])
+    sums = level_sums(f, None, 0.3, 6)
+    assert np.array_equal(sums.counts, [3, 9, 27, 81, 243, 729])
 
 
 def test_golden_tent_counts_match_transition_matrix_powers():
     # markov oracle: count vector evolves by [[0, 1], [1, 1]] acting on
     # (points in left cell, points in right cell), seeded in the left cell
     f = golden_tent_map()
-    tree = preimage_tree(f, None, 0.3, 12)
+    sums = level_sums(f, None, 0.3, 12)
     mat = np.array([[0, 1], [1, 1]], dtype=object)
     vec = np.array([1, 0], dtype=object)
-    expected = [1]
+    expected = []
     for _ in range(12):
         vec = mat @ vec
         expected.append(int(vec.sum()))
-    assert np.array_equal(tree.counts(), expected)
+    assert np.array_equal(sums.counts, expected)
 
 
 def test_preimage_levels_invert_forward_orbit():
     f = golden_tent_map()
-    tree = preimage_tree(f, None, 0.3, 10)
+    sums = level_sums(f, None, 0.3, 10, retain_from=1)
     for n in (1, 5, 10):
-        pts = tree.level(n).points.copy()
+        pts = sums.points[n - 1].copy()
         for _ in range(n):
             pts = f.eval(pts)
         assert np.max(np.abs(pts - 0.3)) < 1e-8
 
 
+def _walk_level(f, x0, n):
+    return list(iter_preimage_levels(f, None, x0, n))[n]
+
+
 def test_preimage_words_are_lexicographically_sorted():
     f = tent_map()
-    tree = preimage_tree(f, None, 0.37, 6)
-    words = tree.words(6)
+    words, points = preimage_words(f, 0.37, 6)
     assert words.shape == (64, 6)
     as_ints = words @ (2 ** np.arange(5, -1, -1))
     assert np.array_equal(as_ints, np.arange(64))
+    assert np.array_equal(_walk_level(f, 0.37, 6).points, points)
 
 
 def test_words_recompute_points():
-    # applying the recorded inverse branches to x0 must reproduce the points
+    # applying the word's inverse branches to x0 must reproduce the points
     f = golden_tent_map()
-    tree = preimage_tree(f, None, 0.3, 7)
-    lv = tree.level(7)
-    words = tree.words(7)
+    words, points = preimage_words(f, 0.3, 7)
+    lv = _walk_level(f, 0.3, 7)
+    assert lv.points.size == words.shape[0] == 21
     for i in range(lv.points.size):
         x = 0.3
         for b in words[i]:
@@ -198,22 +212,138 @@ def test_words_recompute_points():
         assert x == pytest.approx(lv.points[i], abs=1e-10)
 
 
+WORD_MAPS = {
+    "tent": (tent_map(), 0.37, 7),
+    "golden_tent": (golden_tent_map(), 0.3, 8),
+    "golden_tent_right": (golden_tent_map(), 0.8, 8),
+    "logistic4": (logistic4_map(), 0.6, 7),
+    "sawtooth3": (full_linear_map(3), 0.41, 5),
+    "four_branch": (FOUR_BRANCH, 0.3, 4),
+    # x0 = 1 sits on the image of the shared breakpoint: merged preimages
+    "tent_top": (tent_map(), 1.0, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_MAPS))
+def test_walk_order_matches_word_oracle(name):
+    f, x0, n = WORD_MAPS[name]
+    levels = list(iter_preimage_levels(f, None, x0, n))
+    for depth in range(n + 1):
+        words, points = preimage_words(f, x0, depth)
+        assert np.array_equal(levels[depth].points, points), depth
+        assert np.array_equal(levels[depth].birkhoff, np.zeros(points.size))
+
+
+# not_onto's two branches both map into [0, 0.6], so a level loses the
+# points above 0.6 and x0 > 0.6 has no preimage at all
+WALK_MAPS = {
+    "tent": tent_map(),
+    "sawtooth3": full_linear_map(3),
+    "logistic4": logistic4_map(),
+    "four_branch": FOUR_BRANCH,
+    "golden_tent": golden_tent_map(),
+    "not_onto": pw_linear_map([0.0, 0.3, 1.0], [2.0, -6.0 / 7.0], [0.0, 6.0 / 7.0]),
+}
+WALK_POTENTIALS = {
+    "none": None,
+    "cosine": CosineSeriesPotential((0.3, -0.2), offset=0.1),
+    "branch_constant": BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)),
+}
+
+
+def _outcome(run):
+    """(result, error) of run(); errors compared by type, text and depth."""
+    try:
+        return run(), None
+    except (BudgetError, DomainError) as exc:
+        return None, (type(exc), str(exc), getattr(exc, "feasible_depth", None))
+
+
+def _bits(a):
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
+def _walk(walk, f, phi, x0, n_max, budget):
+    levels = []
+
+    def run():
+        for lv in walk(f, phi, x0, n_max, budget):
+            levels.append((lv.depth, _bits(lv.points), _bits(lv.birkhoff)))
+
+    return levels, _outcome(run)[1]
+
+
+def _sums_bits(sums):
+    err = sums.budget_error
+    return (
+        _bits(sums.a_values), _bits(sums.counts), sums.retain_from,
+        [_bits(a) for a in sums.points], [_bits(a) for a in sums.birkhoff],
+        None if err is None else (str(err), err.feasible_depth),
+    )
+
+
+class TestLeanWalk:
+    """The walk is bit-equal to the parent-index walk it replaced
+    (helpers.reference_preimage_levels), level by level and through
+    level_sums, whatever the map, potential and budget stop."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        map_name=st.sampled_from(sorted(WALK_MAPS)),
+        phi_name=st.sampled_from(sorted(WALK_POTENTIALS)),
+        x0=st.one_of(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                     st.sampled_from([0.0, 0.25, 0.5, 0.6, 1.0, 2.0 - GOLDEN])),
+        n_max=st.integers(min_value=1, max_value=9),
+        stop=st.integers(min_value=0, max_value=9),
+        slack=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        partial=st.booleans(),
+        retain_from=st.integers(min_value=1, max_value=10),
+        retain_len=st.integers(min_value=0, max_value=4),
+    )
+    def test_bit_equal_to_reference_walk(self, map_name, phi_name, x0, n_max,
+                                         stop, slack, partial, retain_from,
+                                         retain_len):
+        f, phi = WALK_MAPS[map_name], WALK_POTENTIALS[phi_name]
+        # a budget that admits exactly the levels 0..stop
+        full, _ = _walk(reference_preimage_levels, f, None, x0, n_max, 10**9)
+        cum = np.cumsum([lv[1][1][0] for lv in full])
+        stop = min(stop, len(cum) - 1)
+        room = int(cum[stop + 1] - cum[stop]) if stop + 1 < cum.size else 2
+        budget = int(cum[stop]) + int(slack * room)
+        new = _walk(iter_preimage_levels, f, phi, x0, n_max, budget)
+        ref = _walk(reference_preimage_levels, f, phi, x0, n_max, budget)
+        assert new == ref
+
+        def sums():
+            return _sums_bits(level_sums(
+                f, phi, x0, n_max, budget=budget, retain_from=retain_from,
+                retain_to=retain_from + retain_len, partial_on_budget=partial))
+
+        got = _outcome(sums)
+        with mock.patch.object(pressure, "iter_preimage_levels",
+                               reference_preimage_levels):
+            want = _outcome(sums)
+        assert got == want
+
+
 def test_budget_error_reports_feasible_depth():
     f = tent_map()
     with pytest.raises(BudgetError) as exc:
-        preimage_tree(f, None, 0.3, 10, budget=50)
+        list(iter_preimage_levels(f, None, 0.3, 10, budget=50))
     # cumulative nodes 1+2+4+8+16 = 31 fit; adding 32 would overflow 50
     assert exc.value.feasible_depth == 4
     assert exc.value.budget == 50
+    sums = level_sums(f, None, 0.3, 10, budget=50, partial_on_budget=True)
+    assert sums.feasible_depth == 4
+    assert np.array_equal(sums.counts, [2, 4, 8, 16])
 
 
 def test_birkhoff_sums_accumulate_along_tree():
     f = tent_map()
     phi = CosineSeriesPotential((0.25,), offset=-0.1)
-    tree = preimage_tree(f, phi, 0.41, 8)
-    lv = tree.level(8)
-    direct = birkhoff_sum(f, phi, lv.points, 8)
-    assert np.allclose(direct, lv.birkhoff, atol=1e-9)
+    sums = level_sums(f, phi, 0.41, 8, retain_from=8)
+    direct = birkhoff_sum(f, phi, sums.points[-1], 8)
+    assert np.allclose(direct, sums.birkhoff[-1], atol=1e-9)
 
 
 def test_markov_witness_golden_tent():

@@ -1,5 +1,7 @@
 """Tree and separated-set pressure, classifiers, curve probe, construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,7 @@ class TestLevelSums:
         head = sums.upto(6)
         assert head.depth == 6
         np.testing.assert_array_equal(head.a_values, sums.a_values[:6])
+        np.testing.assert_array_equal(head.counts, [2, 4, 8, 16, 32, 64])
         assert [p.size for p in head.points] == [16, 32, 64]
         assert sums.upto(10) is sums
         with pytest.raises(DomainError, match="stop at depth 10"):
@@ -144,6 +147,33 @@ class TestLevelSums:
         assert sums.upto(5).complete
         with pytest.raises(BudgetError):
             level_sums(tent_map(), None, 0.3, 24, budget=1000)
+
+
+@pytest.mark.parametrize(
+    "imap, phi, x0, n",
+    [
+        (full_linear_map(2), BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)),
+         0.31, 18),
+        (golden_tent_map(), None, 0.3, 26),
+    ],
+    ids=["doubling-bernoulli", "golden-tent"],
+)
+def test_tree_pressure_peak_memory_is_a_few_deepest_levels(imap, phi, x0, n):
+    # the walk holds one level and the next; logsumexp's temporaries are
+    # about five level-sized arrays, so 8 levels of float64 bounds the peak
+    deepest = int(level_sums(imap, None, x0, n).counts[-1])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tree_pressure(imap, phi, x0, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 8 * 8 * deepest, peak / (8 * deepest)
 
 
 def test_separated_singleton_when_epsilon_exceeds_diameter():
