@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from thermomap import correlation, full_linear_map, uniform_atoms
+from thermomap.cli import write_csv
 from thermomap.transfer import fit_decay
 
 MIN_POWER = 14  # log2 of the smallest atom count in the sweep
@@ -38,12 +39,12 @@ def main():
 
     def obs(x):
         return (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
-    rows = ["log2_atoms,n,c_n,turn_lag,clean_rho"]
+    rows = []
     print(f"{'atoms':>10} {'turn lag':>8} {'clean-window rate':>18} "
           f"{'full-window rate':>17}")
     for power in range(MIN_POWER, args.max_power + 1, 2):
         atoms = uniform_atoms(2**power)
-        rep = correlation(imap, obs, obs, atoms, n_max=args.lags)
+        rep = correlation(imap, [obs], [obs], atoms, n_max=args.lags).reports[0]
         turn = int(rep.ns[np.argmin(rep.c_values)])
         window = max(5, turn - 2)
         # the first `window` lags of the same pushforward, refitted
@@ -52,9 +53,9 @@ def main():
         full_rho = rep.rho if rep.rho is not None else float("nan")
         print(f"{2**power:>10} {turn:>8} {clean_rho:>18.4f} {full_rho:>17.4f}")
         for n, c in zip(rep.ns, rep.c_values):
-            rows.append(f"{power},{n},{c:.17g},{turn},{clean_rho:.17g}")
+            rows.append((power, n, c, turn, clean_rho))
     path = args.out / "correlation_floor.csv"
-    path.write_text("\n".join(rows) + "\n")
+    write_csv(path, ("log2_atoms", "n", "c_n", "turn_lag", "clean_rho"), rows)
     print(f"\nthe turning point moves right by one lag per 4x atoms;")
     print(f"wrote {path}")
 

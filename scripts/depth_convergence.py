@@ -23,6 +23,7 @@ from thermomap import (
     pressure_report,
     transition_parameter,
 )
+from thermomap.cli import write_csv
 
 
 def main():
@@ -37,7 +38,7 @@ def main():
         ("four_branch", full_linear_map(4), np.log(4.0)),
         ("golden_tent", golden_tent_map(), np.log((1 + np.sqrt(5.0)) / 2.0)),
     ]
-    rows = ["map,n,p_n,averaged_tail,slope,exact"]
+    rows = []
     for name, imap, exact in cases:
         depth = args.depth if len(imap.branches) < 3 else min(args.depth, 10)
         sums = level_sums(imap, None, 0.3, depth)
@@ -49,12 +50,11 @@ def main():
         print(f"  slope fit     : {trans.c:.6f}  "
               f"err {abs(trans.c - exact):.2e}")
         for n, p in zip(rep.depths, rep.p_values):
-            rows.append(
-                f"{name},{n},{p:.17g},{rep.estimate:.17g},"
-                f"{trans.c:.17g},{exact:.17g}"
-            )
+            rows.append((name, n, p, rep.estimate, trans.c, exact))
     path = args.out / "depth_convergence.csv"
-    path.write_text("\n".join(rows) + "\n")
+    write_csv(
+        path, ("map", "n", "p_n", "averaged_tail", "slope", "exact"), rows
+    )
     print(f"\nwrote {path}")
 
 

@@ -25,11 +25,11 @@ from .maps import (
     pw_linear_map,
 )
 from .potentials import (
+    AveragedPotential,
     BranchConstantPotential,
     ConstantPotential,
     CosineSeriesPotential,
     PiecewiseLinearPotential,
-    average_transform,
 )
 from .pressure import (
     appendix_construct,
@@ -54,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure",
     "AuditError",
+    "AveragedPotential",
     "BranchConstantPotential",
     "BudgetError",
     "ConfigError",
@@ -68,7 +69,6 @@ __all__ = [
     "ThermomapError",
     "appendix_construct",
     "atom_audit",
-    "average_transform",
     "conformality_audit",
     "correlation",
     "equilibrium_state",

@@ -28,7 +28,6 @@ import numpy as np
 
 from .conformal import (
     AtomicMeasure,
-    WeightSchedule,
     atom_audit,
     conformality_audit,
     transition_parameter,
@@ -71,18 +70,6 @@ from .transfer import (
 
 DEFAULT_GRID = 4096
 DEFAULT_TOL = 1e-12
-
-COMMANDS = (
-    "pressure",
-    "entropy",
-    "conformal",
-    "equilibrium",
-    "correlations",
-    "norms",
-    "curve",
-    "appendix",
-    "audit-all",
-)
 
 
 # Rows per formatting step of an all-float table (see write_csv).
@@ -192,7 +179,7 @@ def _reject_unknown(obj: dict, allowed: set, where: str, raw: str, path: str):
             )
 
 
-def _require(obj: dict, key: str, where: str, raw: str, path: str):
+def _require(obj: dict, key: str, where: str, path: str):
     if key not in obj:
         raise ConfigError(f"{path}: missing required key {key!r} in {where}")
     return obj[key]
@@ -201,10 +188,10 @@ def _require(obj: dict, key: str, where: str, raw: str, path: str):
 def build_map(spec: dict, raw: str, path: str) -> IntervalMap:
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: 'map' must be an object")
-    kind = _require(spec, "kind", "map", raw, path)
+    kind = _require(spec, "kind", "map", path)
     if kind == "full_linear":
         _reject_unknown(spec, {"kind", "branches"}, "map", raw, path)
-        branches = _require(spec, "branches", "map", raw, path)
+        branches = _require(spec, "branches", "map", path)
         if not isinstance(branches, int) or branches < 2:
             raise ConfigError(f"{path}: map.branches must be an integer >= 2")
         return full_linear_map(branches)
@@ -213,9 +200,9 @@ def build_map(spec: dict, raw: str, path: str) -> IntervalMap:
             spec, {"kind", "breakpoints", "slopes", "intercepts"}, "map", raw, path
         )
         return pw_linear_map(
-            _require(spec, "breakpoints", "map", raw, path),
-            _require(spec, "slopes", "map", raw, path),
-            _require(spec, "intercepts", "map", raw, path),
+            _require(spec, "breakpoints", "map", path),
+            _require(spec, "slopes", "map", path),
+            _require(spec, "intercepts", "map", path),
         )
     if kind == "logistic4":
         _reject_unknown(spec, {"kind"}, "map", raw, path)
@@ -234,10 +221,10 @@ def build_potential(
         return None
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: 'potential' must be an object or null")
-    kind = _require(spec, "kind", "potential", raw, path)
+    kind = _require(spec, "kind", "potential", path)
     if kind == "constant":
         _reject_unknown(spec, {"kind", "values"}, "potential", raw, path)
-        values = _require(spec, "values", "potential", raw, path)
+        values = _require(spec, "values", "potential", path)
         if len(values) != 1:
             raise ConfigError(f"{path}: constant potential takes one value")
         return ConstantPotential(float(values[0]))
@@ -246,15 +233,15 @@ def build_potential(
             spec, {"kind", "segments", "values"}, "potential", raw, path
         )
         return BranchConstantPotential(
-            tuple(_require(spec, "segments", "potential", raw, path)),
-            tuple(_require(spec, "values", "potential", raw, path)),
+            tuple(_require(spec, "segments", "potential", path)),
+            tuple(_require(spec, "values", "potential", path)),
         )
     if kind == "cosine_series":
         _reject_unknown(
             spec, {"kind", "coefficients", "offset"}, "potential", raw, path
         )
         return CosineSeriesPotential(
-            tuple(_require(spec, "coefficients", "potential", raw, path)),
+            tuple(_require(spec, "coefficients", "potential", path)),
             offset=float(spec.get("offset", 0.0)),
             lo=float(domain[0]),
             hi=float(domain[1]),
@@ -264,8 +251,8 @@ def build_potential(
             spec, {"kind", "segments", "values"}, "potential", raw, path
         )
         return PiecewiseLinearPotential(
-            tuple(_require(spec, "segments", "potential", raw, path)),
-            tuple(_require(spec, "values", "potential", raw, path)),
+            tuple(_require(spec, "segments", "potential", path)),
+            tuple(_require(spec, "values", "potential", path)),
         )
     raise ConfigError(
         f"{path}: potential.kind must be one of constant, branch_pw_constant, "
@@ -296,7 +283,7 @@ class Experiment:
         self.raw = raw
         self.path = config_path
         self.imap = build_map(
-            _require(data, "map", "config", raw, config_path), raw, config_path
+            _require(data, "map", "config", config_path), raw, config_path
         )
         self.potential = build_potential(
             data.get("potential"), raw, config_path, self.imap.domain
@@ -315,11 +302,22 @@ class Experiment:
         self.tol = args.tol
 
     def take(self, keys: dict) -> dict:
-        """Validate command_params against `keys` (name -> default)."""
+        """Validate command_params against `keys` (name -> default): an int
+        default takes an int and a float default an int or float, never a
+        bool, finite as a float64; None defaults are checked by their command."""
         _reject_unknown(
             self.params, set(keys), "command_params", self.raw, self.path
         )
-        return {k: self.params.get(k, v) for k, v in keys.items()}
+        p = {k: self.params.get(k, v) for k, v in keys.items()}
+        for key, default in keys.items():
+            if default is None:
+                continue
+            value, where = p[key], f"{self.path}: command_params.{key}"
+            if type(default) is int and type(value) is not int:
+                raise ConfigError(f"{where} must be an integer")
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{where} must be a finite number")
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +356,16 @@ def cmd_tree_pressure(
     return 0 if status == "ok" else 3
 
 
+def _at_least(exp: Experiment, p: dict, key: str, low: int) -> None:
+    if p[key] < low:
+        raise ConfigError(f"{exp.path}: command_params.{key} must be an integer >= {low}")
+
+
 def _conformal_pipeline(exp: Experiment, p: dict):
     """Transition parameter, weak limit and tree pressure report (None
     without `tree_depth`) from one preimage walk to max(n_max, tree_depth);
     its retained levels die with this frame, before any power iteration."""
+    _at_least(exp, p, "bins", 1)
     n_max, tree_depth = p["n_max"], p.get("tree_depth")
     sums = level_sums(
         exp.imap,
@@ -379,7 +383,7 @@ def _conformal_pipeline(exp: Experiment, p: dict):
         trans.c,
         bins=p["bins"],
         tol=max(exp.tol, 1e-6),
-        weights=WeightSchedule(theta=p["theta"]),
+        theta=p["theta"],
     )
     tree = None if tree_depth is None else pressure_report(sums, tree_depth)
     return trans, limit, tree
@@ -508,7 +512,7 @@ def _observables(exp: Experiment, specs) -> list[Callable]:
             if key not in spec:
                 raise ConfigError(f"{where}: missing key {key!r}")
         for key, value in spec.items():
-            if type(value) not in (int, float) or not np.isfinite(value):
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{where}.{key} must be a finite number")
         if spec.get("width", 0.05) <= 0:
             raise ConfigError(f"{where}.width must be positive")
@@ -529,19 +533,17 @@ def cmd_correlations(exp: Experiment, out: Path) -> int:
             "observables": None,
         }
     )
-    if type(p["lags"]) is not int or p["lags"] < 5:
-        raise ConfigError(f"{exp.path}: command_params.lags must be an integer >= 5")
+    _at_least(exp, p, "lags", 5)
     fns = _observables(exp, p["observables"])
     trans, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
-    batch = correlation(exp.imap, fns, fns, state, n_max=p["lags"])
+    batch = correlation(exp.imap, fns, fns, state.nu, n_max=p["lags"])
     rows = []
     for idx, rep in enumerate(batch.reports):
         status = "below_resolution" if rep.below_resolution else "ok"
-        rho = rep.rho if rep.rho is not None else float("nan")
-        r2 = rep.r_squared if rep.r_squared is not None else float("nan")
         for n, c in zip(rep.ns, rep.c_values):
-            rows.append((int(idx), int(n), c, rho, r2, status))
+            # write_csv writes a missing fit (None) as nan
+            rows.append((int(idx), int(n), c, rep.rho, rep.r_squared, status))
     write_csv(
         out / "correlations.csv",
         ("observable", "n", "c_n", "rho", "r_squared", "status"),
@@ -554,14 +556,10 @@ def cmd_norms(exp: Experiment, out: Path) -> int:
     p = exp.take(
         {"alpha": 0.5, "scale": 0.5, "draws": 20, "atoms": 48, "p": None}
     )
-    for key in ("draws", "atoms"):
-        if type(p[key]) is not int or p[key] < 1:
-            raise ConfigError(
-                f"{exp.path}: command_params.{key} must be an integer >= 1"
-            )
-    for key in ("alpha", "scale", "p"):
-        if type(p[key]) not in (int, float) and not (key == "p" and p[key] is None):
-            raise ConfigError(f"{exp.path}: command_params.{key} must be a number")
+    _at_least(exp, p, "draws", 1)
+    _at_least(exp, p, "atoms", 1)
+    if p["p"] is not None and type(p["p"]) not in (int, float):
+        raise ConfigError(f"{exp.path}: command_params.p must be a number")
     rng = np.random.default_rng(exp.seed)
     m = uniform_atoms(p["atoms"], exp.imap.domain)
     rows = []
@@ -715,6 +713,7 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
             "adjoint_bound": 1e-2,
         }
     )
+    _at_least(exp, p, "intervals", 1)
     trans, limit, tree = _conformal_pipeline(exp, p)
     audits = []
 
@@ -838,7 +837,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="thermomap",
         description="Thermodynamic-formalism experiments on interval maps",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="preimage-tree node budget")

@@ -87,17 +87,22 @@ class AtomicMeasure:
     def size(self) -> int:
         return int(self.points.size)
 
+    @property
+    def cumulative(self) -> np.ndarray:
+        """Exclusive prefix masses [0, m_0, m_0 + m_1, ..., 1], read-only;
+        built on first use, as most measures never answer an interval query."""
+        if self._cum is None:
+            cum = np.concatenate([[0.0], np.cumsum(self.masses)])
+            cum.flags.writeable = False
+            object.__setattr__(self, "_cum", cum)
+        return self._cum
+
     def mass_interval(self, a: float, b: float) -> float:
         """Total mass of atoms in the closed interval [min(a,b), max(a,b)]."""
         lo, hi = (a, b) if a <= b else (b, a)
         left = np.searchsorted(self.points, lo, side="left")
         right = np.searchsorted(self.points, hi, side="right")
-        if self._cum is None:
-            # built on first use: most measures never answer an interval query
-            object.__setattr__(
-                self, "_cum", np.concatenate([[0.0], np.cumsum(self.masses)])
-            )
-        return float(self._cum[right] - self._cum[left])
+        return float(self.cumulative[right] - self.cumulative[left])
 
     def bin_masses(self, bins: int) -> np.ndarray:
         """Masses of `bins` equal-width cells covering the domain."""
@@ -115,20 +120,6 @@ def uniform_atoms(count: int, domain: tuple[float, float] = (0.0, 1.0)) -> Atomi
     lo, hi = domain
     pts = lo + (hi - lo) * (np.arange(count) + 0.5) / count
     return AtomicMeasure(pts, np.full(count, 1.0 / count), (lo, hi))
-
-
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Depth weights b_n = n**theta; theta = 0 gives the flat default."""
-
-    theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise DomainError("theta must be nonnegative")
-
-    def log_weight(self, n: np.ndarray) -> np.ndarray:
-        return self.theta * np.log(np.asarray(n, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,7 @@ def weak_limit(
     c: float,
     bins: int = 64,
     tol: float = 1e-3,
-    weights: WeightSchedule = WeightSchedule(),
+    theta: float = 0.0,
 ) -> WeakLimitResult:
     """Drive s down toward c and return the stabilized deep-tree measure.
 
@@ -207,8 +198,10 @@ def weak_limit(
     and declares convergence when consecutive binned snapshots are Cauchy
     at `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots at each
     s are cheap (per-level histograms are fixed), so the schedule runs
-    entirely on the retained level data.
+    entirely on the retained level data. Depth n is weighted n**theta.
     """
+    if theta < 0:
+        raise DomainError("theta must be nonnegative")
     n_max = sums.depth
     if n_max < 4:
         raise DomainError("need n_max >= 4")
@@ -224,7 +217,7 @@ def weak_limit(
         np.histogram(pts, bins=bins, range=sums.domain, weights=np.exp(birk - a))[0]
         for pts, birk, a in zip(kept_pts, kept_birk, a_window)
     ])
-    log_b = weights.log_weight(depths)
+    log_b = theta * np.log(depths.astype(float))
 
     def binned_at(s: float) -> np.ndarray:
         logw = log_b + a_window - depths * s

@@ -111,7 +111,7 @@ def _ball_windows(
     insert]; it lies in the ball of atom k exactly when L > cum[k+1] - eps
     and U < cum[k] + eps. Both bounds are nondecreasing in k.
     """
-    cum = np.concatenate([[0.0], np.cumsum(m.masses)])
+    cum = m.cumulative
     left = np.searchsorted(m.points, h.positions, side="left")
     right = np.searchsorted(m.points, h.positions, side="right")
     lower_coord = cum[left]

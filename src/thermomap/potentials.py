@@ -277,11 +277,6 @@ def potential_range(
     return float(vals.min()), float(vals.max())
 
 
-def average_transform(imap: IntervalMap, potential: Potential, window: int) -> AveragedPotential:
-    """Replace a potential by its orbit average over a window of given length."""
-    return AveragedPotential(imap, potential, window)
-
-
 @dataclass(frozen=True)
 class HolderAudit:
     alpha: float

@@ -56,10 +56,6 @@ class PressureReport:
     complete: bool
     feasible_depth: Optional[int] = None
 
-    @property
-    def value(self) -> float:
-        return self.estimate
-
 
 def _reject_breakpoint(imap: IntervalMap, x0: float) -> None:
     gaps = np.abs(imap.breakpoints - x0)
@@ -388,7 +384,8 @@ def pressure_curve(
 
     Reports central first and second differences (ends are nan) and the RMS
     residual of a least-squares cubic over the points with
-    |t| <= CURVE_FIT_WINDOW, a purely diagnostic smoothness probe.
+    |t| <= CURVE_FIT_WINDOW (over all points when fewer than 5 lie there),
+    a purely diagnostic smoothness probe.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
@@ -411,16 +408,12 @@ def pressure_curve(
     first[1:-1] = (estimates[2:] - estimates[:-2]) / (2 * dt)
     second[1:-1] = (estimates[2:] - 2 * estimates[1:-1] + estimates[:-2]) / dt**2
     mask = np.abs(ts) <= CURVE_FIT_WINDOW + 1e-12
-    if mask.sum() >= 5:
-        coeffs = np.polyfit(ts[mask], estimates[mask], 3)
-        resid = estimates[mask] - np.polyval(coeffs, ts[mask])
-        fit_residual = float(np.sqrt(np.mean(resid**2)))
-        fit_points = int(mask.sum())
-    else:
-        coeffs = np.polyfit(ts, estimates, 3)
-        resid = estimates - np.polyval(coeffs, ts)
-        fit_residual = float(np.sqrt(np.mean(resid**2)))
-        fit_points = int(ts.size)
+    if mask.sum() < 5:
+        mask[:] = True
+    coeffs = np.polyfit(ts[mask], estimates[mask], 3)
+    resid = estimates[mask] - np.polyval(coeffs, ts[mask])
+    fit_residual = float(np.sqrt(np.mean(resid**2)))
+    fit_points = int(mask.sum())
     return PressureCurve(
         ts=ts,
         estimates=estimates,

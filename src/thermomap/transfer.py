@@ -72,21 +72,18 @@ def apply_transfer(
     imap: IntervalMap,
     potential: Optional[Potential],
     psi: GridFunction,
-    normalized: bool = False,
     p_hat: Optional[float] = None,
 ) -> GridFunction:
     """Pull psi back through every branch inverse with potential weights.
 
     Nodewise (L psi)(x) = sum over branches whose image covers x of
-    exp(potential(y_b)) psi(y_b). The normalized variant multiplies by
-    exp(-p_hat).
+    exp(potential(y_b)) psi(y_b). Passing p_hat gives the normalized
+    operator, which multiplies by exp(-p_hat).
     """
     x = psi.grid
     lo, hi = imap.domain
     if x[0] < lo - 1e-9 or x[-1] > hi + 1e-9:
         raise DomainError("grid must lie inside the map domain")
-    if normalized and p_hat is None:
-        raise DomainError("normalized application needs p_hat")
     acc = np.zeros(x.size)
     for br in imap.branches:
         mask = br.covers(x)
@@ -104,7 +101,7 @@ def apply_transfer(
         else:
             weight = 1.0
         acc[mask] += weight * psi(y)
-    if normalized:
+    if p_hat is not None:
         acc *= np.exp(-p_hat)
     return psi.with_values(acc)
 
@@ -148,7 +145,6 @@ def power_iteration(
     tol: float = 1e-12,
     max_iter: int = 500,
     mu: Optional[AtomicMeasure] = None,
-    probe: Optional[GridFunction] = None,
 ) -> EigenReport:
     """Sup-normalized power iteration for the leading eigenpair.
 
@@ -168,41 +164,36 @@ def power_iteration(
     lam = 1.0
     converged = False
     iterations = 0
+
+    def eigen_residual() -> float:
+        image = apply_transfer(imap, potential, psi)
+        return float(np.max(np.abs(image.values / lam - psi.values)))
     for iterations in range(1, max_iter + 1):
         image = apply_transfer(imap, potential, psi)
         lam = float(np.max(np.abs(image.values)))
         if lam <= 0:
             raise ConvergenceError("operator annihilated the iterate")
         psi = image.with_values(image.values / lam)
-        if abs(lam - lam_prev) < tol:
-            residual = float(
-                np.max(np.abs(apply_transfer(imap, potential, psi).values / lam
-                              - psi.values))
-            )
-            if residual < 10 * tol:
-                converged = True
-                break
+        if abs(lam - lam_prev) < tol and eigen_residual() < 10 * tol:
+            converged = True
+            break
         lam_prev = lam
-    residual = float(
-        np.max(np.abs(apply_transfer(imap, potential, psi).values / lam - psi.values))
-    )
+    residual = eigen_residual()
     scale = float(np.sum(mu.masses * psi(mu.points)))
     if scale <= 0:
         raise AuditError("eigenfunction has nonpositive mass against mu")
     h = psi.with_values(psi.values / scale)
 
-    if probe is None:
-        probe = GridFunction.from_callable(
-            lambda x: 1.0 + 0.1 * np.cos(np.pi * (x - imap.domain[0])
-                                         / (imap.domain[1] - imap.domain[0])),
-            grid_size,
-            imap.domain,
-        )
     log_p = float(np.log(lam))
-    work = probe
+    work = GridFunction.from_callable(
+        lambda x: 1.0 + 0.1 * np.cos(np.pi * (x - imap.domain[0])
+                                     / (imap.domain[1] - imap.domain[0])),
+        grid_size,
+        imap.domain,
+    )
     rates = []
     for _ in range(60):
-        work = apply_transfer(imap, potential, work, normalized=True, p_hat=log_p)
+        work = apply_transfer(imap, potential, work, p_hat=log_p)
         mean = float(np.sum(mu.masses * work(mu.points)))
         perp = work.values - mean * h.values
         r = float(np.max(np.abs(perp)))
@@ -235,10 +226,7 @@ def power_iteration(
 class EquilibriumState:
     """Invariant state nu = h mu with its entropy estimate."""
 
-    density: GridFunction
-    reference: AtomicMeasure
     nu: AtomicMeasure
-    pressure: float
     potential_mean: float
     entropy: float
 
@@ -269,14 +257,7 @@ def equilibrium_state(
             f"entropy estimate {entropy:.6g} is nonpositive for a "
             "hyperbolicity-certified potential"
         )
-    return EquilibriumState(
-        density=eigen.h,
-        reference=mu,
-        nu=nu,
-        pressure=eigen.log_eigenvalue,
-        potential_mean=phi_mean,
-        entropy=entropy,
-    )
+    return EquilibriumState(nu=nu, potential_mean=phi_mean, entropy=entropy)
 
 
 def adjoint_invariance_audit(
@@ -298,7 +279,7 @@ def adjoint_invariance_audit(
         psi = fn if isinstance(fn, GridFunction) else GridFunction.from_callable(
             fn, grid_size, imap.domain
         )
-        image = apply_transfer(imap, potential, psi, normalized=True, p_hat=p_hat)
+        image = apply_transfer(imap, potential, psi, p_hat=p_hat)
         lhs = float(np.sum(mu.masses * image(mu.points)))
         rhs = float(np.sum(mu.masses * psi(mu.points)))
         worst = max(worst, abs(lhs - rhs))
@@ -354,37 +335,31 @@ def fit_decay(ns: np.ndarray, c_values: np.ndarray) -> CorrelationReport:
 
 def correlation(
     imap: IntervalMap,
-    phi_obs: Union[Callable, Sequence[Callable]],
-    psi: Union[Callable, Sequence[Callable]],
-    nu: Union[AtomicMeasure, EquilibriumState],
+    phi_obs: Sequence[Callable],
+    psi: Sequence[Callable],
+    nu: AtomicMeasure,
     n_max: int = 12,
-) -> Union[CorrelationReport, CorrelationBatch]:
+) -> CorrelationBatch:
     """C_n = |int phi(f^n) psi dnu - int phi dnu int psi dnu| for n = 1..n_max.
 
     Orbits of the atoms are pushed forward exactly through the map, so the
     only error is that of nu itself. Observables may be grid functions or
     plain callables; exact callables keep cancellation effects intact.
 
-    `phi_obs` and `psi` are either one callable each, giving one
-    `CorrelationReport`, or two equal-length sequences of callables, giving
-    a `CorrelationBatch` with one report per pair (phi_obs[k], psi[k]).
-    Either way the atoms are pushed forward once. At each lag the products
+    `phi_obs` and `psi` are two equal-length sequences of callables; the
+    `CorrelationBatch` holds one report per pair (phi_obs[k], psi[k]). The
+    atoms are pushed forward once for all pairs. At each lag the products
     w phi(f^n x) psi(x) are written into one buffer CORRELATION_CHUNK atoms
     at a time and summed over the whole buffer, so phi is called on slices
     of the orbit: observables must act pointwise.
     """
-    single = callable(phi_obs)
-    if single != callable(psi):
-        raise DomainError("phi_obs and psi must both be callables or both sequences")
-    phis = [phi_obs] if single else list(phi_obs)
-    psis = [psi] if single else list(psi)
+    phis, psis = list(phi_obs), list(psi)
     if not phis or len(phis) != len(psis):
         raise DomainError("need equal-length, nonempty observable sequences")
     if n_max < 5:
         raise DomainError("need n_max >= 5")
-    measure = nu.nu if isinstance(nu, EquilibriumState) else nu
-    pts = measure.points
-    w = measure.masses
+    pts = nu.points
+    w = nu.masses
     psi_vals = []
     mean_products = []
     for phi, ps in zip(phis, psis):
@@ -405,8 +380,7 @@ def correlation(
                 np.multiply(out, psi_vals[k][part], out=out)
             cs[k, n] = abs(float(np.sum(buf)) - mean_products[k])
     ns = np.arange(1, n_max + 1)
-    reports = tuple(fit_decay(ns, row) for row in cs)
-    return reports[0] if single else CorrelationBatch(ns=ns, reports=reports)
+    return CorrelationBatch(ns=ns, reports=tuple(fit_decay(ns, row) for row in cs))
 
 
 def smoothed_indicator(
@@ -472,7 +446,7 @@ def spectral_gap_estimate(
     def obs(x):
         return (np.asarray(x, dtype=float) <= cut).astype(float)
 
-    corr = correlation(imap, obs, obs, state, n_max=n_max)
+    corr = correlation(imap, [obs], [obs], state.nu, n_max=n_max).reports[0]
     rates = [eigen.rho_hat]
     if corr.rho is not None:
         rates.append(corr.rho)

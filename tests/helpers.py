@@ -11,7 +11,6 @@ from thermomap.maps import TOL_CONTINUITY, TOL_DEDUP, PreimageLevel
 from thermomap.transfer import (
     CORRELATION_FLOOR,
     CorrelationReport,
-    EquilibriumState,
 )
 
 # acceptance-criterion results, keyed by criterion number; each entry is a
@@ -168,9 +167,8 @@ def pair_correlation(imap, phi_obs, psi, nu, n_max):
     each lag evaluates phi on every atom at once and sums w phi psi. The
     oracle for transfer.correlation, which shares one chunked pushforward
     among all pairs."""
-    measure = nu.nu if isinstance(nu, EquilibriumState) else nu
-    pts = measure.points
-    w = measure.masses
+    pts = nu.points
+    w = nu.masses
     psi_vals = np.asarray(psi(pts), dtype=float)
     phi_mean = float(np.sum(w * np.asarray(phi_obs(pts), dtype=float)))
     psi_mean = float(np.sum(w * psi_vals))

@@ -26,9 +26,9 @@ from thermomap.conformal import atom_audit, conformality_audit, uniform_atoms
 from thermomap.keller import SampledFunction, norm_chain_audit, p_variation
 from thermomap.maps import full_linear_map, golden_tent_map, logistic4_map
 from thermomap.potentials import (
+    AveragedPotential,
     BranchConstantPotential,
     CosineSeriesPotential,
-    average_transform,
 )
 from thermomap.pressure import (
     appendix_construct,
@@ -161,7 +161,7 @@ def test_window_average_sum_and_pressure_bounds():
     worst_dp = 0.0
     ok = True
     for window in (2, 3, 5):
-        phi_w = average_transform(TENT, phi, window)
+        phi_w = AveragedPotential(TENT, phi, window)
         bound = (window - 1) * osc + 1e-9
         for x in rng.uniform(0.0, 1.0, 100):
             orbit = np.empty(30)
@@ -326,7 +326,7 @@ def test_equilibrium_entropy(bern_limit):
 def test_cosine_autocorrelation_floor():
     """9, cosine clause: exact cancellation keeps all lags at the floor."""
     obs = lambda x: np.cos(np.pi * np.asarray(x, dtype=float))
-    rep = correlation(TENT, obs, obs, uniform_atoms(2**20), n_max=20)
+    rep = correlation(TENT, [obs], [obs], uniform_atoms(2**20), n_max=20).reports[0]
     worst = float(rep.c_values.max())
     ok = worst <= 1e-10
     record_acceptance(
@@ -349,7 +349,7 @@ def test_cosine_autocorrelation_floor():
 def test_smoothed_indicator_decay_rate():
     """9, indicator clause: fitted rate in [0.45, 0.55], R^2 >= 0.9, n<=20."""
     f = smoothed_indicator(0.0, 1.0 / 3.0, 0.05)
-    rep = correlation(TENT, f, f, uniform_atoms(2**21), n_max=20)
+    rep = correlation(TENT, [f], [f], uniform_atoms(2**21), n_max=20).reports[0]
     rho = rep.rho if rep.rho is not None else float("nan")
     r2 = rep.r_squared if rep.r_squared is not None else float("nan")
     n_floor = int(rep.ns[np.argmin(rep.c_values)])

@@ -245,6 +245,59 @@ class TestConfigValidation:
         assert main(["pressure", str(path)]) == 0
 
 
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("pressure", {"n_max": "12"}),
+            ("pressure", {"n_max": 12.5}),
+            ("pressure", {"n_max": True}),
+            ("pressure", {"x0": "0.3"}),
+            ("pressure", {"x0": False}),
+            ("pressure", {"x0": float("nan")}),
+            ("pressure", {"n_max": 10**400}),
+            ("conformal", {"theta": None}),
+            ("norms", {"alpha": "0.5"}),
+            ("norms", {"scale": float("inf")}),
+            ("curve", {"t_count": 9.0, "chi": BERNOULLI}),
+            ("conformal", {"bins": 0}),
+            ("conformal", {"bins": -4}),
+            ("audit-all", {"intervals": 0}),
+            ("audit-all", {"intervals": -3}),
+        ],
+        ids=["int-string", "int-fraction", "int-bool", "float-string",
+             "float-bool", "float-nan", "int-huge", "float-null", "alpha-string",
+             "scale-inf", "t_count-float", "bins-zero", "bins-negative",
+             "intervals-zero", "intervals-negative"],
+    )
+    def test_bad_param_exits_64_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, params
+    ):
+        import thermomap.cli as cli
+
+        def walked(*args, **kwargs):
+            raise AssertionError("the tree walk ran")
+
+        monkeypatch.setattr(cli, "level_sums", walked)
+        monkeypatch.setattr(cli, "tree_pressure", walked)
+        path = write_config(tmp_path, command_params=params)
+        assert main([command, str(path)]) == 64
+        key = next(k for k in params if k != "chi")
+        assert f"command_params.{key}" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_float_param_takes_an_int(self, tmp_path):
+        files = []
+        for alpha in (1, 1.0):
+            out = tmp_path / f"alpha_{alpha!r}"
+            path = write_config(
+                tmp_path, name=f"{alpha!r}.json", output_dir=str(out),
+                command_params={"draws": 2, "atoms": 16, "alpha": alpha},
+            )
+            assert main(["norms", str(path)]) == 0
+            files.append(out / "norms.csv")
+        assert filecmp.cmp(*files, shallow=False)
+
+
 class TestPressureCommand:
     def test_tent_entropy_value(self, tmp_path):
         path = write_config(tmp_path, command_params={"n_max": 10})
@@ -442,11 +495,12 @@ class TestCorrelationsCommand:
             {"observables": [{"lo": "0.1", "hi": 0.4}]},
             {"observables": [{"lo": 0.1, "hi": 0.4, "width": 0}]},
             {"observables": [{"lo": 0.1, "hi": 0.4, "width": True}]},
+            {"observables": [{"lo": 0.1, "hi": 10**400}]},
             {"lags": 4},
             {"lags": 6.0},
         ],
         ids=["empty", "not-a-list", "not-an-object", "missing-hi", "string-lo",
-             "zero-width", "bool-width", "lags-4", "lags-float"],
+             "zero-width", "bool-width", "huge-int-hi", "lags-4", "lags-float"],
     )
     def test_bad_params_exit_64_and_write_nothing(self, tmp_path, capsys, params):
         path = write_config(

@@ -28,9 +28,9 @@ from thermomap.maps import (
     validate,
 )
 from thermomap.potentials import (
+    AveragedPotential,
     BranchConstantPotential,
     CosineSeriesPotential,
-    average_transform,
 )
 from thermomap.pressure import hyperbolicity_check, level_sums, separated_pressure
 from thermomap.transfer import correlation
@@ -505,8 +505,8 @@ class TestOneOrbitKernel:
             "separated_pressure": lambda: separated_pressure(f, phi, 4, 0.05, 40),
             "hyperbolicity_check": lambda: hyperbolicity_check(f, phi, -1.0, n_max=3),
             "correlation": lambda: correlation(
-                f, phi, phi, uniform_atoms(64, f.domain), n_max=5),
-            "AveragedPotential": lambda: average_transform(f, phi, 3)(
+                f, [phi], [phi], uniform_atoms(64, f.domain), n_max=5),
+            "AveragedPotential": lambda: AveragedPotential(f, phi, 3)(
                 np.linspace(0.0, 1.0, 9)),
         }
         for name, run in runs.items():

@@ -16,7 +16,6 @@ from thermomap.potentials import (
     PiecewiseLinearPotential,
     SummedPotential,
     audit_holder,
-    average_transform,
     potential_range,
 )
 
@@ -112,7 +111,7 @@ def test_sum_and_scale():
 def test_averaged_potential_matches_direct_mean():
     f = tent_map()
     base = CosineSeriesPotential((0.3,), offset=-0.2)
-    avg = average_transform(f, base, 4)
+    avg = AveragedPotential(f, base, 4)
     xs = np.linspace(0, 1, 41)
     direct = [np.mean([float(base(p)) for p in orbit(f, x, 3)]) for x in xs]
     assert np.allclose(avg(xs), direct, atol=1e-12)
@@ -120,7 +119,7 @@ def test_averaged_potential_matches_direct_mean():
 
 def test_averaged_potential_scalar_in_scalar_out():
     f = tent_map()
-    avg = average_transform(f, CosineSeriesPotential((0.3,), offset=-0.2), 4)
+    avg = AveragedPotential(f, CosineSeriesPotential((0.3,), offset=-0.2), 4)
     for fn in (avg, avg.transfer_term):
         value = fn(0.3)
         assert isinstance(value, float)
@@ -130,7 +129,7 @@ def test_averaged_potential_scalar_in_scalar_out():
 def test_averaged_window_one_is_identity():
     f = tent_map()
     base = CosineSeriesPotential((0.3,), offset=-0.2)
-    avg = average_transform(f, base, 1)
+    avg = AveragedPotential(f, base, 1)
     xs = np.linspace(0, 1, 13)
     assert np.allclose(avg(xs), base(xs), atol=1e-15)
     assert avg.coboundary_sup_bound() == 0.0
@@ -140,7 +139,7 @@ def test_averaged_cohomology_identity():
     # avg = base + u o f - u must hold pointwise
     f = tent_map()
     base = CosineSeriesPotential((0.25, 0.1), offset=0.05)
-    avg = average_transform(f, base, 5)
+    avg = AveragedPotential(f, base, 5)
     xs = np.linspace(0.01, 0.99, 37)
     lhs = avg(xs) - base(xs)
     rhs = avg.transfer_term(f.eval(xs)) - avg.transfer_term(xs)
@@ -151,7 +150,7 @@ def test_coboundary_bound_controls_birkhoff_gap():
     f = tent_map()
     base = CosineSeriesPotential((0.3,), offset=-1.0)
     n_window = 6
-    avg = average_transform(f, base, n_window)
+    avg = AveragedPotential(f, base, n_window)
     bound = avg.coboundary_sup_bound()
     assert bound == pytest.approx((n_window - 1) * 0.6 / 2.0, abs=1e-9)
     rng = np.random.default_rng(7)
@@ -164,7 +163,7 @@ def test_coboundary_bound_controls_birkhoff_gap():
 def test_averaged_scale_commutes():
     f = tent_map()
     base = CosineSeriesPotential((0.2,), offset=0.4)
-    avg = average_transform(f, base, 3)
+    avg = AveragedPotential(f, base, 3)
     xs = np.linspace(0, 1, 9)
     assert np.allclose(avg.scale(2.5)(xs), 2.5 * avg(xs), atol=1e-12)
     assert isinstance(avg.scale(2.5), AveragedPotential)

@@ -28,10 +28,10 @@ from thermomap.maps import (
     tent_map,
 )
 from thermomap.potentials import (
+    AveragedPotential,
     BranchConstantPotential,
     CosineSeriesPotential,
     PiecewiseLinearPotential,
-    average_transform,
 )
 from thermomap.pressure import hyperbolicity_check, tree_pressure
 from thermomap.transfer import (
@@ -78,7 +78,7 @@ class TestApplyTransfer:
         one = GridFunction.constant(1.0, 256)
         out = apply_transfer(tent, None, one)
         np.testing.assert_allclose(out.values, 2.0, rtol=0, atol=1e-14)
-        norm = apply_transfer(tent, None, one, normalized=True, p_hat=LOG2)
+        norm = apply_transfer(tent, None, one, p_hat=LOG2)
         np.testing.assert_allclose(norm.values, 1.0, rtol=0, atol=1e-14)
 
     def test_tent_cosine_cancels_nodewise(self):
@@ -125,12 +125,6 @@ class TestApplyTransfer:
             + b * apply_transfer(tent, bern_potential(), f2).values
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_normalized_requires_p_hat(self):
-        tent = tent_map()
-        one = GridFunction.constant(1.0, 64)
-        with pytest.raises(DomainError):
-            apply_transfer(tent, None, one, normalized=True)
 
 
 class TestPowerIteration:
@@ -181,7 +175,7 @@ class TestPowerIteration:
         tent = tent_map()
         base = power_iteration(tent, bern_potential(), grid_size=1024)
         for window in (2, 3, 5):
-            phi_n = average_transform(tent, bern_potential(), window)
+            phi_n = AveragedPotential(tent, bern_potential(), window)
             rep = power_iteration(tent, phi_n, grid_size=1024)
             assert abs(rep.log_eigenvalue - base.log_eigenvalue) <= 1e-2
 
@@ -299,11 +293,11 @@ class TestCorrelation:
         nu = uniform_atoms(2**16, (0.0, 1.0))
         rep = correlation(
             tent_map(),
-            lambda x: np.cos(np.pi * np.asarray(x, dtype=float)),
-            lambda x: np.cos(np.pi * np.asarray(x, dtype=float)),
+            [lambda x: np.cos(np.pi * np.asarray(x, dtype=float))],
+            [lambda x: np.cos(np.pi * np.asarray(x, dtype=float))],
             nu,
             n_max=12,
-        )
+        ).reports[0]
         assert np.max(rep.c_values) <= 1e-10
         assert rep.below_resolution
 
@@ -311,17 +305,17 @@ class TestCorrelation:
         nu = uniform_atoms(1024, (0.0, 1.0))
         rep = correlation(
             tent_map(),
-            lambda x: np.full_like(np.asarray(x, dtype=float), 2.5),
-            lambda x: np.asarray(x, dtype=float),
+            [lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)],
+            [lambda x: np.asarray(x, dtype=float)],
             nu,
             n_max=6,
-        )
+        ).reports[0]
         assert np.max(rep.c_values) <= 1e-13
 
     def test_smoothed_indicator_fit(self):
         nu = uniform_atoms(2**18, (0.0, 1.0))
         obs = smoothed_indicator(0.0, 0.5)
-        rep = correlation(tent_map(), obs, obs, nu, n_max=10)
+        rep = correlation(tent_map(), [obs], [obs], nu, n_max=10).reports[0]
         assert rep.rho is not None
         assert rep.rho <= 0.55
         assert rep.r_squared >= 0.9
@@ -331,7 +325,7 @@ class TestCorrelation:
         # giving exactly geometric decay C_n = (1/9) 2^{-n} on Lebesgue
         nu = uniform_atoms(2**18, (0.0, 1.0))
         obs = lambda x: (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
-        rep = correlation(tent_map(), obs, obs, nu, n_max=7)
+        rep = correlation(tent_map(), [obs], [obs], nu, n_max=7).reports[0]
         expected = (1.0 / 9.0) * 0.5 ** np.arange(1, 8)
         # early lags are resolution-exact; the deepest carry the atom
         # lattice's boundary-counting error, a few percent at 2^18 atoms
@@ -344,8 +338,8 @@ class TestCorrelation:
         with pytest.raises(DomainError):
             correlation(
                 tent_map(),
-                lambda x: np.asarray(x, dtype=float),
-                lambda x: np.asarray(x, dtype=float),
+                [lambda x: np.asarray(x, dtype=float)],
+                [lambda x: np.asarray(x, dtype=float)],
                 uniform_atoms(64, (0.0, 1.0)),
                 n_max=3,
             )
@@ -424,7 +418,7 @@ class TestBatchedCorrelation:
             if kind == "equilibrium":
                 nu = equilibrium_state(
                     imap, CosineSeriesPotential((0.3,)), nu, small_eigen(name)
-                )
+                ).nu
         phis = [phi for phi, _, _ in pairs]
         psis = [phi if same else psi for phi, psi, same in pairs]
         batch = correlation(imap, phis, psis, nu, n_max=n_max)
@@ -433,8 +427,6 @@ class TestBatchedCorrelation:
         assert len(batch.reports) == len(pairs)
         for phi, psi, rep in zip(phis, psis, batch.reports):
             assert_same_report(rep, pair_correlation(imap, phi, psi, nu, n_max))
-        single = correlation(imap, phis[0], psis[0], nu, n_max)
-        assert_same_report(single, batch.reports[0])
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_one_pushforward_whatever_the_pairs(self, monkeypatch, pairs):
@@ -456,11 +448,12 @@ class TestBatchedCorrelation:
         # what scripts/correlation_floor.py relies on for its clean window
         obs = lambda x: (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
         nu = uniform_atoms(2**12)
-        full = correlation(full_linear_map(2), obs, obs, nu, n_max=12)
+        full = correlation(full_linear_map(2), [obs], [obs], nu, n_max=12)
+        (rep,) = full.reports
         for window in range(5, 13):
-            short = correlation(full_linear_map(2), obs, obs, nu, n_max=window)
+            short = correlation(full_linear_map(2), [obs], [obs], nu, n_max=window)
             assert_same_report(
-                fit_decay(full.ns[:window], full.c_values[:window]), short
+                fit_decay(rep.ns[:window], rep.c_values[:window]), short.reports[0]
             )
 
     @pytest.mark.parametrize(
@@ -468,10 +461,8 @@ class TestBatchedCorrelation:
         [
             ([np.cos], [np.cos, np.sin]),
             ([], []),
-            (np.cos, [np.cos]),
-            ([np.cos], np.cos),
         ],
-        ids=["unequal", "empty", "callable-sequence", "sequence-callable"],
+        ids=["unequal", "empty"],
     )
     def test_rejects_mismatched_observables(self, phis, psis):
         with pytest.raises(DomainError):
