@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Peak memory of a streaming tree_pressure, in deepest-level arrays.
+
+Runs tree_pressure under tracemalloc on the doubling map with a cosine
+potential, on the golden tent and on logistic4 with a cosine potential,
+and reports the traced peak as a number of float64 arrays the size of the
+deepest level, and as bytes per deepest node. The doubling and logistic4
+walks go to --depth; the golden tent grows like its golden-ratio rate, so
+it goes to the depth where its deepest level is about as large as 2^depth.
+This is the figure behind maps.DEFAULT_NODE_BUDGET's memory estimate.
+
+Usage: python3 scripts/walk_peak.py [--depth 20] [--out out/]
+"""
+
+import argparse
+import math
+import tracemalloc
+from pathlib import Path
+
+from thermomap import (
+    CosineSeriesPotential,
+    full_linear_map,
+    golden_tent_map,
+    level_sums,
+    logistic4_map,
+    tree_pressure,
+)
+from thermomap.cli import write_csv
+
+X0 = 0.31
+
+
+def peak_bytes(imap, potential, x0, depth):
+    """Traced peak of one tree_pressure call above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree_pressure(imap, potential, x0, depth)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--depth", type=int, default=20)
+    ap.add_argument("--out", type=Path, default=Path("out"))
+    args = ap.parse_args()
+    if args.depth < 1:
+        ap.error("--depth must be at least 1")
+    args.out.mkdir(parents=True, exist_ok=True)
+
+    cosine = CosineSeriesPotential((0.3, -0.2))
+    golden_depth = math.ceil(
+        args.depth * math.log(2.0) / math.log((1.0 + math.sqrt(5.0)) / 2.0)
+    )
+    cases = [
+        ("doubling_cosine", full_linear_map(2), cosine, args.depth),
+        ("golden_tent", golden_tent_map(), None, golden_depth),
+        ("logistic4_cosine", logistic4_map(), cosine, args.depth),
+    ]
+    rows = []
+    for name, imap, potential, depth in cases:
+        deepest = int(level_sums(imap, None, X0, depth).counts[-1])
+        peak = peak_bytes(imap, potential, X0, depth)
+        rows.append((name, depth, deepest, peak / (8 * deepest), peak / deepest))
+        print(f"{name:17s} depth {depth:2d}  deepest {deepest:9d}  "
+              f"peak {peak / (8 * deepest):.2f} arrays, "
+              f"{peak / deepest:.1f} B per node")
+    path = args.out / "walk_peak.csv"
+    write_csv(
+        path,
+        ("map", "depth", "deepest_nodes", "peak_arrays", "bytes_per_node"),
+        rows,
+    )
+    print(f"\nwrote {path}")
+
+
+if __name__ == "__main__":
+    main()

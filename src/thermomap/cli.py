@@ -558,8 +558,12 @@ def cmd_norms(exp: Experiment, out: Path) -> int:
     )
     _at_least(exp, p, "draws", 1)
     _at_least(exp, p, "atoms", 1)
-    if p["p"] is not None and type(p["p"]) not in (int, float):
-        raise ConfigError(f"{exp.path}: command_params.p must be a number")
+    if p["p"] is not None and (
+        type(p["p"]) not in (int, float) or not 1 <= p["p"] < np.inf
+    ):
+        raise ConfigError(
+            f"{exp.path}: command_params.p must be a finite number >= 1"
+        )
     rng = np.random.default_rng(exp.seed)
     m = uniform_atoms(p["atoms"], exp.imap.domain)
     rows = []

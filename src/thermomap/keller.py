@@ -198,8 +198,8 @@ def p_variation(h: SampledFunction, p: float) -> float:
     endpoint runs on those: best[i] is the largest sum of p-th powers among
     subsets ending at extremum i.
     """
-    if p < 1:
-        raise DomainError("p must be at least 1")
+    if not 1 <= p < np.inf:
+        raise DomainError("p must be finite and at least 1")
     v = h.values
     v = v[np.concatenate([[True], v[1:] != v[:-1]])]
     k = v.size

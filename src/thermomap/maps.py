@@ -22,10 +22,12 @@ TOL_CONTINUITY = 1e-9
 TOL_COVER = 1e-12
 TOL_DEDUP = 1e-12
 # cumulative nodes of one preimage walk; a streaming tree_pressure peaks near
-# 58 B per node of its deepest level (tracemalloc: 7.25 float64 arrays of
-# that size on the doubling map, 7.28 on the golden tent), so a doubling-map
-# walk stopped here (8.4M deepest nodes) needs about 0.5 GB
+# 30 B per node of its deepest level (scripts/walk_peak.py at depth 20: 3.72
+# float64 arrays of that size on the doubling map with a cosine potential,
+# 4.78 on the golden tent), so a doubling-map walk stopped here (8.4M deepest
+# nodes) needs about 0.25 GB
 DEFAULT_NODE_BUDGET = 20_000_000
+POTENTIAL_CHUNK = 16384  # level points per potential call in the preimage walk
 VALIDATE_SAMPLES_PER_BRANCH = 257
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -424,9 +426,12 @@ def iter_preimage_levels(
     Candidate preimages produced by adjacent branches that coincide at a
     shared breakpoint (within 1e-12) are merged, keeping the lower branch,
     so each geometric preimage appears exactly once. Only the current level
-    is held: the mask, gather indices and candidate table are freed before
-    each yield, and a level where no candidate was masked or merged is the
-    candidate table itself.
+    is held: a level where no candidate was masked or merged is the
+    candidate table itself, any other is gathered from it by the mask, with
+    np.repeat for the parent sums, and the table and mask are freed before
+    each yield. The potential is added to the level POTENTIAL_CHUNK points
+    at a time, so it is called on slices of the level: potentials must act
+    pointwise.
     """
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
@@ -463,13 +468,13 @@ def iter_preimage_levels(
             pts = cand.reshape(-1)
             birk = np.repeat(birk, k)
         else:
-            idx = np.flatnonzero(valid)
-            pts = cand.reshape(-1)[idx]
-            birk = birk[idx // k]
-            del idx
+            pts = cand[valid]
+            birk = np.repeat(birk, np.count_nonzero(valid, axis=1))
         del cand, valid
         if potential is not None:
-            birk += np.asarray(potential(pts), dtype=float)
+            for start in range(0, size, POTENTIAL_CHUNK):
+                part = slice(start, start + POTENTIAL_CHUNK)
+                birk[part] += np.asarray(potential(pts[part]), dtype=float)
         yield PreimageLevel(depth, pts, birk)
 
 

@@ -111,6 +111,30 @@ class LevelSums:
         )
 
 
+def _level_lse(a: np.ndarray) -> float:
+    """log sum exp(a) of a 1-d float64 array, bit-equal to scipy's logsumexp.
+
+    The max-separated sum of Blanchard, Higham & Higham, "Accurately
+    computing the log-sum-exp and softmax functions" (IMA J. Numer. Anal.
+    41, 2021), with the float operations of scipy 1.17.1's ``_logsumexp``
+    run on one level-sized temporary: the m entries at the max are dropped
+    from the shifted sum s and added back as log(m), giving
+    log1p(s / m) + log(m) + max. A non-finite max (inf or nan entries, or
+    every entry -inf) goes to scipy itself.
+    """
+    a_max = np.max(a)
+    if not np.isfinite(a_max):
+        return float(logsumexp(a))
+    tmp = a - a_max
+    top = tmp == 0.0
+    m = np.count_nonzero(top)
+    np.exp(tmp, out=tmp)
+    tmp[top] = 0.0
+    s = np.sum(tmp)
+    s = s if s == 0 else s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def level_sums(
     imap: IntervalMap,
     potential: Optional[Potential],
@@ -137,11 +161,14 @@ def level_sums(
         for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
             if level.depth == 0:
                 continue
-            a_values.append(float(logsumexp(level.birkhoff)))
+            a_values.append(_level_lse(level.birkhoff))
             counts.append(level.points.size)
             if retain_from <= level.depth <= retain_to:
                 points.append(level.points)
                 birkhoff.append(level.birkhoff)
+            # unless retained, this level's arrays die once the walk has
+            # built the next level from them
+            del level
     except BudgetError as exc:
         if not partial_on_budget:
             raise

@@ -174,11 +174,14 @@ def power_iteration(
         if lam <= 0:
             raise ConvergenceError("operator annihilated the iterate")
         psi = image.with_values(image.values / lam)
-        if abs(lam - lam_prev) < tol and eigen_residual() < 10 * tol:
-            converged = True
-            break
+        if abs(lam - lam_prev) < tol:
+            residual = eigen_residual()
+            if residual < 10 * tol:
+                converged = True
+                break
         lam_prev = lam
-    residual = eigen_residual()
+    if not converged:
+        residual = eigen_residual()
     scale = float(np.sum(mu.masses * psi(mu.points)))
     if scale <= 0:
         raise AuditError("eigenfunction has nonpositive mass against mu")

@@ -566,9 +566,10 @@ class TestNormsCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("p", "x"), ("atoms", 0), ("atoms", 48.5), ("draws", -1), ("draws", 0)],
-        ids=["p-string", "atoms-zero", "atoms-fraction", "draws-negative",
-             "draws-zero"],
+        [("p", "x"), ("p", float("nan")), ("p", float("inf")), ("p", 0.5),
+         ("atoms", 0), ("atoms", 48.5), ("draws", -1), ("draws", 0)],
+        ids=["p-string", "p-nan", "p-inf", "p-below-one", "atoms-zero",
+             "atoms-fraction", "draws-negative", "draws-zero"],
     )
     def test_bad_param_exits_64_and_writes_nothing(
         self, tmp_path, capsys, key, value

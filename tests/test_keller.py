@@ -283,6 +283,12 @@ class TestPVariation:
         with pytest.raises(DomainError):
             p_variation(SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0])), 0.5)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_rejects_nonfinite_p(self, p):
+        # nan fails every comparison and inf has no (1/p)-th root to take
+        with pytest.raises(DomainError):
+            p_variation(SampledFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0])), p)
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8), st.sampled_from([1.0, 2.0]))
     @settings(max_examples=40, deadline=None)
     def test_property_matches_brute(self, vals, p):

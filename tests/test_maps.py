@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import orbit, preimage_words, reference_preimage_levels
-from thermomap import pressure
+from thermomap import maps, pressure
 from thermomap.conformal import uniform_atoms
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -324,6 +324,22 @@ class TestLeanWalk:
                                reference_preimage_levels):
             want = _outcome(sums)
         assert got == want
+
+
+@pytest.mark.parametrize("map_name", ["golden_tent", "sawtooth3"])
+@pytest.mark.parametrize("phi_name", ["cosine", "branch_constant"])
+def test_chunked_potential_bit_equal_to_reference_walk(monkeypatch, map_name,
+                                                       phi_name):
+    # chunks of 7 points split every level of more than 7 points, on a
+    # masked map (golden tent) and on a full one
+    monkeypatch.setattr(maps, "POTENTIAL_CHUNK", 7)
+    f, phi = WALK_MAPS[map_name], WALK_POTENTIALS[phi_name]
+    new = _walk(iter_preimage_levels, f, phi, 0.3, 9, 10**6)
+    ref = _walk(reference_preimage_levels, f, phi, 0.3, 9, 10**6)
+    assert new == ref
+    levels, error = new
+    depth, (_, shape, _), _ = levels[-1]
+    assert error is None and depth == 9 and shape[0] > 7
 
 
 def test_budget_error_reports_feasible_depth():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from helpers import verify_separated
 from thermomap.errors import BudgetError, DomainError
@@ -22,6 +23,7 @@ from thermomap.potentials import (
     CosineSeriesPotential,
 )
 from thermomap.pressure import (
+    _level_lse,
     _verify_separated,
     appendix_construct,
     bounded_range_check,
@@ -149,18 +151,60 @@ class TestLevelSums:
             level_sums(tent_map(), None, 0.3, 24, budget=1000)
 
 
+def _lse_cases():
+    rng = np.random.default_rng(12)
+    cases = {}
+    # both sides of numpy's pairwise-sum blocks (8 and 128 elements) and of
+    # a 2^16 block
+    for n in (1, 7, 8, 9, 127, 128, 129, 2**16 + 1):
+        a = rng.normal(0.0, 3.0, n)
+        cases[f"normal-{n}"] = a - 40.0
+        # a max of 0 leaves the rounding of the shifted sum visible
+        a -= a.max()
+        cases[f"max-zero-{n}"] = a
+        tied = a.copy()
+        tied[rng.integers(0, n, max(1, n // 4))] = a.max()
+        cases[f"tied-{n}"] = tied
+        holes = a.copy()
+        holes[rng.integers(0, n, max(1, n // 3))] = -np.inf
+        cases[f"neg-inf-{n}"] = holes
+        cases[f"zeros-{n}"] = np.zeros(n)
+    cases["one"] = np.array([-2.5])
+    cases["all-neg-inf"] = np.full(9, -np.inf)
+    cases["pos-inf"] = np.array([0.0, np.inf, -1.0])
+    cases["nan"] = np.array([0.0, np.nan, -1.0])
+    cases["huge"] = np.full(129, 1e308)
+    return cases
+
+
+LSE_CASES = _lse_cases()
+
+
+@pytest.mark.parametrize("name", sorted(LSE_CASES))
+def test_level_lse_bit_equal_to_scipy(name):
+    a = LSE_CASES[name]
+    before = a.copy()
+    got, want = _level_lse(a), float(logsumexp(a))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    assert np.array_equal(a, before, equal_nan=True)
+
+
 @pytest.mark.parametrize(
-    "imap, phi, x0, n",
+    "imap, phi, x0, n, levels",
     [
         (full_linear_map(2), BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)),
-         0.31, 18),
-        (golden_tent_map(), None, 0.3, 26),
+         0.31, 18, 4.0),
+        (golden_tent_map(), None, 0.3, 26, 5.0),
+        (full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 0.31, 16, 4.0),
     ],
-    ids=["doubling-bernoulli", "golden-tent"],
+    ids=["doubling-bernoulli", "golden-tent", "doubling-cosine"],
 )
-def test_tree_pressure_peak_memory_is_a_few_deepest_levels(imap, phi, x0, n):
-    # the walk holds one level and the next; logsumexp's temporaries are
-    # about five level-sized arrays, so 8 levels of float64 bounds the peak
+def test_tree_pressure_peak_memory_is_a_few_deepest_levels(
+    imap, phi, x0, n, levels
+):
+    # the walk holds one level while it builds the next, and the level
+    # reduction one level-sized temporary: under 4 float64 arrays of the
+    # deepest level on a full map, under 5 where masked levels are gathered
     deepest = int(level_sums(imap, None, x0, n).counts[-1])
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -173,7 +217,7 @@ def test_tree_pressure_peak_memory_is_a_few_deepest_levels(imap, phi, x0, n):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 8 * 8 * deepest, peak / (8 * deepest)
+    assert peak <= levels * 8 * deepest, peak / (8 * deepest)
 
 
 def test_separated_singleton_when_epsilon_exceeds_diameter():

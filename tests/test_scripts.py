@@ -23,6 +23,7 @@ SCRIPTS = {
         ["--max-power", "14", "--lags", "8"],
         ["correlation_floor.csv"],
     ),
+    "walk_peak.py": (["--depth", "10"], ["walk_peak.csv"]),
 }
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pair_correlation, tent_bernoulli_atoms
+from thermomap import transfer
 from thermomap.conformal import AtomicMeasure, uniform_atoms
 from thermomap.errors import AuditError, DomainError
 from thermomap.maps import (
@@ -158,6 +159,23 @@ class TestPowerIteration:
         # more accurately than the depth-18 preimage tree does
         rep = power_iteration(golden_tent_map(), None, grid_size=4096)
         assert rep.log_eigenvalue == pytest.approx(LNBETA, abs=1e-3)
+
+    def test_converged_run_keeps_its_last_residual(self, monkeypatch):
+        # iteration 1 sets lam = 2 and iteration 2 repeats it, so its one
+        # residual check converges: three plain applications, with no
+        # recomputation of that residual after the break
+        plain = []
+
+        def counting(imap, potential, psi, p_hat=None):
+            if p_hat is None:
+                plain.append(psi)
+            return apply_transfer(imap, potential, psi, p_hat)
+
+        monkeypatch.setattr(transfer, "apply_transfer", counting)
+        rep = power_iteration(tent_map(), None, grid_size=256)
+        assert rep.converged and rep.iterations == 2
+        assert len(plain) == rep.iterations + 1
+        assert rep.residual == 0.0
 
     def test_non_convergence_flagged(self):
         rep = power_iteration(
