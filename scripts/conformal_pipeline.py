@@ -27,7 +27,7 @@ from thermomap import (
     transition_parameter,
     weak_limit,
 )
-from thermomap.cli import write_measure
+from thermomap.cli import write_csv
 from thermomap.conformal import window_start
 
 
@@ -73,8 +73,9 @@ def main():
           f"(exact {1 + np.exp(-1.0):.12f})")
     print(f"entropy            : {state.entropy:.10f} (exact {expected:.10f})")
 
-    write_measure(args.out / "weighted_doubling_measure.csv", m)
-    write_measure(args.out / "weighted_doubling_equilibrium.csv", state.nu)
+    for name, measure in (("measure", m), ("equilibrium", state.nu)):
+        write_csv(args.out / f"weighted_doubling_{name}.csv", ("point", "mass"),
+                  np.column_stack((measure.points, measure.masses)))
     print(f"wrote {args.out}/weighted_doubling_measure.csv and "
           f"weighted_doubling_equilibrium.csv")
 

@@ -1,18 +1,20 @@
 """Command-line front end: config ingestion, orchestration, persistence.
 
 Commands take a JSON config describing the map, the potential, and
-command-specific parameters, run the corresponding pipeline, and write CSV
-artifacts into the configured output directory. All floating-point output
-uses 17 significant digits so files round-trip bit-exactly; identical
-configs and seeds produce byte-identical artifacts regardless of the
-``--threads`` flag, which is accepted for interface stability but never
-changes results (orchestration is single-threaded by design).
+command-specific parameters, run the corresponding pipeline, and return
+their CSV artifacts with a status; `main` alone writes the artifacts into
+the configured output directory and maps the status to the exit code. All
+floating-point output uses 17 significant digits so files round-trip
+bit-exactly; identical configs and seeds produce byte-identical artifacts
+regardless of the ``--threads`` flag, which is accepted for interface
+stability but never changes results (orchestration is single-threaded by
+design).
 
 Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
 64 malformed configuration (message anchored to the offending line). On exit
 3 a flagged result is still written, with status ``budget`` (pressure,
-entropy) or ``not_converged`` (conformal, equilibrium, audit-all); a raised
-BudgetError or ConvergenceError writes nothing after it.
+entropy) or ``not_converged`` (conformal, equilibrium, correlations,
+audit-all); a raised failure writes nothing.
 """
 
 from __future__ import annotations
@@ -113,16 +115,10 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_measure(path: Path, measure: AtomicMeasure) -> None:
-    """Serialize atoms as `point,mass` rows with 17 significant digits."""
-    table = np.column_stack((measure.points, measure.masses))
-    write_csv(path, ("point", "mass"), table)
-
-
 def read_measure(path: Path) -> AtomicMeasure:
     """Parse a measure file; rejects unsorted points, negative masses, and
-    mass sums off by more than 1e-9. Files written by write_measure round-
-    trip bit-exactly."""
+    mass sums off by more than 1e-9. Measure files written by the CLI
+    round-trip bit-exactly."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != "point,mass":
         raise ConfigError(f"{path}:1: expected header 'point,mass'")
@@ -321,7 +317,9 @@ class Experiment:
 
 
 # ---------------------------------------------------------------------------
-# command pipelines
+# command pipelines: each returns (files, status), where files is a list of
+# (name, header, rows) for main to write and status is ok, audit_failed,
+# budget or not_converged; a measure file's rows are its AtomicMeasure
 
 
 PRESSURE_HEADER = ("n", "p_n", "P_hat", "delta", "status")
@@ -336,11 +334,9 @@ def _pressure_rows(report, requested_max: int):
     return rows, status
 
 
-def cmd_tree_pressure(
-    exp: Experiment, out: Path, *, filename: str, weighted: bool
-) -> int:
+def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
     """`pressure` (weighted by the configured potential) and `entropy` (no
-    potential): tree_pressure per depth, written to `filename`."""
+    potential): tree_pressure per depth, as `filename`."""
     p = exp.take({"x0": 0.3, "n_min": 1, "n_max": 12})
     report = tree_pressure(
         exp.imap,
@@ -352,8 +348,7 @@ def cmd_tree_pressure(
         partial_on_budget=True,
     )
     rows, status = _pressure_rows(report, p["n_max"])
-    write_csv(out / filename, PRESSURE_HEADER, rows)
-    return 0 if status == "ok" else 3
+    return [(filename, PRESSURE_HEADER, rows)], status
 
 
 def _at_least(exp: Experiment, p: dict, key: str, low: int) -> None:
@@ -392,7 +387,9 @@ def _conformal_pipeline(exp: Experiment, p: dict):
 CONFORMAL_PARAMS = {"x0": 0.3, "n_max": 14, "bins": 64, "theta": 0.0}
 
 
-def _conformal_row(trans, limit, status):
+def _conformal_row(trans, limit):
+    """The conformal.csv row; its last cell, the status, is ok only when the
+    weak limit converged."""
     return (
         trans.c,
         trans.residual,
@@ -402,7 +399,7 @@ def _conformal_row(trans, limit, status):
         "true" if limit.converged else "false",
         int(limit.window[0]),
         int(limit.window[1]),
-        status,
+        "ok" if limit.converged else "not_converged",
     )
 
 
@@ -419,18 +416,15 @@ CONFORMAL_HEADER = (
 )
 
 
-def cmd_conformal(exp: Experiment, out: Path) -> int:
+def cmd_conformal(exp: Experiment):
     p = exp.take(CONFORMAL_PARAMS)
     trans, limit, _ = _conformal_pipeline(exp, p)
-    status = "ok" if limit.converged else "not_converged"
-    write_measure(out / "measure.csv", limit.measure)
-    write_csv(
-        out / "binned.csv",
-        ("bin", "mass"),
-        ((int(i), m) for i, m in enumerate(limit.binned)),
-    )
-    write_csv(out / "conformal.csv", CONFORMAL_HEADER, [_conformal_row(trans, limit, status)])
-    return 0 if limit.converged else 3
+    row = _conformal_row(trans, limit)
+    return [
+        ("measure.csv", ("point", "mass"), limit.measure),
+        ("binned.csv", ("bin", "mass"), ((int(i), m) for i, m in enumerate(limit.binned))),
+        ("conformal.csv", CONFORMAL_HEADER, [row]),
+    ], row[-1]
 
 
 EQUILIBRIUM_HEADER = (
@@ -462,7 +456,9 @@ def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
     return eigen, hyper, state
 
 
-def _equilibrium_row(tree, eigen, hyper, state, status):
+def _equilibrium_row(tree, limit, eigen, hyper, state):
+    """The equilibrium.csv row; its last cell, the status, is ok only when
+    both the weak limit and the eigenpair converged."""
     return (
         eigen.eigenvalue,
         eigen.log_eigenvalue,
@@ -474,23 +470,20 @@ def _equilibrium_row(tree, eigen, hyper, state, status):
         eigen.rho_hat,
         eigen.fit_r2,
         hyper.verdict,
-        status,
+        "ok" if limit.converged and eigen.converged else "not_converged",
     )
 
 
-def cmd_equilibrium(exp: Experiment, out: Path) -> int:
+def cmd_equilibrium(exp: Experiment):
     p = exp.take({**CONFORMAL_PARAMS, "tree_depth": 12})
-    trans, limit, tree = _conformal_pipeline(exp, p)
+    _, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
-    status = "ok" if (limit.converged and eigen.converged) else "not_converged"
-    write_measure(out / "mu.csv", limit.measure)
-    write_measure(out / "nu.csv", state.nu)
-    write_csv(
-        out / "equilibrium.csv",
-        EQUILIBRIUM_HEADER,
-        [_equilibrium_row(tree, eigen, hyper, state, status)],
-    )
-    return 0 if status == "ok" else 3
+    row = _equilibrium_row(tree, limit, eigen, hyper, state)
+    return [
+        ("mu.csv", ("point", "mass"), limit.measure),
+        ("nu.csv", ("point", "mass"), state.nu),
+        ("equilibrium.csv", EQUILIBRIUM_HEADER, [row]),
+    ], row[-1]
 
 
 def _observables(exp: Experiment, specs) -> list[Callable]:
@@ -524,7 +517,7 @@ def _observables(exp: Experiment, specs) -> list[Callable]:
     ]
 
 
-def cmd_correlations(exp: Experiment, out: Path) -> int:
+def cmd_correlations(exp: Experiment):
     p = exp.take(
         {
             **CONFORMAL_PARAMS,
@@ -535,24 +528,22 @@ def cmd_correlations(exp: Experiment, out: Path) -> int:
     )
     _at_least(exp, p, "lags", 5)
     fns = _observables(exp, p["observables"])
-    trans, limit, tree = _conformal_pipeline(exp, p)
+    _, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
+    status = _equilibrium_row(tree, limit, eigen, hyper, state)[-1]
     batch = correlation(exp.imap, fns, fns, state.nu, n_max=p["lags"])
     rows = []
     for idx, rep in enumerate(batch.reports):
-        status = "below_resolution" if rep.below_resolution else "ok"
+        flag = "below_resolution" if rep.below_resolution else "ok"
         for n, c in zip(rep.ns, rep.c_values):
             # write_csv writes a missing fit (None) as nan
-            rows.append((int(idx), int(n), c, rep.rho, rep.r_squared, status))
-    write_csv(
-        out / "correlations.csv",
-        ("observable", "n", "c_n", "rho", "r_squared", "status"),
-        rows,
-    )
-    return 0
+            rows.append((int(idx), int(n), c, rep.rho, rep.r_squared,
+                         flag if status == "ok" else status))
+    header = ("observable", "n", "c_n", "rho", "r_squared", "status")
+    return [("correlations.csv", header, rows)], status
 
 
-def cmd_norms(exp: Experiment, out: Path) -> int:
+def cmd_norms(exp: Experiment):
     p = exp.take(
         {"alpha": 0.5, "scale": 0.5, "draws": 20, "atoms": 48, "p": None}
     )
@@ -598,28 +589,24 @@ def cmd_norms(exp: Experiment, out: Path) -> int:
                 "ok" if audit.passed else "audit_failed",
             )
         )
-    write_csv(
-        out / "norms.csv",
-        (
-            "draw",
-            "alpha",
-            "l1",
-            "keller_seminorm",
-            "keller_norm",
-            "var_p",
-            "bv_norm",
-            "holder_norm",
-            "c_star",
-            "passed",
-            "worst_slack",
-            "status",
-        ),
-        rows,
+    header = (
+        "draw",
+        "alpha",
+        "l1",
+        "keller_seminorm",
+        "keller_norm",
+        "var_p",
+        "bv_norm",
+        "holder_norm",
+        "c_star",
+        "passed",
+        "worst_slack",
+        "status",
     )
-    return 0 if all_passed else 2
+    return [("norms.csv", header, rows)], "ok" if all_passed else "audit_failed"
 
 
-def cmd_curve(exp: Experiment, out: Path) -> int:
+def cmd_curve(exp: Experiment):
     p = exp.take(
         {
             "x0": 0.3,
@@ -649,49 +636,40 @@ def cmd_curve(exp: Experiment, out: Path) -> int:
             curve.ts, curve.estimates, curve.first_diff, curve.second_diff
         )
     ]
-    write_csv(
-        out / "curve.csv",
-        ("t", "P_hat", "dP_central", "d2P_central", "fit_residual"),
-        rows,
-    )
-    return 0
+    header = ("t", "P_hat", "dP_central", "d2P_central", "fit_residual")
+    return [("curve.csv", header, rows)], "ok"
 
 
-def cmd_appendix(exp: Experiment, out: Path) -> int:
+def cmd_appendix(exp: Experiment):
     p = exp.take({"gap": float(np.log(4.0)), "x0": 0.3, "n_max": 11})
     rep = appendix_construct(p["gap"], x0=p["x0"], n_max=p["n_max"], budget=exp.budget)
-    write_csv(
-        out / "appendix.csv",
-        (
-            "gap",
-            "sup_phi",
-            "inf_phi",
-            "phi_range",
-            "P_hat",
-            "entropy",
-            "hyperbolic",
-            "hyperbolic_margin",
-            "bounded_range",
-            "phi_at_fixed_point",
-            "status",
-        ),
-        [
-            (
-                rep.gap,
-                rep.sup_phi,
-                rep.inf_phi,
-                rep.phi_range,
-                rep.pressure.estimate,
-                rep.entropy.estimate,
-                "true" if rep.hyperbolic else "false",
-                rep.hyperbolic_margin,
-                "true" if rep.bounded_range else "false",
-                rep.phi_at_fixed_point,
-                "ok",
-            )
-        ],
+    header = (
+        "gap",
+        "sup_phi",
+        "inf_phi",
+        "phi_range",
+        "P_hat",
+        "entropy",
+        "hyperbolic",
+        "hyperbolic_margin",
+        "bounded_range",
+        "phi_at_fixed_point",
+        "status",
     )
-    return 0
+    row = (
+        rep.gap,
+        rep.sup_phi,
+        rep.inf_phi,
+        rep.phi_range,
+        rep.pressure.estimate,
+        rep.entropy.estimate,
+        "true" if rep.hyperbolic else "false",
+        rep.hyperbolic_margin,
+        "true" if rep.bounded_range else "false",
+        rep.phi_at_fixed_point,
+        "ok",
+    )
+    return [("appendix.csv", header, [row])], "ok"
 
 
 def _single_branch_intervals(imap: IntervalMap, count: int):
@@ -707,7 +685,7 @@ def _single_branch_intervals(imap: IntervalMap, count: int):
     return out[:count]
 
 
-def cmd_audit_all(exp: Experiment, out: Path) -> int:
+def cmd_audit_all(exp: Experiment):
     p = exp.take(
         {
             **CONFORMAL_PARAMS,
@@ -719,58 +697,17 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
     )
     _at_least(exp, p, "intervals", 1)
     trans, limit, tree = _conformal_pipeline(exp, p)
-    audits = []
-
+    mu = limit.measure
     conf = conformality_audit(
-        limit.measure,
+        mu,
         exp.imap,
         exp.potential,
         trans.c,
         _single_branch_intervals(exp.imap, p["intervals"]),
     )
-    audits.append(("conformality_max_delta", conf.max_delta, p["conformality_bound"]))
-
-    atoms = atom_audit(limit.measure, (64, 512))
-    support = float(np.min(limit.measure.bin_masses(64)))
-    audits.append(("full_support_min_64bin", -support, 0.0))
-
-    eigen = power_iteration(
-        exp.imap, exp.potential, grid_size=exp.grid, tol=exp.tol, mu=limit.measure
-    )
-    # the tree artifacts wait for power iteration, which can raise
-    rows, _ = _pressure_rows(tree, p["tree_depth"])
-    write_csv(out / "pressure.csv", PRESSURE_HEADER, rows)
-    write_measure(out / "measure.csv", limit.measure)
-    write_csv(
-        out / "conformal.csv",
-        CONFORMAL_HEADER,
-        [_conformal_row(trans, limit, "ok" if limit.converged else "not_converged")],
-    )
-
-    gap = abs(eigen.log_eigenvalue - tree.estimate)
-    audits.append(
-        ("eigen_vs_tree", gap, max(2.0 * tree.fluctuation, 1e-2))
-    )
-
-    hyper = hyperbolicity_check(
-        exp.imap, exp.potential, tree.estimate, grid_size=exp.grid
-    )
-    state = equilibrium_state(
-        exp.imap, exp.potential, limit.measure, eigen, hyperbolic=False
-    )
-    if hyper.verdict == "hyperbolic":
-        audits.append(("entropy_positive", -state.entropy, 0.0))
-    write_measure(out / "nu.csv", state.nu)
-    write_csv(
-        out / "equilibrium.csv",
-        EQUILIBRIUM_HEADER,
-        [
-            _equilibrium_row(
-                tree, eigen, hyper, state,
-                "ok" if eigen.converged else "not_converged",
-            )
-        ],
-    )
+    atoms = atom_audit(mu, (64, 512))
+    support = float(np.min(mu.bin_masses(64)))
+    eigen, hyper, state = _equilibrium_pipeline(exp, tree, mu)
 
     lo, hi = exp.imap.domain
     suite = [
@@ -789,41 +726,45 @@ def cmd_audit_all(exp: Experiment, out: Path) -> int:
         exp.imap,
         exp.potential,
         eigen.log_eigenvalue,
-        limit.measure,
+        mu,
         suite,
         grid_size=exp.grid,
     )
+
+    audits = [
+        ("conformality_max_delta", conf.max_delta, p["conformality_bound"]),
+        ("full_support_min_64bin", -support, 0.0),
+        ("eigen_vs_tree", abs(eigen.log_eigenvalue - tree.estimate),
+         max(2.0 * tree.fluctuation, 1e-2)),
+    ]
+    if hyper.verdict == "hyperbolic":
+        audits.append(("entropy_positive", -state.entropy, 0.0))
     audits.append(("adjoint_max_deviation", dev, p["adjoint_bound"]))
-
-    audit_rows = []
-    all_passed = True
-    for name, value, bound in audits:
-        passed = value <= bound
-        all_passed &= passed
-        audit_rows.append(
-            (name, value, bound, "true" if passed else "false",
-             "ok" if passed else "audit_failed")
-        )
+    audit_rows = [
+        (name, value, bound, "true" if value <= bound else "false",
+         "ok" if value <= bound else "audit_failed")
+        for name, value, bound in audits
+    ]
     audit_rows.append(
-        (
-            "atom_max_bin_mass_512",
-            float(atoms.max_bin_masses[-1]),
-            float("nan"),
-            "true",
-            "ok",
-        )
+        ("atom_max_bin_mass_512", float(atoms.max_bin_masses[-1]), float("nan"),
+         "true", "ok")
     )
-    write_csv(
-        out / "audit.csv",
-        ("name", "value", "bound", "passed", "status"),
-        audit_rows,
-    )
-    if not limit.converged or not eigen.converged:
-        return 3
-    return 0 if all_passed else 2
+    pressure_rows, _ = _pressure_rows(tree, p["tree_depth"])
+    row = _equilibrium_row(tree, limit, eigen, hyper, state)
+    status = row[-1]
+    if status == "ok" and any(r[-1] == "audit_failed" for r in audit_rows):
+        status = "audit_failed"
+    return [
+        ("pressure.csv", PRESSURE_HEADER, pressure_rows),
+        ("measure.csv", ("point", "mass"), mu),
+        ("conformal.csv", CONFORMAL_HEADER, [_conformal_row(trans, limit)]),
+        ("nu.csv", ("point", "mass"), state.nu),
+        ("equilibrium.csv", EQUILIBRIUM_HEADER, [row]),
+        ("audit.csv", ("name", "value", "bound", "passed", "status"), audit_rows),
+    ], status
 
 
-RUNNERS: dict[str, Callable[[Experiment, Path], int]] = {
+RUNNERS: dict[str, Callable[[Experiment], tuple[list, str]]] = {
     "pressure": partial(cmd_tree_pressure, filename="pressure.csv", weighted=True),
     "entropy": partial(cmd_tree_pressure, filename="entropy.csv", weighted=False),
     "conformal": cmd_conformal,
@@ -862,13 +803,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         exp = Experiment(args.config, args)
-        out = exp.outdir
-        out.mkdir(parents=True, exist_ok=True)
-        return RUNNERS[args.command](exp, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 64
-    except FileNotFoundError as exc:
+        exp.outdir.mkdir(parents=True, exist_ok=True)
+        files, status = RUNNERS[args.command](exp)
+    except (ConfigError, FileNotFoundError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
     except AuditError as exc:
@@ -877,9 +814,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BudgetError, ConvergenceError) as exc:
         print(f"resource/convergence failure: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 64
+    for name, header, rows in files:
+        if isinstance(rows, AtomicMeasure):  # stacked only as it is written
+            rows = np.column_stack((rows.points, rows.masses))
+        write_csv(exp.outdir / name, header, rows)
+    return {"ok": 0, "audit_failed": 2, "budget": 3, "not_converged": 3}[status]
 
 
 if __name__ == "__main__":

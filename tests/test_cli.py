@@ -8,6 +8,7 @@ what this file owns is the file-format contract: exit codes, CSV schemas,
 and byte-identical output regardless of the threads flag.
 """
 
+import dataclasses
 import filecmp
 import json
 import sys
@@ -18,16 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from thermomap import cli
 from thermomap.cli import (
     CSV_CHUNK_ROWS,
     _fmt,
     main,
     read_measure,
     write_csv,
-    write_measure,
 )
 from thermomap.conformal import AtomicMeasure
-from thermomap.errors import ConfigError
+from thermomap.errors import ConfigError, ConvergenceError
 from thermomap.maps import pw_linear_map
 from thermomap.potentials import CosineSeriesPotential
 from thermomap.pressure import pressure_curve, tree_pressure
@@ -56,6 +57,11 @@ BERNOULLI = {
     "segments": [0.0, 0.5, 1.0],
     "values": [0.0, -1.0],
 }
+
+
+def write_measure(path, m):
+    """A measure file as `main` writes it: the point and mass columns."""
+    write_csv(path, ("point", "mass"), np.column_stack((m.points, m.masses)))
 
 
 def read_csv(path):
@@ -326,8 +332,8 @@ class TestPressureCommand:
 
 class TestExitThree:
     """Exit 3 from a flagged result keeps every artifact, marked in its status
-    column; exit 3 from a raised budget or convergence failure writes nothing
-    after the failure."""
+    column; exit 3 from a raised budget or convergence failure writes
+    nothing."""
 
     def test_flagged_results_write_raised_failures_do_not(self, tmp_path):
         def run(command, name, *flags, **overrides):
@@ -351,6 +357,79 @@ class TestExitThree:
                    command_params={"n_max": 10}) == []
         assert run("audit-all", "audit_annihilated", potential=annihilating,
                    command_params={"n_max": 10}) == []
+
+    def test_failure_raised_late_in_audit_all_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("hyperbolicity check failed")
+
+        monkeypatch.setattr(cli, "hyperbolicity_check", failing)
+        path = write_config(
+            tmp_path, potential=BERNOULLI,
+            command_params={"n_max": 10, "tree_depth": 10},
+        )
+        assert main(["audit-all", str(path)]) == 3
+        assert "hyperbolicity check failed" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["equilibrium", "audit-all"])
+    def test_nonpositive_certified_entropy_raises_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # a collapsed eigenvalue drives log(lambda) - int phi dnu below 0
+        real = cli.power_iteration
+        monkeypatch.setattr(cli, "power_iteration", lambda *args, **kwargs: (
+            dataclasses.replace(real(*args, **kwargs), eigenvalue=1e-3,
+                                log_eigenvalue=float(np.log(1e-3)))))
+        path = write_config(
+            tmp_path, potential=BERNOULLI,
+            command_params={"n_max": 10, "tree_depth": 10},
+        )
+        assert main([command, str(path)]) == 2
+        assert "nonpositive" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["equilibrium", "correlations", "audit-all"])
+    def test_unconverged_weak_limit_is_flagged(self, tmp_path, monkeypatch, command):
+        real = cli.weak_limit
+        monkeypatch.setattr(cli, "weak_limit", lambda *args, **kwargs: (
+            dataclasses.replace(real(*args, **kwargs), converged=False)))
+        path = write_config(
+            tmp_path, potential=BERNOULLI,
+            command_params={"n_max": 10, "tree_depth": 10},
+        )
+        assert main([command, str(path)]) == 3
+        name = "correlations.csv" if command == "correlations" else "equilibrium.csv"
+        _, rows = read_csv(tmp_path / "out" / name)
+        assert rows and all(r[-1] == "not_converged" for r in rows)
+
+    # doubling + cos(0.3, -0.2): at --tol 1e-300 power iteration runs out of
+    # iterations on the 64-point grid, while the weak limit converges
+    @pytest.mark.parametrize("command, files", [
+        ("equilibrium", ["equilibrium.csv", "mu.csv", "nu.csv"]),
+        ("correlations", ["correlations.csv"]),
+        ("audit-all", ["audit.csv", "conformal.csv", "equilibrium.csv",
+                       "measure.csv", "nu.csv", "pressure.csv"]),
+    ])
+    def test_unconverged_eigenpair_is_flagged(self, tmp_path, command, files):
+        path = write_config(
+            tmp_path, potential=COSINE,
+            command_params={"x0": 0.2, "n_max": 10, "tree_depth": 10},
+        )
+        assert main([command, str(path), "--tol", "1e-300", "--grid", "64"]) == 3
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == files
+        if command == "correlations":
+            _, rows = read_csv(out / "correlations.csv")
+            assert rows and all(r[-1] == "not_converged" for r in rows)
+            return
+        header, rows = read_csv(out / "equilibrium.csv")
+        assert dict(zip(header, rows[0]))["status"] == "not_converged"
+        if command == "audit-all":
+            header, rows = read_csv(out / "conformal.csv")
+            row = dict(zip(header, rows[0]))
+            assert (row["converged"], row["status"]) == ("true", "ok")
 
 
 # The tent map on [0, 2] and a cosine series that must follow that domain.
@@ -715,7 +794,12 @@ class TestOneTreeWalk:
         audit = run("audit-all", "audit", n_max=11, tree_depth=tree_depth)
         pressure = run("pressure", "pressure", n_max=tree_depth)
         conformal = run("conformal", "conformal", n_max=11)
+        equilibrium = run("equilibrium", "equilibrium", n_max=11,
+                          tree_depth=tree_depth)
         assert (audit / "pressure.csv").read_bytes() == (
             pressure / "pressure.csv").read_bytes()
         for name in ("measure.csv", "conformal.csv"):
             assert (audit / name).read_bytes() == (conformal / name).read_bytes()
+        for name in ("equilibrium.csv", "nu.csv"):
+            assert (audit / name).read_bytes() == (
+                equilibrium / name).read_bytes()
