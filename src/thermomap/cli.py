@@ -44,6 +44,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
 )
+from .g17 import format_rows
 from .keller import SampledFunction, norm_chain_audit, norm_report
 from .maps import DEFAULT_NODE_BUDGET as DEFAULT_BUDGET
 from .maps import IntervalMap, full_linear_map, logistic4_map, pw_linear_map
@@ -75,7 +76,7 @@ DEFAULT_TOL = 1e-12
 
 
 # Rows per formatting step of an all-float table (see write_csv).
-CSV_CHUNK_ROWS = 1024
+CSV_CHUNK_ROWS = 8192
 
 
 def _fmt(x) -> str:
@@ -88,11 +89,12 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Write `header` and `rows` as CSV; numbers get 17 significant digits.
 
     A 2-D float ndarray with one column per header field is streamed to the
-    file CSV_CHUNK_ROWS rows at a time, each chunk formatted by a single
-    ``%`` over a ``"%.17g,...\\n" * rows`` template. ``"%.17g" % x`` equals
-    ``_fmt(x)`` for every float64, so both paths write the same bytes. Any
-    other iterable of rows is formatted cell by cell; string cells pass
-    through unchanged.
+    file CSV_CHUNK_ROWS rows at a time through `g17.format_rows`, which
+    computes each cell's 17 digits exactly in vectorized double-double
+    arithmetic and sends zeros, non-finite cells and possible rounding ties
+    to Python's own ``"%.17g"``; every cell is byte-identical to ``_fmt``.
+    Memory is bounded by the chunk, not the table. Any other iterable of
+    rows is formatted cell by cell; string cells pass through unchanged.
     """
     if (
         isinstance(rows, np.ndarray)
@@ -100,14 +102,10 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
         and rows.ndim == 2
         and rows.shape[1] == len(header)
     ):
-        row = ",".join(["%.17g"] * len(header)) + "\n"
-        full = row * CSV_CHUNK_ROWS
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for start in range(0, len(rows), CSV_CHUNK_ROWS):
-                chunk = rows[start:start + CSV_CHUNK_ROWS]
-                template = full if len(chunk) == CSV_CHUNK_ROWS else row * len(chunk)
-                fh.write(template % tuple(chunk.ravel().tolist()))
+                fh.write(format_rows(rows[start:start + CSV_CHUNK_ROWS]))
         return
     lines = [",".join(header)]
     for row in rows:
@@ -116,9 +114,9 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def read_measure(path: Path) -> AtomicMeasure:
-    """Parse a measure file; rejects unsorted points, negative masses, and
-    mass sums off by more than 1e-9. Measure files written by the CLI
-    round-trip bit-exactly."""
+    """Parse a measure file; rejects non-finite cells, unsorted points,
+    negative masses, and mass sums off by more than 1e-9. Measure files
+    written by the CLI round-trip bit-exactly."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != "point,mass":
         raise ConfigError(f"{path}:1: expected header 'point,mass'")
@@ -136,6 +134,10 @@ def read_measure(path: Path) -> AtomicMeasure:
     masses = np.asarray(ms)
     if points.size == 0:
         raise ConfigError(f"{path}: no atoms")
+    bad = np.flatnonzero(~(np.isfinite(points) & np.isfinite(masses)))
+    if bad.size:
+        i = int(bad[0]) + 1  # index into lines, which starts with the header
+        raise ConfigError(f"{path}:{i + 1}: non-finite cell in {lines[i]!r}")
     if np.any(np.diff(points) <= 0):
         raise ConfigError(f"{path}: points must be strictly ascending")
     if np.any(masses < 0):

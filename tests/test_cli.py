@@ -12,6 +12,7 @@ import dataclasses
 import filecmp
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from thermomap.cli import (
 )
 from thermomap.conformal import AtomicMeasure
 from thermomap.errors import ConfigError, ConvergenceError
+from thermomap.g17 import significands
 from thermomap.maps import pw_linear_map
 from thermomap.potentials import CosineSeriesPotential
 from thermomap.pressure import pressure_curve, tree_pressure
@@ -120,6 +122,21 @@ class TestMeasureFiles:
         with pytest.raises(ConfigError):
             read_measure(path)
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0.1,0.5\n0.2,nan\n", 3),  # nan mass
+            ("nan,0.5\n0.2,0.5\n", 2),  # nan point
+            ("0.1,0.5\ninf,0.5\n", 3),  # inf point
+        ],
+    )
+    def test_rejects_non_finite_cell(self, tmp_path, body, line):
+        # a nan sum passes every comparison, so the cells are checked first
+        path = tmp_path / "m.csv"
+        path.write_text("point,mass\n" + body)
+        with pytest.raises(ConfigError, match=f"{path}:{line}: non-finite"):
+            read_measure(path)
+
 
 # Float64 edge cases planted into the random tables below.
 SPECIAL_FLOATS = [
@@ -129,9 +146,17 @@ SPECIAL_FLOATS = [
 ]
 
 
+def per_cell_reference(header, table) -> bytes:
+    return "".join(
+        [",".join(header) + "\n"]
+        + [",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()]
+    ).encode()
+
+
 class TestFloatTableStreaming:
-    """The chunked all-float path of write_csv against the per-cell _fmt
-    reference, and the measure-file round trip across chunk boundaries."""
+    """The chunked all-float path of write_csv (the vectorized digits of
+    thermomap.g17) against the per-cell reference, its memory bound, and the
+    measure-file round trip across chunk boundaries."""
 
     @settings(
         max_examples=40,
@@ -170,6 +195,64 @@ class TestFloatTableStreaming:
             + [",".join(_fmt(x) for x in row) + "\n" for row in table]
         )
         assert path.read_bytes() == expected.encode()
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n_rows=st.sampled_from(
+            [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 7]
+        ),
+        n_cols=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_bit_patterns_match_reference(self, tmp_path, n_rows, n_cols, seed):
+        table = np.random.default_rng(seed).integers(
+            0, 2**64, size=(n_rows, n_cols), dtype=np.uint64
+        ).view(np.float64)
+        header = [f"c{j}" for j in range(n_cols)]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, table)
+        assert path.read_bytes() == per_cell_reference(header, table)
+
+    # nan, +-inf and +-0 have no digits; 2**-25 = 2.98023223876953125e-08 is
+    # an exact tie at 17 digits; log10 of 1e23 (9.99...e22) rounds to 23
+    FALLBACK = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                2.0**-25, -(2.0**-25), 1e23]
+    # formatted from their digits, at the ends of the exponent range
+    EXTREME = [5e-324, -5e-324, 1.7976931348623157e308, 1e-300, -1e-300]
+
+    def test_fallback_cells_spliced_in_order(self, tmp_path):
+        special = np.array(self.FALLBACK + self.EXTREME)
+        _, _, exact = significands(special)
+        assert not exact[: len(self.FALLBACK)].any()
+        assert exact[len(self.FALLBACK):].all()
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((2 * CSV_CHUNK_ROWS + 7, 2)) * 1e3
+        # in both columns: mid first chunk, across the chunk boundary, and
+        # mid second chunk
+        for r in (CSV_CHUNK_ROWS // 2, CSV_CHUNK_ROWS - 6, 3 * CSV_CHUNK_ROWS // 2):
+            table[r:r + special.size, 0] = special
+            table[r:r + special.size, 1] = special[::-1]
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), table)
+        assert path.read_bytes() == per_cell_reference(("a", "b"), table)
+
+    def test_memory_bounded_by_chunk(self, tmp_path):
+        def traced_peak(n_rows):
+            table = np.random.default_rng(n_rows).random((n_rows, 2))
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "t.csv", ("a", "b"), table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(10)  # the digit tables are built once, on first use
+        small, large = traced_peak(50_000), traced_peak(200_000)
+        assert large <= 1.1 * small, (small, large)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
