@@ -134,7 +134,8 @@ def significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def format_rows(table: np.ndarray) -> bytes:
     """CSV rows of a 2-D float64 array, each cell as ``format(x, ".17g")``."""
     t = _tables()
-    x = np.ascontiguousarray(table, dtype=np.float64).ravel()
+    with np.errstate(invalid="ignore"):  # a float32 signaling nan stays nan
+        x = np.ascontiguousarray(table, dtype=np.float64).ravel()
     last = np.arange(x.size) % table.shape[1] == table.shape[1] - 1
     k, D, exact = significands(x)
     first, tail = np.divmod(D, 10**16)

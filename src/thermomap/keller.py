@@ -136,19 +136,17 @@ def osc_profile(
     return table.spread(lo, hi), lo > hi
 
 
-def osc1(h: SampledFunction, m: AtomicMeasure, eps: float) -> float:
-    """m-integral of the ball oscillation over atom centers."""
-    values, _ = osc_profile(h, m, eps)
-    return float(np.sum(m.masses * values))
+EPS_LEVELS = 21
 
 
-def eps_grid(A: float, levels: int = 21) -> np.ndarray:
-    return A * 2.0 ** -np.arange(levels, dtype=float)
+def eps_grid(A: float) -> np.ndarray:
+    return A * 2.0 ** -np.arange(EPS_LEVELS, dtype=float)
 
 
 @dataclass(frozen=True)
 class KellerReport:
-    """Seminorm sup over the geometric eps-grid, a certified lower bound."""
+    """Seminorm sup over the geometric eps-grid, a certified lower bound;
+    per eps, the m-integrals of the ball oscillation and its 1/alpha power."""
 
     seminorm: float
     norm: float
@@ -157,19 +155,25 @@ class KellerReport:
     A: float
     eps_values: np.ndarray
     osc1_values: np.ndarray
+    osc_power_values: np.ndarray
     argmax_eps: float
 
 
 def keller_seminorm(
-    h: SampledFunction, m: AtomicMeasure, alpha: float, A: float, levels: int = 21
+    h: SampledFunction, m: AtomicMeasure, alpha: float, A: float
 ) -> KellerReport:
     """|h| over the grid {A 2^-i} plus the L1 part of the norm."""
     if not 0 < alpha <= 1:
         raise DomainError("alpha must lie in (0, 1]")
     if A <= 0:
         raise DomainError("A must be positive")
-    grid = eps_grid(A, levels)
-    osc1_vals = np.array([osc1(h, m, e) for e in grid])
+    grid = eps_grid(A)
+    osc1_vals = np.empty(grid.size)
+    power_vals = np.empty(grid.size)
+    for i, e in enumerate(grid):
+        vals, _ = osc_profile(h, m, e)
+        osc1_vals[i] = np.sum(m.masses * vals)
+        power_vals[i] = np.sum(m.masses * vals ** (1.0 / alpha))
     ratios = osc1_vals / grid**alpha
     best = int(np.argmax(ratios))
     seminorm = float(ratios[best])
@@ -182,6 +186,7 @@ def keller_seminorm(
         A=A,
         eps_values=grid,
         osc1_values=osc1_vals,
+        osc_power_values=power_vals,
         argmax_eps=float(grid[best]),
     )
 
@@ -236,13 +241,6 @@ def holder_seminorm(h: SampledFunction, alpha: float) -> float:
     return best
 
 
-def holder_norm(h: SampledFunction, alpha: float) -> tuple[float, float, float]:
-    """(sup norm, Holder seminorm, their sum) over the samples."""
-    sup = float(np.max(np.abs(h.values)))
-    semi = holder_seminorm(h, alpha)
-    return sup, semi, sup + semi
-
-
 def c_star(alpha: float, A: float, total_mass: float = 1.0) -> float:
     """Essential-bound constant from the covering recipe.
 
@@ -257,24 +255,17 @@ def c_star(alpha: float, A: float, total_mass: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Every norm of one function against one reference measure."""
+    """Every norm of one function against one reference measure; the L1
+    part, Keller seminorm and norm, alpha and A are those of `keller`."""
 
-    l1: float
+    keller: KellerReport
     sup: float
-    keller_seminorm: float
-    keller_norm: float
     var_p: float
     bv_norm: float
     holder_seminorm: float
     holder_norm: float
-    alpha: float
-    A: float
     p: float
     measure_size: int
-
-    def __post_init__(self) -> None:
-        if abs(self.keller_norm - (self.l1 + self.keller_seminorm)) > FLOAT_SLACK:
-            raise DomainError("keller norm must equal l1 plus seminorm")
 
 
 def norm_report(
@@ -291,16 +282,12 @@ def norm_report(
     var = p_variation(h, p)
     hol = holder_seminorm(h, alpha)
     return NormReport(
-        l1=kel.l1,
+        keller=kel,
         sup=sup,
-        keller_seminorm=kel.seminorm,
-        keller_norm=kel.norm,
         var_p=var,
         bv_norm=var + sup,
         holder_seminorm=hol,
         holder_norm=sup + hol,
-        alpha=alpha,
-        A=A,
         p=p,
         measure_size=m.size,
     )
@@ -348,27 +335,30 @@ def norm_chain_audit(
     (1 + max_mass / eps)^alpha at the achieving eps of (ii); both slacks
     vanish as the atoms refine and are reported per check.
 
-    `report` is an optional `norm_report` of h against m. It is used when
-    its p is 1/alpha; a report for another p is recomputed. A report for
-    another alpha, A or measure size raises DomainError. The achieving eps
-    of (ii) comes from the oscillation profiles that (iii) scans anyway.
+    `report` is a `norm_report` of h against m, computed when omitted. Its
+    `keller` profile gives the achieving eps of (ii) and the left sides of
+    (iii), so past the report only h*h and g are scanned. For a report of
+    another p only Var^{1/alpha} is recomputed; one for another alpha, A
+    or measure size raises DomainError.
     """
     if g is None:
         g = h
     p = 1.0 / alpha
-    if report is not None and (report.alpha, report.A, report.measure_size) != (
-        alpha, A, m.size
-    ):
+    if report is None:
+        report = norm_report(h, m, alpha, A)
+    kel = report.keller
+    if (kel.alpha, kel.A, report.measure_size) != (alpha, A, m.size):
         raise DomainError("report was computed for another alpha, A or measure")
-    rep_h = report
-    if rep_h is None or rep_h.p != p:
-        rep_h = norm_report(h, m, alpha, A)
+    var, bv_norm = report.var_p, report.bv_norm
+    if report.p != p:
+        var = p_variation(h, p)
+        bv_norm = var + report.sup
     diam = float(h.positions[-1] - h.positions[0])
     max_mass = float(np.max(m.masses))
     checks = []
 
-    lhs = rep_h.bv_norm
-    rhs = max(1.0, diam**alpha) * rep_h.holder_norm
+    lhs = bv_norm
+    rhs = max(1.0, diam**alpha) * report.holder_norm
     checks.append(
         InequalityCheck(
             name="bv_le_scaled_holder",
@@ -380,26 +370,9 @@ def norm_chain_audit(
         )
     )
 
-    var = rep_h.var_p
-    grid = eps_grid(A)
-    osc1_vals = np.empty(grid.size)
-    worst_gap = -np.inf
-    worst_eps = grid[0]
-    for i, e in enumerate(grid):
-        vals, _ = osc_profile(h, m, e)
-        osc1_vals[i] = np.sum(m.masses * vals)
-        lhs_e = float(np.sum(m.masses * vals**p))
-        rhs_e = 2.0 * (e + max_mass) * var**p
-        if lhs_e - rhs_e > worst_gap:
-            worst_gap = lhs_e - rhs_e
-            worst_eps = e
-            worst_pair = (lhs_e, rhs_e)
-    # the same expression keller_seminorm maximizes, so the same eps
-    argmax_eps = float(grid[int(np.argmax(osc1_vals / grid**alpha))])
-
-    lhs = rep_h.keller_norm
-    base_rhs = 2.0**alpha * rep_h.bv_norm
-    atomic_factor = (1.0 + max_mass / argmax_eps) ** alpha
+    lhs = kel.norm
+    base_rhs = 2.0**alpha * bv_norm
+    atomic_factor = (1.0 + max_mass / kel.argmax_eps) ** alpha
     rhs = base_rhs * atomic_factor
     checks.append(
         InequalityCheck(
@@ -408,24 +381,27 @@ def norm_chain_audit(
             rhs=rhs,
             slack=rhs - base_rhs,
             passed=lhs <= rhs + FLOAT_SLACK * max(1.0, rhs),
-            detail=f"eps*={argmax_eps:.6g}, atomic factor {atomic_factor:.6g}",
+            detail=f"eps*={kel.argmax_eps:.6g}, atomic factor {atomic_factor:.6g}",
         )
     )
+    rhs_e = 2.0 * (kel.eps_values + max_mass) * var**p
+    worst = int(np.argmax(kel.osc_power_values - rhs_e))
+    lhs, rhs = float(kel.osc_power_values[worst]), float(rhs_e[worst])
     checks.append(
         InequalityCheck(
             name="osc_power_le_var",
-            lhs=worst_pair[0],
-            rhs=worst_pair[1],
+            lhs=lhs,
+            rhs=rhs,
             slack=2.0 * max_mass * var**p,
-            passed=worst_gap <= FLOAT_SLACK * max(1.0, worst_pair[1]),
-            detail=f"worst eps={worst_eps:.6g}",
+            passed=lhs - rhs <= FLOAT_SLACK * max(1.0, rhs),
+            detail=f"worst eps={kel.eps_values[worst]:.6g}",
         )
     )
 
     cstar = c_star(alpha, A, float(m.masses.sum()))
-    g_norm = rep_h.keller_norm if g is h else keller_seminorm(g, m, alpha, A).norm
+    g_norm = kel.norm if g is h else keller_seminorm(g, m, alpha, A).norm
     lhs = keller_seminorm(h * g, m, alpha, A).norm
-    rhs = 2.0 * cstar * rep_h.keller_norm * g_norm
+    rhs = 2.0 * cstar * kel.norm * g_norm
     checks.append(
         InequalityCheck(
             name="product_bound",

@@ -13,6 +13,7 @@ import filecmp
 import json
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from thermomap.cli import (
 )
 from thermomap.conformal import AtomicMeasure
 from thermomap.errors import ConfigError, ConvergenceError
-from thermomap.g17 import significands
+from thermomap.g17 import format_rows, significands
 from thermomap.maps import pw_linear_map
 from thermomap.potentials import CosineSeriesPotential
 from thermomap.pressure import pressure_curve, tree_pressure
@@ -128,12 +129,15 @@ class TestMeasureFiles:
             ("0.1,0.5\n0.2,nan\n", 3),  # nan mass
             ("nan,0.5\n0.2,0.5\n", 2),  # nan point
             ("0.1,0.5\ninf,0.5\n", 3),  # inf point
+            # lines are numbered as written, blank lines above the header too
+            ("\npoint,mass\n0.1,0.5\n0.2,nan\n", 4),
+            ("\n  \n\npoint,mass\nnan,0.5\n0.2,0.5\n", 5),
         ],
     )
     def test_rejects_non_finite_cell(self, tmp_path, body, line):
         # a nan sum passes every comparison, so the cells are checked first
         path = tmp_path / "m.csv"
-        path.write_text("point,mass\n" + body)
+        path.write_text(body if "point,mass" in body else "point,mass\n" + body)
         with pytest.raises(ConfigError, match=f"{path}:{line}: non-finite"):
             read_measure(path)
 
@@ -239,6 +243,17 @@ class TestFloatTableStreaming:
         path = tmp_path / "t.csv"
         write_csv(path, ("a", "b"), table)
         assert path.read_bytes() == per_cell_reference(("a", "b"), table)
+
+    def test_float32_signaling_nan_casts_silently(self):
+        # 0x7f800001 is a float32 signaling nan, 0xffc00000 a quiet one
+        bits = np.array([[0x7F800001, 0x3FC00000], [0xFFC00000, 0x00000001]],
+                        dtype=np.uint32)
+        table = bits.view(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = format_rows(table)
+        expected = "".join(",".join(_fmt(x) for x in row) + "\n" for row in table)
+        assert got == expected.encode()
 
     def test_memory_bounded_by_chunk(self, tmp_path):
         def traced_peak(n_rows):
@@ -797,6 +812,26 @@ class TestAuditAll:
         header, rows = read_csv(out / "audit.csv")
         assert header == ["name", "value", "bound", "passed", "status"]
         assert all(r[3] == "true" for r in rows)
+
+    def test_hyperbolic_run_audit_rows(self, tmp_path):
+        # nonpositive entropy under a hyperbolic verdict is an AuditError
+        # (exit 2) before audit.csv is written, so no entropy row is kept
+        path = write_config(
+            tmp_path,
+            potential=BERNOULLI,
+            command_params={"n_max": 12, "tree_depth": 10},
+        )
+        assert main(["audit-all", str(path)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "equilibrium.csv")
+        assert dict(zip(header, rows[0]))["hyperbolicity"] == "hyperbolic"
+        _, rows = read_csv(tmp_path / "out" / "audit.csv")
+        assert [r[0] for r in rows] == [
+            "conformality_max_delta",
+            "full_support_min_64bin",
+            "eigen_vs_tree",
+            "adjoint_max_deviation",
+            "atom_max_bin_mass_512",
+        ]
 
     def test_threads_flag_never_changes_bytes(self, tmp_path):
         digests = {}

@@ -3,10 +3,10 @@
 Oracle notes. With 64 uniform midpoint atoms and the closed-interval
 pseudo-distance, the eps = 0.1 ball around atom k is exactly the atoms
 j with |j - k| <= 5 (mass window (k-5.4, k+5.4)), so the oscillation of
-the step at 0.5 is 1 precisely for the 10 centers k in 27..36 and
-osc1 = 10/64. p-variation has an exhaustive-subset oracle for small k,
-and |x|^alpha functions realize their Holder constants exactly at the
-bump center.
+the step at 0.5 is 1 precisely for the 10 centers k in 27..36 and its
+m-integral is 10/64. p-variation has an exhaustive-subset oracle for
+small k, and |x|^alpha functions realize their Holder constants exactly
+at the bump center.
 """
 
 from dataclasses import replace
@@ -26,16 +26,13 @@ from helpers import (
 from thermomap.conformal import AtomicMeasure, uniform_atoms
 from thermomap.errors import DomainError
 from thermomap.keller import (
-    NormReport,
     SampledFunction,
     c_star,
     eps_grid,
-    holder_norm,
     holder_seminorm,
     keller_seminorm,
     norm_chain_audit,
     norm_report,
-    osc1,
     osc_profile,
     p_variation,
 )
@@ -43,6 +40,18 @@ from thermomap.keller import (
 
 def step_function(points):
     return SampledFunction.from_callable(lambda x: (x >= 0.5).astype(float), points)
+
+
+def osc1(h, m, eps):
+    """m-integral of the ball oscillation over atom centers."""
+    vals, _ = osc_profile(h, m, eps)
+    return float(np.sum(m.masses * vals))
+
+
+def holder_norm(h, alpha):
+    """(sup norm, Holder seminorm, Holder norm) from `norm_report`."""
+    rep = norm_report(h, uniform_atoms(16), alpha, 0.5)
+    return rep.sup, rep.holder_seminorm, rep.holder_norm
 
 
 def norms_draw(rng, points, alpha):
@@ -229,9 +238,15 @@ class TestKellerSeminorm:
         for _ in range(5):
             h = draw_piecewise_holder(rng, 0.5, m.points)
             big = keller_seminorm(h, m, 0.5, 0.5)
-            small_grid = keller_seminorm(h, m, 0.5, 0.25, levels=20)
-            # the A=0.5 grid contains every point of the 20-level A=0.25 grid
-            assert big.seminorm >= small_grid.seminorm - 1e-12
+            small = keller_seminorm(h, m, 0.5, 0.25)
+            # the grids share every eps but A=0.5 and the finest of A=0.25
+            shared = small.eps_values[:-1]
+            np.testing.assert_array_equal(big.eps_values[1:], shared)
+            np.testing.assert_array_equal(
+                big.osc1_values[1:], small.osc1_values[:-1]
+            )
+            ratios = small.osc1_values[:-1] / shared**0.5
+            assert big.seminorm >= np.max(ratios) - 1e-12
 
     def test_vanishing_iff_constant(self):
         m = uniform_atoms(64)
@@ -398,20 +413,24 @@ class TestNormReport:
     def test_exact_decomposition(self):
         m = uniform_atoms(128)
         rep = norm_report(step_function(m.points), m, 0.5, 0.5)
-        assert rep.keller_norm == rep.l1 + rep.keller_seminorm
+        kel = rep.keller
+        assert kel.norm == kel.l1 + kel.seminorm
+        assert (kel.alpha, kel.A) == (0.5, 0.5)
         assert rep.bv_norm == rep.var_p + rep.sup
         assert rep.p == 2.0
         assert rep.measure_size == 128
-        for val in (rep.l1, rep.sup, rep.keller_seminorm, rep.var_p):
+        for val in (kel.l1, rep.sup, kel.seminorm, rep.var_p):
             assert val >= 0
 
-    def test_inconsistent_report_rejected(self):
-        with pytest.raises(DomainError):
-            NormReport(
-                l1=1.0, sup=1.0, keller_seminorm=1.0, keller_norm=3.0,
-                var_p=1.0, bv_norm=2.0, holder_seminorm=1.0, holder_norm=2.0,
-                alpha=1.0, A=0.5, p=1.0, measure_size=4,
-            )
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_osc_power_integrals_bit_equal_to_profiles(self, alpha):
+        m = uniform_atoms(256)
+        h = norms_draw(np.random.default_rng(41), m.points, alpha)
+        kel = norm_report(h, m, alpha, 0.5).keller
+        for i, e in enumerate(kel.eps_values):
+            osc = osc_profile(h, m, e)[0]
+            assert kel.osc_power_values[i] == np.sum(m.masses * osc ** (1 / alpha))
+            assert kel.osc1_values[i] == np.sum(m.masses * osc)
 
 
 class TestNormChainAudit:
@@ -493,7 +512,11 @@ class TestNormChainAudit:
     def test_mismatched_report_raises(self, field, value):
         m = uniform_atoms(128)
         h = norms_draw(np.random.default_rng(6), m.points, 0.5)
-        rep = replace(norm_report(h, m, 0.5, 0.5), **{field: value})
+        rep = norm_report(h, m, 0.5, 0.5)
+        if field == "measure_size":
+            rep = replace(rep, measure_size=value)
+        else:
+            rep = replace(rep, keller=replace(rep.keller, **{field: value}))
         with pytest.raises(DomainError):
             norm_chain_audit(h, m, 0.5, 0.5, report=rep)
 
@@ -509,9 +532,9 @@ class TestNormChainAudit:
                 h, m, 0.5, 0.5, g=g if with_g else None, report=rep
             ).checks[3]
             cstar = c_star(0.5, 0.5)
-            assert check.lhs == norm_report(h * g, m, 0.5, 0.5).keller_norm
-            assert check.rhs == 2.0 * cstar * rep.keller_norm * norm_report(
-                g, m, 0.5, 0.5).keller_norm
+            assert check.lhs == norm_report(h * g, m, 0.5, 0.5).keller.norm
+            assert check.rhs == 2.0 * cstar * rep.keller.norm * norm_report(
+                g, m, 0.5, 0.5).keller.norm
 
     def test_product_check_builds_no_report(self, monkeypatch):
         import thermomap.keller as keller
@@ -528,6 +551,42 @@ class TestNormChainAudit:
         norm_chain_audit(h, m, 0.5, 0.5, report=rep)
         norm_chain_audit(h, m, 0.5, 0.5, g=g, report=rep)
         assert calls == []
+
+    def test_audit_never_scans_h(self, monkeypatch):
+        import thermomap.keller as keller
+
+        m = uniform_atoms(128)
+        h = norms_draw(np.random.default_rng(43), m.points, 0.5)
+        scanned = []
+        real = keller.osc_profile
+        monkeypatch.setattr(
+            keller, "osc_profile", lambda f, *a: scanned.append(f) or real(f, *a)
+        )
+        rep = norm_report(h, m, 0.5, 0.5)
+        assert len(scanned) == 21 and all(f is h for f in scanned)
+        scanned.clear()
+        norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        # only the product h*h of check (iv): 42 scans per draw with the report
+        assert len(scanned) == 21
+        assert not any(f is h for f in scanned)
+        np.testing.assert_array_equal(scanned[0].values, h.values * h.values)
+
+    def test_report_for_another_p_rescans_nothing(self, monkeypatch):
+        import thermomap.keller as keller
+
+        m = uniform_atoms(128)
+        h = norms_draw(np.random.default_rng(47), m.points, 0.5)
+        rep = norm_report(h, m, 0.5, 0.5, p=3.0)
+        calls = []
+        real = keller.p_variation
+        monkeypatch.setattr(
+            keller, "p_variation", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        monkeypatch.setattr(
+            keller, "norm_report", lambda *a, **k: pytest.fail("report rebuilt")
+        )
+        norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        assert calls == [2.0]
 
     def test_triangle_inequality_for_keller_norm(self):
         m = uniform_atoms(256)
