@@ -11,7 +11,8 @@ stability but never changes results (orchestration is single-threaded by
 design).
 
 Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
-64 malformed configuration (message anchored to the offending line). On exit
+64 malformed configuration (message naming the key path; an unknown key is
+anchored to its line). On exit
 3 a flagged result is still written, with status ``budget`` (pressure,
 entropy) or ``not_converged`` (conformal, equilibrium, correlations,
 audit-all); a raised failure writes nothing.
@@ -53,7 +54,6 @@ from .potentials import (
     ConstantPotential,
     CosineSeriesPotential,
     PiecewiseLinearPotential,
-    Potential,
 )
 from .pressure import (
     appendix_construct,
@@ -158,107 +158,95 @@ def read_measure(path: Path) -> AtomicMeasure:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: every config object is read by `Experiment.read` against a
+# schema, a dict key -> (default, check) in which REQUIRED marks a key with no
+# default. A check takes (experiment, key path, value) and returns the value
+# to use, or raises ConfigError naming the key path.
 
 
-def _line_of(raw: str, key: str) -> Optional[int]:
-    needle = f'"{key}"'
-    for i, line in enumerate(raw.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+REQUIRED = object()
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str, raw: str, path: str):
-    for key in obj:
-        if key not in allowed:
-            line = _line_of(raw, key)
-            anchor = f"{path}:{line}" if line else path
-            raise ConfigError(
-                f"{anchor}: unknown key {key!r} in {where} "
-                f"(allowed: {sorted(allowed)})"
-            )
+def _number(integer: bool = False, low=None, strict: bool = False):
+    """Check for a JSON number, never a bool, finite as a float64: an integer
+    when `integer`, else an integer or a real; at least `low` (above it when
+    `strict`)."""
+    what = "an integer" if integer else "a finite number"
+    what += "" if low is None else f" {'>' if strict else '>='} {low}"
+
+    def check(exp, key, value):
+        if (type(value) not in ((int,) if integer else (int, float))
+                or not abs(value) <= sys.float_info.max
+                or low is not None and (value <= low if strict else value < low)):
+            exp.fail(key, what)
+        return value
+
+    return check
 
 
-def _require(obj: dict, key: str, where: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}: missing required key {key!r} in {where}")
-    return obj[key]
+_REAL, _INT, _COUNT = _number(), _number(integer=True), _number(integer=True, low=1)
 
 
-def build_map(spec: dict, raw: str, path: str) -> IntervalMap:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: 'map' must be an object")
-    kind = _require(spec, "kind", "map", path)
-    if kind == "full_linear":
-        _reject_unknown(spec, {"kind", "branches"}, "map", raw, path)
-        branches = _require(spec, "branches", "map", path)
-        if not isinstance(branches, int) or branches < 2:
-            raise ConfigError(f"{path}: map.branches must be an integer >= 2")
-        return full_linear_map(branches)
-    if kind == "pw_linear":
-        _reject_unknown(
-            spec, {"kind", "breakpoints", "slopes", "intercepts"}, "map", raw, path
-        )
-        return pw_linear_map(
-            _require(spec, "breakpoints", "map", path),
-            _require(spec, "slopes", "map", path),
-            _require(spec, "intercepts", "map", path),
-        )
-    if kind == "logistic4":
-        _reject_unknown(spec, {"kind"}, "map", raw, path)
-        return logistic4_map()
-    raise ConfigError(
-        f"{path}: map.kind must be one of full_linear, pw_linear, logistic4"
-    )
+def _reals(size: Optional[int] = None):
+    """Check for a nonempty list of finite numbers (of `size` when given),
+    returned as a tuple."""
+    what = f"a list of {size} finite number" if size else "a nonempty list of finite numbers"
+
+    def check(exp, key, value):
+        if not isinstance(value, list) or not value or size and len(value) != size:
+            exp.fail(key, what)
+        return tuple(_REAL(exp, f"{key}[{i}]", item) for i, item in enumerate(value))
+
+    return check
 
 
-def build_potential(
-    spec, raw: str, path: str, domain: tuple[float, float]
-) -> Optional[Potential]:
-    """Validated potential; `domain` is the map's interval, over which a
-    cosine series takes its frequencies."""
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: 'potential' must be an object or null")
-    kind = _require(spec, "kind", "potential", path)
-    if kind == "constant":
-        _reject_unknown(spec, {"kind", "values"}, "potential", raw, path)
-        values = _require(spec, "values", "potential", path)
-        if len(values) != 1:
-            raise ConfigError(f"{path}: constant potential takes one value")
-        return ConstantPotential(float(values[0]))
-    if kind == "branch_pw_constant":
-        _reject_unknown(
-            spec, {"kind", "segments", "values"}, "potential", raw, path
-        )
-        return BranchConstantPotential(
-            tuple(_require(spec, "segments", "potential", path)),
-            tuple(_require(spec, "values", "potential", path)),
-        )
-    if kind == "cosine_series":
-        _reject_unknown(
-            spec, {"kind", "coefficients", "offset"}, "potential", raw, path
-        )
-        return CosineSeriesPotential(
-            tuple(_require(spec, "coefficients", "potential", path)),
-            offset=float(spec.get("offset", 0.0)),
-            lo=float(domain[0]),
-            hi=float(domain[1]),
-        )
-    if kind == "pw_linear":
-        _reject_unknown(
-            spec, {"kind", "segments", "values"}, "potential", raw, path
-        )
-        return PiecewiseLinearPotential(
-            tuple(_require(spec, "segments", "potential", path)),
-            tuple(_require(spec, "values", "potential", path)),
-        )
-    raise ConfigError(
-        f"{path}: potential.kind must be one of constant, branch_pw_constant, "
-        f"cosine_series, pw_linear"
-    )
+def _is(kind: type, what: str):
+    def check(exp, key, value):
+        if not isinstance(value, kind):
+            exp.fail(key, what)
+        return value
+
+    return check
+
+
+def _or_null(check):
+    return lambda exp, key, value: None if value is None else check(exp, key, value)
+
+
+# kind -> (schema, constructor); `Experiment.build` calls the constructor with
+# its own arguments (a potential's: the map's domain, over which a cosine
+# series takes its frequencies) and then the kind's values in schema order
+MAPS = {
+    "full_linear": ({"branches": (REQUIRED, _number(integer=True, low=2))}, full_linear_map),
+    "pw_linear": (
+        {key: (REQUIRED, _reals()) for key in ("breakpoints", "slopes", "intercepts")},
+        pw_linear_map,
+    ),
+    "logistic4": ({}, logistic4_map),
+}
+_CELLS = {"segments": (REQUIRED, _reals()), "values": (REQUIRED, _reals())}
+POTENTIALS = {
+    "constant": (
+        {"values": (REQUIRED, _reals(size=1))},
+        lambda domain, values: ConstantPotential(float(values[0])),
+    ),
+    "branch_pw_constant": (_CELLS, lambda domain, *cells: BranchConstantPotential(*cells)),
+    "cosine_series": (
+        {"coefficients": (REQUIRED, _reals()), "offset": (0.0, _REAL)},
+        lambda domain, coefficients, offset: CosineSeriesPotential(
+            coefficients, float(offset), float(domain[0]), float(domain[1])
+        ),
+    ),
+    "pw_linear": (_CELLS, lambda domain, *cells: PiecewiseLinearPotential(*cells)),
+}
+_OBJECT, _STRING = _is(dict, "an object"), _is(str, "a string")
+CONFIG = {
+    "map": (REQUIRED, _OBJECT),
+    "potential": (None, _or_null(_OBJECT)),
+    "command_params": ({}, _OBJECT),
+    "output_dir": (".", _STRING),
+    "seed": (0, _number(integer=True, low=0)),
+}
 
 
 class Experiment:
@@ -269,56 +257,122 @@ class Experiment:
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{config_path}:{exc.lineno}: {exc.msg}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{config_path}: top level must be an object")
-        _reject_unknown(
-            data,
-            {"map", "potential", "command_params", "output_dir", "seed"},
-            "config",
-            raw,
-            config_path,
-        )
+            raise ConfigError(f"{config_path}:{exc.lineno}: {exc.msg}") from exc
         self.raw = raw
         self.path = config_path
-        self.imap = build_map(
-            _require(data, "map", "config", config_path), raw, config_path
+        top = self.read(data, CONFIG, "")
+        self.imap = self.build(top["map"], "map", MAPS)
+        self.potential = None if top["potential"] is None else self.build(
+            top["potential"], "potential", POTENTIALS, self.imap.domain
         )
-        self.potential = build_potential(
-            data.get("potential"), raw, config_path, self.imap.domain
-        )
-        params = data.get("command_params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{config_path}: command_params must be an object")
-        self.params = params
-        self.outdir = Path(data.get("output_dir", "."))
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"{config_path}: seed must be a non-negative integer")
-        self.seed = seed
+        self.params = top["command_params"]
+        self.outdir = Path(top["output_dir"])
+        self.seed = top["seed"]
         self.budget = args.budget
         self.grid = args.grid
         self.tol = args.tol
 
-    def take(self, keys: dict) -> dict:
-        """Validate command_params against `keys` (name -> default): an int
-        default takes an int and a float default an int or float, never a
-        bool, finite as a float64; None defaults are checked by their command."""
-        _reject_unknown(
-            self.params, set(keys), "command_params", self.raw, self.path
-        )
-        p = {k: self.params.get(k, v) for k, v in keys.items()}
-        for key, default in keys.items():
-            if default is None:
-                continue
-            value, where = p[key], f"{self.path}: command_params.{key}"
-            if type(default) is int and type(value) is not int:
-                raise ConfigError(f"{where} must be an integer")
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{where} must be a finite number")
-        return p
+    def fail(self, key: str, what: str):
+        raise ConfigError(f"{self.path}: {key} must be {what}")
+
+    def read(self, obj, schema: dict, where: str) -> dict:
+        """The values of the config object `obj` at key path `where` ("" at
+        the top level): an unknown key is rejected at its line, a missing one
+        takes its default, and every value goes through its key's check."""
+        label = where or "config"
+        _OBJECT(self, label, obj)
+        for key in obj:
+            if key not in schema:
+                lines = enumerate(self.raw.splitlines(), start=1)
+                line = next((i for i, text in lines if f'"{key}"' in text), None)
+                raise ConfigError(
+                    f"{self.path}{f':{line}' if line else ''}: unknown key {key!r} "
+                    f"in {label} (allowed: {sorted(schema)})"
+                )
+        out = {}
+        for key, (default, check) in schema.items():
+            if key not in obj and default is REQUIRED:
+                raise ConfigError(f"{self.path}: missing required key {key!r} in {label}")
+            out[key] = check(self, f"{where}.{key}" if where else key, obj.get(key, default))
+        return out
+
+    def build(self, spec, key: str, table: dict, *args):
+        """Construct the map or potential (`table` MAPS or POTENTIALS) that the
+        object at `key` describes, read against its kind's schema."""
+        kind = _OBJECT(self, key, spec).get("kind")
+        if not isinstance(kind, str) or kind not in table:
+            self.fail(f"{key}.kind", f"one of {', '.join(table)}")
+        schema, make = table[kind]
+        _, *values = self.read(spec, {"kind": (REQUIRED, _STRING), **schema}, key).values()
+        try:
+            return make(*args, *values)
+        except DomainError as exc:  # a constraint between values, such as lengths
+            raise ConfigError(f"{self.path}: {key}: {exc}") from exc
+
+    def take(self, schema: dict) -> dict:
+        """command_params read against a command's schema."""
+        return self.read(self.params, schema, "command_params")
+
+
+OBSERVABLE = {
+    "lo": (REQUIRED, _REAL),
+    "hi": (REQUIRED, _REAL),
+    "width": (0.05, _number(low=0, strict=True)),
+}
+
+
+def _observables(exp: Experiment, key: str, specs) -> list[Callable]:
+    """Smoothed indicators, each read against OBSERVABLE; by default one on
+    the first third of the domain."""
+    if specs is None:
+        lo, hi = exp.imap.domain
+        specs = [{"lo": lo, "hi": lo + (hi - lo) / 3.0}]
+    if not isinstance(specs, list) or not specs:
+        exp.fail(key, "a nonempty list")
+    fields = (exp.read(spec, OBSERVABLE, f"{key}[{i}]") for i, spec in enumerate(specs))
+    return [smoothed_indicator(*map(float, f.values())) for f in fields]
+
+
+_CONFORMAL = {"x0": (0.3, _REAL), "n_max": (14, _INT), "bins": (64, _COUNT), "theta": (0.0, _REAL)}
+_PRESSURE = {"x0": (0.3, _REAL), "n_min": (1, _INT), "n_max": (12, _INT)}
+
+# command -> its command_params schema
+PARAMS = {
+    "pressure": _PRESSURE,
+    "entropy": _PRESSURE,
+    "conformal": _CONFORMAL,
+    "equilibrium": {**_CONFORMAL, "tree_depth": (12, _INT)},
+    "correlations": {
+        **_CONFORMAL,
+        "tree_depth": (12, _INT),
+        "lags": (12, _number(integer=True, low=5)),
+        "observables": (None, _observables),
+    },
+    "norms": {
+        "alpha": (0.5, _number(low=0, strict=True)),
+        "scale": (0.5, _REAL),
+        "draws": (20, _COUNT),
+        "atoms": (48, _COUNT),
+        "p": (None, _or_null(_number(low=1))),
+    },
+    "curve": {
+        "x0": (0.3, _REAL),
+        "n_max": (8, _INT),
+        "t_lo": (-1.0, _REAL),
+        "t_hi": (1.0, _REAL),
+        "t_count": (21, _INT),
+        "chi": (REQUIRED, lambda exp, key, spec: exp.build(
+            spec, key, POTENTIALS, exp.imap.domain)),
+    },
+    "appendix": {"gap": (float(np.log(4.0)), _REAL), "x0": (0.3, _REAL), "n_max": (11, _INT)},
+    "audit-all": {
+        **_CONFORMAL,
+        "tree_depth": (12, _INT),
+        "intervals": (20, _COUNT),
+        "conformality_bound": (1e-2, _REAL),
+        "adjoint_bound": (1e-2, _REAL),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +396,7 @@ def _pressure_rows(report, requested_max: int):
 def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
     """`pressure` (weighted by the configured potential) and `entropy` (no
     potential): tree_pressure per depth, as `filename`."""
-    p = exp.take({"x0": 0.3, "n_min": 1, "n_max": 12})
+    p = exp.take(PARAMS["pressure"])
     report = tree_pressure(
         exp.imap,
         exp.potential if weighted else None,
@@ -356,16 +410,10 @@ def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
     return [(filename, PRESSURE_HEADER, rows)], status
 
 
-def _at_least(exp: Experiment, p: dict, key: str, low: int) -> None:
-    if p[key] < low:
-        raise ConfigError(f"{exp.path}: command_params.{key} must be an integer >= {low}")
-
-
 def _conformal_pipeline(exp: Experiment, p: dict):
     """Transition parameter, weak limit and tree pressure report (None
     without `tree_depth`) from one preimage walk to max(n_max, tree_depth);
     its retained levels die with this frame, before any power iteration."""
-    _at_least(exp, p, "bins", 1)
     n_max, tree_depth = p["n_max"], p.get("tree_depth")
     sums = level_sums(
         exp.imap,
@@ -387,9 +435,6 @@ def _conformal_pipeline(exp: Experiment, p: dict):
     )
     tree = None if tree_depth is None else pressure_report(sums, tree_depth)
     return trans, limit, tree
-
-
-CONFORMAL_PARAMS = {"x0": 0.3, "n_max": 14, "bins": 64, "theta": 0.0}
 
 
 def _conformal_row(trans, limit):
@@ -422,7 +467,7 @@ CONFORMAL_HEADER = (
 
 
 def cmd_conformal(exp: Experiment):
-    p = exp.take(CONFORMAL_PARAMS)
+    p = exp.take(PARAMS["conformal"])
     trans, limit, _ = _conformal_pipeline(exp, p)
     row = _conformal_row(trans, limit)
     return [
@@ -480,7 +525,7 @@ def _equilibrium_row(tree, limit, eigen, hyper, state):
 
 
 def cmd_equilibrium(exp: Experiment):
-    p = exp.take({**CONFORMAL_PARAMS, "tree_depth": 12})
+    p = exp.take(PARAMS["equilibrium"])
     _, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
     row = _equilibrium_row(tree, limit, eigen, hyper, state)
@@ -491,51 +536,12 @@ def cmd_equilibrium(exp: Experiment):
     ], row[-1]
 
 
-def _observables(exp: Experiment, specs) -> list[Callable]:
-    """Smoothed indicators from command_params.observables, all checked first."""
-    lo, hi = exp.imap.domain
-    if specs is None:
-        specs = [{"lo": lo, "hi": lo + (hi - lo) / 3.0, "width": 0.05}]
-    if not isinstance(specs, list) or not specs:
-        raise ConfigError(
-            f"{exp.path}: command_params.observables must be a nonempty list"
-        )
-    for idx, spec in enumerate(specs):
-        where = f"{exp.path}: command_params.observables[{idx}]"
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{where} must be an object")
-        if set(spec) - {"lo", "hi", "width"}:
-            raise ConfigError(f"{where}: observable keys are lo, hi, width")
-        for key in ("lo", "hi"):
-            if key not in spec:
-                raise ConfigError(f"{where}: missing key {key!r}")
-        for key, value in spec.items():
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{where}.{key} must be a finite number")
-        if spec.get("width", 0.05) <= 0:
-            raise ConfigError(f"{where}.width must be positive")
-    return [
-        smoothed_indicator(
-            float(spec["lo"]), float(spec["hi"]), float(spec.get("width", 0.05))
-        )
-        for spec in specs
-    ]
-
-
 def cmd_correlations(exp: Experiment):
-    p = exp.take(
-        {
-            **CONFORMAL_PARAMS,
-            "tree_depth": 12,
-            "lags": 12,
-            "observables": None,
-        }
-    )
-    _at_least(exp, p, "lags", 5)
-    fns = _observables(exp, p["observables"])
+    p = exp.take(PARAMS["correlations"])
     _, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
     status = _equilibrium_row(tree, limit, eigen, hyper, state)[-1]
+    fns = p["observables"]
     batch = correlation(exp.imap, fns, fns, state.nu, n_max=p["lags"])
     rows = []
     for idx, rep in enumerate(batch.reports):
@@ -549,17 +555,7 @@ def cmd_correlations(exp: Experiment):
 
 
 def cmd_norms(exp: Experiment):
-    p = exp.take(
-        {"alpha": 0.5, "scale": 0.5, "draws": 20, "atoms": 48, "p": None}
-    )
-    _at_least(exp, p, "draws", 1)
-    _at_least(exp, p, "atoms", 1)
-    if p["p"] is not None and (
-        type(p["p"]) not in (int, float) or not 1 <= p["p"] < np.inf
-    ):
-        raise ConfigError(
-            f"{exp.path}: command_params.p must be a finite number >= 1"
-        )
+    p = exp.take(PARAMS["norms"])
     rng = np.random.default_rng(exp.seed)
     m = uniform_atoms(p["atoms"], exp.imap.domain)
     rows = []
@@ -612,24 +608,12 @@ def cmd_norms(exp: Experiment):
 
 
 def cmd_curve(exp: Experiment):
-    p = exp.take(
-        {
-            "x0": 0.3,
-            "n_max": 8,
-            "t_lo": -1.0,
-            "t_hi": 1.0,
-            "t_count": 21,
-            "chi": None,
-        }
-    )
-    if p["chi"] is None:
-        raise ConfigError(f"{exp.path}: curve requires command_params.chi")
-    chi = build_potential(p["chi"], exp.raw, exp.path, exp.imap.domain)
+    p = exp.take(PARAMS["curve"])
     ts = np.linspace(p["t_lo"], p["t_hi"], p["t_count"])
     curve = pressure_curve(
         exp.imap,
         exp.potential,
-        chi,
+        p["chi"],
         ts,
         x0=p["x0"],
         n_max=p["n_max"],
@@ -646,7 +630,7 @@ def cmd_curve(exp: Experiment):
 
 
 def cmd_appendix(exp: Experiment):
-    p = exp.take({"gap": float(np.log(4.0)), "x0": 0.3, "n_max": 11})
+    p = exp.take(PARAMS["appendix"])
     rep = appendix_construct(p["gap"], x0=p["x0"], n_max=p["n_max"], budget=exp.budget)
     header = (
         "gap",
@@ -691,16 +675,7 @@ def _single_branch_intervals(imap: IntervalMap, count: int):
 
 
 def cmd_audit_all(exp: Experiment):
-    p = exp.take(
-        {
-            **CONFORMAL_PARAMS,
-            "tree_depth": 12,
-            "intervals": 20,
-            "conformality_bound": 1e-2,
-            "adjoint_bound": 1e-2,
-        }
-    )
-    _at_least(exp, p, "intervals", 1)
+    p = exp.take(PARAMS["audit-all"])
     trans, limit, tree = _conformal_pipeline(exp, p)
     mu = limit.measure
     conf = conformality_audit(

@@ -112,6 +112,7 @@ class AtomicMeasure:
         return hist
 
     def integrate(self, fn) -> float:
+        """The integral of `fn` (called once, on every atom) against the measure."""
         return float(np.sum(self.masses * np.asarray(fn(self.points), dtype=float)))
 
 

@@ -177,7 +177,7 @@ def keller_seminorm(
     ratios = osc1_vals / grid**alpha
     best = int(np.argmax(ratios))
     seminorm = float(ratios[best])
-    l1 = float(np.sum(m.masses * np.abs(h(m.points))))
+    l1 = m.integrate(lambda x: np.abs(h(x)))
     return KellerReport(
         seminorm=seminorm,
         norm=l1 + seminorm,
@@ -255,8 +255,8 @@ def c_star(alpha: float, A: float, total_mass: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Every norm of one function against one reference measure; the L1
-    part, Keller seminorm and norm, alpha and A are those of `keller`."""
+    """Every norm of one function against `measure`; the L1 part, Keller
+    seminorm and norm, alpha and A are those of `keller`."""
 
     keller: KellerReport
     sup: float
@@ -265,7 +265,7 @@ class NormReport:
     holder_seminorm: float
     holder_norm: float
     p: float
-    measure_size: int
+    measure: AtomicMeasure
 
 
 def norm_report(
@@ -289,7 +289,7 @@ def norm_report(
         holder_seminorm=hol,
         holder_norm=sup + hol,
         p=p,
-        measure_size=m.size,
+        measure=m,
     )
 
 
@@ -339,7 +339,7 @@ def norm_chain_audit(
     `keller` profile gives the achieving eps of (ii) and the left sides of
     (iii), so past the report only h*h and g are scanned. For a report of
     another p only Var^{1/alpha} is recomputed; one for another alpha, A
-    or measure size raises DomainError.
+    or measure (other points or masses) raises DomainError.
     """
     if g is None:
         g = h
@@ -347,7 +347,10 @@ def norm_chain_audit(
     if report is None:
         report = norm_report(h, m, alpha, A)
     kel = report.keller
-    if (kel.alpha, kel.A, report.measure_size) != (alpha, A, m.size):
+    mr = report.measure
+    if (kel.alpha, kel.A) != (alpha, A) or not (
+        np.array_equal(mr.points, m.points) and np.array_equal(mr.masses, m.masses)
+    ):
         raise DomainError("report was computed for another alpha, A or measure")
     var, bv_norm = report.var_p, report.bv_norm
     if report.p != p:

@@ -74,6 +74,8 @@ class BranchConstantPotential(Potential):
     def __post_init__(self) -> None:
         if len(self.cell_edges) != len(self.values) + 1:
             raise DomainError("cell edges must outnumber values by exactly one")
+        if not np.all(np.diff(self.cell_edges) > 0):
+            raise DomainError("cell edges must be strictly increasing")
 
     @classmethod
     def from_map(cls, imap: IntervalMap, values: Sequence[float]) -> "BranchConstantPotential":

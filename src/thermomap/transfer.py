@@ -127,15 +127,14 @@ class EigenReport:
             raise DomainError("eigenfunction must be nonnegative nodewise")
 
 
-def _log_linear_rate(log_r: np.ndarray) -> tuple[float, float]:
-    """Slope-exponential and R^2 of a log-linear fit."""
-    k = np.arange(log_r.size, dtype=float)
-    slope, intercept = np.polyfit(k, log_r, 1)
-    fitted = slope * k + intercept
-    ss_res = float(np.sum((log_r - fitted) ** 2))
-    ss_tot = float(np.sum((log_r - log_r.mean()) ** 2))
+def _log_linear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line log_y = slope x + intercept, with its R^2."""
+    slope, intercept = np.polyfit(x, log_y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((log_y - fitted) ** 2))
+    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(np.exp(slope)), r2
+    return slope, intercept, r2
 
 
 def power_iteration(
@@ -182,7 +181,7 @@ def power_iteration(
         lam_prev = lam
     if not converged:
         residual = eigen_residual()
-    scale = float(np.sum(mu.masses * psi(mu.points)))
+    scale = mu.integrate(psi)
     if scale <= 0:
         raise AuditError("eigenfunction has nonpositive mass against mu")
     h = psi.with_values(psi.values / scale)
@@ -197,7 +196,7 @@ def power_iteration(
     rates = []
     for _ in range(60):
         work = apply_transfer(imap, potential, work, p_hat=log_p)
-        mean = float(np.sum(mu.masses * work(mu.points)))
+        mean = mu.integrate(work)
         perp = work.values - mean * h.values
         r = float(np.max(np.abs(perp)))
         rates.append(r)
@@ -207,7 +206,8 @@ def power_iteration(
     usable = np.asarray([r for r in rates if r > 1e-14])
     if usable.size >= 3:
         tail = usable[-DEFLATE_WINDOW:]
-        rho_hat, r2 = _log_linear_rate(np.log(tail))
+        slope, _, r2 = _log_linear_fit(np.arange(tail.size, dtype=float), np.log(tail))
+        rho_hat = float(np.exp(slope))
         fit_points = int(tail.size)
     else:
         # probe collapsed immediately: subdominant part below resolution
@@ -251,7 +251,7 @@ def equilibrium_state(
     weights = mu.masses * eigen.h(mu.points)
     nu = AtomicMeasure.normalized(mu.points, weights, mu.domain)
     if potential is not None:
-        phi_mean = float(np.sum(nu.masses * potential(nu.points)))
+        phi_mean = nu.integrate(potential)
     else:
         phi_mean = 0.0
     entropy = eigen.log_eigenvalue - phi_mean
@@ -283,9 +283,7 @@ def adjoint_invariance_audit(
             fn, grid_size, imap.domain
         )
         image = apply_transfer(imap, potential, psi, p_hat=p_hat)
-        lhs = float(np.sum(mu.masses * image(mu.points)))
-        rhs = float(np.sum(mu.masses * psi(mu.points)))
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(mu.integrate(image) - mu.integrate(psi)))
     return worst
 
 
@@ -321,11 +319,7 @@ def fit_decay(ns: np.ndarray, c_values: np.ndarray) -> CorrelationReport:
             ns=ns, c_values=c_values, rho=None, prefactor=None,
             r_squared=None, below_resolution=True,
         )
-    slope, intercept = np.polyfit(ns[valid], np.log(c_values[valid]), 1)
-    fitted = slope * ns[valid] + intercept
-    log_c = np.log(c_values[valid])
-    ss_tot = float(np.sum((log_c - log_c.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((log_c - fitted) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _log_linear_fit(ns[valid], np.log(c_values[valid]))
     return CorrelationReport(
         ns=ns,
         c_values=c_values,

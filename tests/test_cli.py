@@ -402,6 +402,134 @@ class TestConfigValidation:
         assert filecmp.cmp(*files, shallow=False)
 
 
+POTENTIAL_SPECS = {
+    "constant": {"kind": "constant", "values": [-0.5]},
+    "branch_pw_constant": BERNOULLI,
+    "cosine_series": {"kind": "cosine_series", "coefficients": [0.3, -0.2],
+                      "offset": 0.1},
+    "pw_linear": {"kind": "pw_linear", "segments": [0.0, 0.5, 1.0],
+                  "values": [0.0, -0.5, 0.2]},
+}
+TENT = {"kind": "pw_linear", "breakpoints": [0.0, 0.5, 1.0],
+        "slopes": [2.0, -2.0], "intercepts": [0.0, 2.0]}
+
+
+BAD_NUMBERS = {"wrong-type": "0.5", "bool": True, "nan": float("nan"),
+               "inf": float("inf"), "null": None}
+
+
+def bad_lists(spec, key):
+    """Malformed values of the list `spec[key]`: each bad number in its
+    first place (named key[0]), null, an empty list and a non-list."""
+    cases = {f"item-{k}": ([v] + spec[key][1:], f"{key}[0]")
+             for k, v in BAD_NUMBERS.items()}
+    cases.update({k: (v, key) for k, v in
+                  {"null": None, "empty": [], "non-list": 0.5}.items()})
+    return cases
+
+
+def kind_cases(spec, where, command, wrap):
+    """Every malformed value of every key of a map or potential object at
+    key path `where`; `wrap` puts the object into a config."""
+    for key, value in spec.items():
+        if key == "kind":
+            bad = {"unknown": ("mystery", key), "number": (5, key),
+                   "null": (None, key)}
+        elif isinstance(value, list):
+            bad = bad_lists(spec, key)
+        else:
+            bad = {k: (v, key) for k, v in BAD_NUMBERS.items()}
+        for case, (bad_value, path) in bad.items():
+            yield pytest.param(
+                command, wrap({**spec, key: bad_value}), f"{where}.{path}",
+                id=f"{where}.{key}-{case}-{spec['kind']}",
+            )
+
+
+def malformed_cases():
+    """(command, config overrides, key path the error must name)."""
+    top = {
+        "seed": {**BAD_NUMBERS, "negative": -1, "fraction": 1.5},
+        "output_dir": {"wrong-type": 5, "bool": True, "null": None,
+                       "list": ["out"]},
+        "map": {"wrong-type": 5, "null": None, "list": []},
+        "potential": {"wrong-type": 5, "bool": True, "list": []},
+        "command_params": {"wrong-type": 5, "null": None, "list": []},
+    }
+    for key, bad in top.items():
+        for case, value in bad.items():
+            yield pytest.param("pressure", {key: value}, key, id=f"{key}-{case}")
+    for case, value in {**BAD_NUMBERS, "one": 1, "fraction": 2.5}.items():
+        yield pytest.param(
+            "pressure", {"map": {"kind": "full_linear", "branches": value}},
+            "map.branches", id=f"map.branches-{case}",
+        )
+    yield from kind_cases(TENT, "map", "pressure", lambda m: {"map": m})
+    for spec in POTENTIAL_SPECS.values():
+        yield from kind_cases(spec, "potential", "pressure",
+                              lambda v: {"potential": v})
+        yield from kind_cases(
+            spec, "command_params.chi", "curve",
+            lambda v: {"command_params": {"chi": v}},
+        )
+    for case, value in {"wrong-type": 5, "null": None}.items():
+        yield pytest.param("curve", {"command_params": {"chi": value}},
+                           "command_params.chi", id=f"chi-{case}")
+    # a zero alpha used to divide by zero before the norms library checked it
+    yield pytest.param("norms", {"command_params": {"alpha": 0}},
+                       "command_params.alpha", id="norms.alpha-zero")
+    observable = {"lo": 0.1, "hi": 0.4, "width": 0.05}
+    for case, (value, path) in {"wrong-type": (5, ""), "empty": ([], ""),
+                                "item": ([5], "[0]")}.items():
+        yield pytest.param(
+            "correlations", {"command_params": {"observables": value}},
+            f"command_params.observables{path}", id=f"observables-{case}",
+        )
+    for key in observable:
+        bad = dict(BAD_NUMBERS)
+        if key == "width":
+            bad.update({"zero": 0, "negative": -0.1})
+        for case, value in bad.items():
+            yield pytest.param(
+                "correlations",
+                {"command_params": {
+                    "observables": [observable, {**observable, key: value}]}},
+                f"command_params.observables[1].{key}",
+                id=f"observables.{key}-{case}",
+            )
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command, overrides, key", malformed_cases())
+    def test_exits_64_naming_the_key_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, overrides, key
+    ):
+        def walked(*args, **kwargs):
+            raise AssertionError("the tree walk ran")
+
+        for name in ("level_sums", "tree_pressure", "pressure_curve"):
+            monkeypatch.setattr(cli, name, walked)
+        path = write_config(tmp_path, **overrides)
+        assert main([command, str(path)]) == 64
+        assert f"{key} " in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"potential": {**BERNOULLI, "segments": [0.0, 0.6, 0.2, 1.0],
+                         "values": [0.0, -1.0, 0.5]}}, "potential"),
+         ({"potential": {**BERNOULLI, "values": [0.0]}}, "potential"),
+         ({"map": {**TENT, "slopes": [2.0]}}, "map")],
+        ids=["unsorted-segments", "segments-values-lengths", "map-lengths"],
+    )
+    def test_inconsistent_values_exit_64_naming_the_object(
+        self, tmp_path, capsys, overrides, key
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert main(["pressure", str(path)]) == 64
+        assert f"{path}: {key}: " in capsys.readouterr().err
+
+
 class TestPressureCommand:
     def test_tent_entropy_value(self, tmp_path):
         path = write_config(tmp_path, command_params={"n_max": 10})

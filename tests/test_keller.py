@@ -418,7 +418,7 @@ class TestNormReport:
         assert (kel.alpha, kel.A) == (0.5, 0.5)
         assert rep.bv_norm == rep.var_p + rep.sup
         assert rep.p == 2.0
-        assert rep.measure_size == 128
+        assert rep.measure is m
         for val in (kel.l1, rep.sup, kel.seminorm, rep.var_p):
             assert val >= 0
 
@@ -514,11 +514,25 @@ class TestNormChainAudit:
         h = norms_draw(np.random.default_rng(6), m.points, 0.5)
         rep = norm_report(h, m, 0.5, 0.5)
         if field == "measure_size":
-            rep = replace(rep, measure_size=value)
+            rep = replace(rep, measure=uniform_atoms(value))
         else:
             rep = replace(rep, keller=replace(rep.keller, **{field: value}))
         with pytest.raises(DomainError):
             norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+
+    def test_report_for_reweighted_measure_raises(self):
+        # same atom count and points, other masses: the report's Keller
+        # profile belongs to another measure
+        m = uniform_atoms(128)
+        h = step_function(m.points)
+        weights = 1.0 + m.points
+        other = AtomicMeasure(m.points, weights / weights.sum(), m.domain)
+        rep = norm_report(h, other, 0.5, 0.5)
+        with pytest.raises(DomainError, match="measure"):
+            norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        moved = AtomicMeasure(m.points * 0.5, m.masses, m.domain)
+        with pytest.raises(DomainError, match="measure"):
+            norm_chain_audit(h, m, 0.5, 0.5, report=norm_report(h, moved, 0.5, 0.5))
 
     @pytest.mark.parametrize("with_g", [False, True])
     def test_product_check_matches_full_reports(self, with_g):

@@ -52,6 +52,15 @@ def test_branch_constant_shape_mismatch():
         BranchConstantPotential((0.0, 1.0), (1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "edges", [(0.0, 0.6, 0.2, 1.0), (0.0, 0.5, 0.5, 1.0), (1.0, 0.5, 0.0), (0.0, np.nan, 1.0)]
+)
+def test_branch_constant_rejects_unsorted_edges(edges):
+    # searchsorted on unsorted edges would pick cells silently
+    with pytest.raises(DomainError, match="strictly increasing"):
+        BranchConstantPotential(edges, (1.0,) * (len(edges) - 1))
+
+
 def test_cosine_series_values():
     phi = CosineSeriesPotential((0.03,), offset=-0.1)
     assert phi(np.asarray(0.0)) == pytest.approx(-0.07)

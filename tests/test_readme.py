@@ -1,5 +1,6 @@
-"""README's Library example runs against the current API, and its file
-formats name every file a command writes.
+"""README's Library example runs against the current API, its file formats
+name every file a command writes, and its config reference names every key
+of the config schema tables, with each command parameter's numeric default.
 
 The block is executed as written, so a renamed function, a removed option
 or a changed call form that the README still shows fails here.
@@ -12,7 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from thermomap.cli import DEFAULT_BUDGET, RUNNERS, Experiment
+from thermomap.cli import (
+    CONFIG,
+    DEFAULT_BUDGET,
+    MAPS,
+    OBSERVABLE,
+    PARAMS,
+    POTENTIALS,
+    RUNNERS,
+    Experiment,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,3 +82,46 @@ def test_every_command_file_is_documented(tmp_path):
         files, _ = RUNNERS[command](Experiment(str(config), flags))
         for name, _, _ in files:
             assert f"`{name}`" in documented, f"{command}: {name}"
+
+
+def config_reference() -> dict:
+    """README's config reference: each list's intro (up to its first comma)
+    -> its bullets, each joined into one line."""
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"^Config reference\..*?^Exit codes:", text, re.M | re.S)
+    assert match, "README has no config reference"
+    lists = re.findall(r"^(\S.*):\n\n((?:(?:- |  ).*\n)+)", match.group(0), re.M)
+    return {
+        intro.split(",")[0]: [
+            " ".join(b.split()) for b in re.split(r"^- ", body, flags=re.M)[1:]
+        ]
+        for intro, body in lists
+    }
+
+
+def bullet(bullets: list, name: str) -> str:
+    """The one bullet whose head, the text before its first colon, names `name`."""
+    found = [b for b in bullets if f"`{name}`" in b.split(":")[0]]
+    assert len(found) == 1, f"{name}: {len(found)} bullets"
+    return found[0]
+
+
+def test_every_config_key_is_documented():
+    ref = config_reference()
+    for key in CONFIG:
+        bullet(ref["Top level"], key)
+    for intro, table in (("Map kinds", MAPS), ("Potential kinds", POTENTIALS)):
+        for kind, (schema, _) in table.items():
+            text = bullet(ref[intro], kind)
+            for key in schema:
+                assert f"`{key}`" in text, f"{intro}: {kind}.{key}"
+    assert sorted(PARAMS) == sorted(RUNNERS)
+    for command, schema in PARAMS.items():
+        text = bullet(ref["`command_params` per command"], command)
+        for key, (default, _) in schema.items():
+            numeric = type(default) in (int, float)
+            named = f"`{key}` {default:g}" if numeric else f"`{key}`"
+            assert named in text, f"{command}: {named}"
+    text = bullet(ref["`command_params` per command"], "correlations")
+    for key in OBSERVABLE:
+        assert f"`{key}`" in text, f"observables: {key}"
