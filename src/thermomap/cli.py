@@ -2,18 +2,18 @@
 
 Commands take a JSON config describing the map, the potential, and
 command-specific parameters, run the corresponding pipeline, and return
-their CSV artifacts with a status; `main` alone writes the artifacts into
-the configured output directory and maps the status to the exit code. All
-floating-point output uses 17 significant digits so files round-trip
-bit-exactly; identical configs and seeds produce byte-identical artifacts
-regardless of the ``--threads`` flag, which is accepted for interface
-stability but never changes results (orchestration is single-threaded by
-design).
+their CSV artifacts as rows keyed by column; `main` alone writes the
+artifacts into the configured output directory and reads the exit code
+from their status cells. All floating-point output uses 17 significant
+digits so files round-trip bit-exactly; identical configs and seeds
+produce byte-identical artifacts regardless of the ``--threads`` flag,
+which is accepted for interface stability but never changes results
+(orchestration is single-threaded by design).
 
 Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
-64 malformed configuration (message naming the key path; an unknown key is
-anchored to its line). On exit
-3 a flagged result is still written, with status ``budget`` (pressure,
+64 malformed or unreadable configuration or output directory (message
+naming the key path; an unknown key is anchored to its line). On exit 3
+a flagged result is still written, with status ``budget`` (pressure,
 entropy) or ``not_converged`` (conformal, equilibrium, correlations,
 audit-all); a raised failure writes nothing.
 """
@@ -253,7 +253,7 @@ class Experiment:
     """Validated configuration plus global flag overrides."""
 
     def __init__(self, config_path: str, args):
-        raw = Path(config_path).read_text()
+        raw = Path(config_path).read_text(encoding="utf-8")
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -360,7 +360,7 @@ PARAMS = {
         "n_max": (8, _INT),
         "t_lo": (-1.0, _REAL),
         "t_hi": (1.0, _REAL),
-        "t_count": (21, _INT),
+        "t_count": (21, _number(integer=True, low=5)),
         "chi": (REQUIRED, lambda exp, key, spec: exp.build(
             spec, key, POTENTIALS, exp.imap.domain)),
     },
@@ -376,21 +376,19 @@ PARAMS = {
 
 
 # ---------------------------------------------------------------------------
-# command pipelines: each returns (files, status), where files is a list of
-# (name, header, rows) for main to write and status is ok, audit_failed,
-# budget or not_converged; a measure file's rows are its AtomicMeasure
+# command pipelines: each returns its files, a list of (name, rows) for main
+# to write. A measure file's rows are its AtomicMeasure; any other file's rows
+# are dicts column -> cell, so the keys of its first row are its header. The
+# exit code is the worst of the status cells (EXIT_CODES).
 
 
-PRESSURE_HEADER = ("n", "p_n", "P_hat", "delta", "status")
-
-
-def _pressure_rows(report, requested_max: int):
+def _pressure_rows(report, requested_max: int) -> list[dict]:
     status = "ok" if report.depths[-1] >= requested_max else "budget"
-    rows = [
-        (int(n), p, report.estimate, report.fluctuation, status)
+    return [
+        {"n": int(n), "p_n": p, "P_hat": report.estimate,
+         "delta": report.fluctuation, "status": status}
         for n, p in zip(report.depths, report.p_values)
     ]
-    return rows, status
 
 
 def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
@@ -406,8 +404,7 @@ def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
         budget=exp.budget,
         partial_on_budget=True,
     )
-    rows, status = _pressure_rows(report, p["n_max"])
-    return [(filename, PRESSURE_HEADER, rows)], status
+    return [(filename, _pressure_rows(report, p["n_max"]))]
 
 
 def _conformal_pipeline(exp: Experiment, p: dict):
@@ -437,59 +434,30 @@ def _conformal_pipeline(exp: Experiment, p: dict):
     return trans, limit, tree
 
 
-def _conformal_row(trans, limit):
-    """The conformal.csv row; its last cell, the status, is ok only when the
-    weak limit converged."""
-    return (
-        trans.c,
-        trans.residual,
-        limit.s_values[-1],
-        limit.eta_final,
-        limit.stability,
-        "true" if limit.converged else "false",
-        int(limit.window[0]),
-        int(limit.window[1]),
-        "ok" if limit.converged else "not_converged",
-    )
-
-
-CONFORMAL_HEADER = (
-    "c",
-    "fit_residual",
-    "s_final",
-    "eta_final",
-    "stability",
-    "converged",
-    "window_lo",
-    "window_hi",
-    "status",
-)
+def _conformal_row(trans, limit) -> dict:
+    """The conformal.csv row; its status is ok only when the weak limit
+    converged."""
+    return {
+        "c": trans.c,
+        "fit_residual": trans.residual,
+        "s_final": limit.s_values[-1],
+        "eta_final": limit.eta_final,
+        "stability": limit.stability,
+        "converged": "true" if limit.converged else "false",
+        "window_lo": int(limit.window[0]),
+        "window_hi": int(limit.window[1]),
+        "status": "ok" if limit.converged else "not_converged",
+    }
 
 
 def cmd_conformal(exp: Experiment):
     p = exp.take(PARAMS["conformal"])
     trans, limit, _ = _conformal_pipeline(exp, p)
-    row = _conformal_row(trans, limit)
     return [
-        ("measure.csv", ("point", "mass"), limit.measure),
-        ("binned.csv", ("bin", "mass"), ((int(i), m) for i, m in enumerate(limit.binned))),
-        ("conformal.csv", CONFORMAL_HEADER, [row]),
-    ], row[-1]
-
-
-EQUILIBRIUM_HEADER = (
-    "lambda",
-    "log_lambda",
-    "tree_P_hat",
-    "entropy",
-    "potential_mean",
-    "residual",
-    "iterations",
-    "rho_hat",
-    "fit_r2",
-    "hyperbolicity",
-    "status",
-)
+        ("measure.csv", limit.measure),
+        ("binned.csv", [{"bin": int(i), "mass": m} for i, m in enumerate(limit.binned)]),
+        ("conformal.csv", [_conformal_row(trans, limit)]),
+    ]
 
 
 def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
@@ -506,41 +474,40 @@ def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
     return eigen, hyper, state
 
 
-def _equilibrium_row(tree, limit, eigen, hyper, state):
-    """The equilibrium.csv row; its last cell, the status, is ok only when
-    both the weak limit and the eigenpair converged."""
-    return (
-        eigen.eigenvalue,
-        eigen.log_eigenvalue,
-        tree.estimate,
-        state.entropy,
-        state.potential_mean,
-        eigen.residual,
-        int(eigen.iterations),
-        eigen.rho_hat,
-        eigen.fit_r2,
-        hyper.verdict,
-        "ok" if limit.converged and eigen.converged else "not_converged",
-    )
+def _equilibrium_row(tree, limit, eigen, hyper, state) -> dict:
+    """The equilibrium.csv row; its status is ok only when both the weak
+    limit and the eigenpair converged."""
+    return {
+        "lambda": eigen.eigenvalue,
+        "log_lambda": eigen.log_eigenvalue,
+        "tree_P_hat": tree.estimate,
+        "entropy": state.entropy,
+        "potential_mean": state.potential_mean,
+        "residual": eigen.residual,
+        "iterations": int(eigen.iterations),
+        "rho_hat": eigen.rho_hat,
+        "fit_r2": eigen.fit_r2,
+        "hyperbolicity": hyper.verdict,
+        "status": "ok" if limit.converged and eigen.converged else "not_converged",
+    }
 
 
 def cmd_equilibrium(exp: Experiment):
     p = exp.take(PARAMS["equilibrium"])
     _, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
-    row = _equilibrium_row(tree, limit, eigen, hyper, state)
     return [
-        ("mu.csv", ("point", "mass"), limit.measure),
-        ("nu.csv", ("point", "mass"), state.nu),
-        ("equilibrium.csv", EQUILIBRIUM_HEADER, [row]),
-    ], row[-1]
+        ("mu.csv", limit.measure),
+        ("nu.csv", state.nu),
+        ("equilibrium.csv", [_equilibrium_row(tree, limit, eigen, hyper, state)]),
+    ]
 
 
 def cmd_correlations(exp: Experiment):
     p = exp.take(PARAMS["correlations"])
     _, limit, tree = _conformal_pipeline(exp, p)
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
-    status = _equilibrium_row(tree, limit, eigen, hyper, state)[-1]
+    status = _equilibrium_row(tree, limit, eigen, hyper, state)["status"]
     fns = p["observables"]
     batch = correlation(exp.imap, fns, fns, state.nu, n_max=p["lags"])
     rows = []
@@ -548,10 +515,10 @@ def cmd_correlations(exp: Experiment):
         flag = "below_resolution" if rep.below_resolution else "ok"
         for n, c in zip(rep.ns, rep.c_values):
             # write_csv writes a missing fit (None) as nan
-            rows.append((int(idx), int(n), c, rep.rho, rep.r_squared,
-                         flag if status == "ok" else status))
-    header = ("observable", "n", "c_n", "rho", "r_squared", "status")
-    return [("correlations.csv", header, rows)], status
+            rows.append({"observable": int(idx), "n": int(n), "c_n": c, "rho": rep.rho,
+                         "r_squared": rep.r_squared,
+                         "status": flag if status == "ok" else status})
+    return [("correlations.csv", rows)]
 
 
 def cmd_norms(exp: Experiment):
@@ -559,7 +526,6 @@ def cmd_norms(exp: Experiment):
     rng = np.random.default_rng(exp.seed)
     m = uniform_atoms(p["atoms"], exp.imap.domain)
     rows = []
-    all_passed = True
     for draw in range(p["draws"]):
         values = np.zeros(p["atoms"])
         for _ in range(rng.integers(0, 4)):
@@ -572,39 +538,21 @@ def cmd_norms(exp: Experiment):
         h = SampledFunction(m.points, values)
         report = norm_report(h, m, p["alpha"], p["scale"], p=p["p"])
         audit = norm_chain_audit(h, m, p["alpha"], p["scale"], report=report)
-        all_passed &= audit.passed
-        worst = min(chk.slack for chk in audit.checks)
-        rows.append(
-            (
-                int(draw),
-                p["alpha"],
-                report.keller.l1,
-                report.keller.seminorm,
-                report.keller.norm,
-                report.var_p,
-                report.bv_norm,
-                report.holder_norm,
-                audit.c_star,
-                "true" if audit.passed else "false",
-                worst,
-                "ok" if audit.passed else "audit_failed",
-            )
-        )
-    header = (
-        "draw",
-        "alpha",
-        "l1",
-        "keller_seminorm",
-        "keller_norm",
-        "var_p",
-        "bv_norm",
-        "holder_norm",
-        "c_star",
-        "passed",
-        "worst_slack",
-        "status",
-    )
-    return [("norms.csv", header, rows)], "ok" if all_passed else "audit_failed"
+        rows.append({
+            "draw": int(draw),
+            "alpha": p["alpha"],
+            "l1": report.keller.l1,
+            "keller_seminorm": report.keller.seminorm,
+            "keller_norm": report.keller.norm,
+            "var_p": report.var_p,
+            "bv_norm": report.bv_norm,
+            "holder_norm": report.holder_norm,
+            "c_star": audit.c_star,
+            "passed": "true" if audit.passed else "false",
+            "worst_slack": min(chk.slack for chk in audit.checks),
+            "status": "ok" if audit.passed else "audit_failed",
+        })
+    return [("norms.csv", rows)]
 
 
 def cmd_curve(exp: Experiment):
@@ -620,45 +568,31 @@ def cmd_curve(exp: Experiment):
         budget=exp.budget,
     )
     rows = [
-        (t, est, d1, d2, curve.fit_residual)
+        {"t": t, "P_hat": est, "dP_central": d1, "d2P_central": d2,
+         "fit_residual": curve.fit_residual}
         for t, est, d1, d2 in zip(
             curve.ts, curve.estimates, curve.first_diff, curve.second_diff
         )
     ]
-    header = ("t", "P_hat", "dP_central", "d2P_central", "fit_residual")
-    return [("curve.csv", header, rows)], "ok"
+    return [("curve.csv", rows)]
 
 
 def cmd_appendix(exp: Experiment):
     p = exp.take(PARAMS["appendix"])
     rep = appendix_construct(p["gap"], x0=p["x0"], n_max=p["n_max"], budget=exp.budget)
-    header = (
-        "gap",
-        "sup_phi",
-        "inf_phi",
-        "phi_range",
-        "P_hat",
-        "entropy",
-        "hyperbolic",
-        "hyperbolic_margin",
-        "bounded_range",
-        "phi_at_fixed_point",
-        "status",
-    )
-    row = (
-        rep.gap,
-        rep.sup_phi,
-        rep.inf_phi,
-        rep.phi_range,
-        rep.pressure.estimate,
-        rep.entropy.estimate,
-        "true" if rep.hyperbolic else "false",
-        rep.hyperbolic_margin,
-        "true" if rep.bounded_range else "false",
-        rep.phi_at_fixed_point,
-        "ok",
-    )
-    return [("appendix.csv", header, [row])], "ok"
+    return [("appendix.csv", [{
+        "gap": rep.gap,
+        "sup_phi": rep.sup_phi,
+        "inf_phi": rep.inf_phi,
+        "phi_range": rep.phi_range,
+        "P_hat": rep.pressure.estimate,
+        "entropy": rep.entropy.estimate,
+        "hyperbolic": "true" if rep.hyperbolic else "false",
+        "hyperbolic_margin": rep.hyperbolic_margin,
+        "bounded_range": "true" if rep.bounded_range else "false",
+        "phi_at_fixed_point": rep.phi_at_fixed_point,
+        "status": "ok",
+    }])]
 
 
 def _single_branch_intervals(imap: IntervalMap, count: int):
@@ -717,32 +651,31 @@ def cmd_audit_all(exp: Experiment):
         ("eigen_vs_tree", abs(eigen.log_eigenvalue - tree.estimate),
          max(2.0 * tree.fluctuation, 1e-2)),
         ("adjoint_max_deviation", dev, p["adjoint_bound"]),
+        # reported, not bounded: a nan bound passes its value
+        ("atom_max_bin_mass_512", float(atoms.max_bin_masses[-1]), float("nan")),
     ]
-    audit_rows = [
-        (name, value, bound, "true" if value <= bound else "false",
-         "ok" if value <= bound else "audit_failed")
-        for name, value, bound in audits
-    ]
-    audit_rows.append(
-        ("atom_max_bin_mass_512", float(atoms.max_bin_masses[-1]), float("nan"),
-         "true", "ok")
-    )
-    pressure_rows, _ = _pressure_rows(tree, p["tree_depth"])
-    row = _equilibrium_row(tree, limit, eigen, hyper, state)
-    status = row[-1]
-    if status == "ok" and any(r[-1] == "audit_failed" for r in audit_rows):
-        status = "audit_failed"
+    audit_rows = []
+    for name, value, bound in audits:
+        passed = value <= bound or np.isnan(bound)
+        audit_rows.append({"name": name, "value": value, "bound": bound,
+                           "passed": "true" if passed else "false",
+                           "status": "ok" if passed else "audit_failed"})
     return [
-        ("pressure.csv", PRESSURE_HEADER, pressure_rows),
-        ("measure.csv", ("point", "mass"), mu),
-        ("conformal.csv", CONFORMAL_HEADER, [_conformal_row(trans, limit)]),
-        ("nu.csv", ("point", "mass"), state.nu),
-        ("equilibrium.csv", EQUILIBRIUM_HEADER, [row]),
-        ("audit.csv", ("name", "value", "bound", "passed", "status"), audit_rows),
-    ], status
+        ("pressure.csv", _pressure_rows(tree, p["tree_depth"])),
+        ("measure.csv", mu),
+        ("conformal.csv", [_conformal_row(trans, limit)]),
+        ("nu.csv", state.nu),
+        ("equilibrium.csv", [_equilibrium_row(tree, limit, eigen, hyper, state)]),
+        ("audit.csv", audit_rows),
+    ]
 
 
-RUNNERS: dict[str, Callable[[Experiment], tuple[list, str]]] = {
+# status cell -> exit code; main exits with the largest over the rows it writes
+EXIT_CODES = {
+    "ok": 0, "below_resolution": 0, "audit_failed": 2, "budget": 3, "not_converged": 3,
+}
+
+RUNNERS: dict[str, Callable[[Experiment], list]] = {
     "pressure": partial(cmd_tree_pressure, filename="pressure.csv", weighted=True),
     "entropy": partial(cmd_tree_pressure, filename="entropy.csv", weighted=False),
     "conformal": cmd_conformal,
@@ -782,8 +715,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         exp = Experiment(args.config, args)
         exp.outdir.mkdir(parents=True, exist_ok=True)
-        files, status = RUNNERS[args.command](exp)
-    except (ConfigError, FileNotFoundError, DomainError) as exc:
+        files = RUNNERS[args.command](exp)
+    except (ConfigError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
     except AuditError as exc:
@@ -792,11 +725,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BudgetError, ConvergenceError) as exc:
         print(f"resource/convergence failure: {exc}", file=sys.stderr)
         return 3
-    for name, header, rows in files:
+    code = 0
+    for name, rows in files:
         if isinstance(rows, AtomicMeasure):  # stacked only as it is written
-            rows = np.column_stack((rows.points, rows.masses))
+            header, rows = ("point", "mass"), np.column_stack((rows.points, rows.masses))
+        else:
+            header = tuple(rows[0])
+            code = max(code, *(EXIT_CODES[row.get("status", "ok")] for row in rows))
+            rows = [tuple(row.values()) for row in rows]
         write_csv(exp.outdir / name, header, rows)
-    return {"ok": 0, "audit_failed": 2, "budget": 3, "not_converged": 3}[status]
+    return code
 
 
 if __name__ == "__main__":

@@ -159,12 +159,16 @@ class KellerReport:
     argmax_eps: float
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 1:
+        raise DomainError("alpha must lie in (0, 1]")
+
+
 def keller_seminorm(
     h: SampledFunction, m: AtomicMeasure, alpha: float, A: float
 ) -> KellerReport:
     """|h| over the grid {A 2^-i} plus the L1 part of the norm."""
-    if not 0 < alpha <= 1:
-        raise DomainError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     if A <= 0:
         raise DomainError("A must be positive")
     grid = eps_grid(A)
@@ -228,8 +232,7 @@ def holder_seminorm(h: SampledFunction, alpha: float) -> float:
     the scan stops. The quotients compared are the same floats as in a scan
     of every pair, so the max is the same.
     """
-    if not 0 < alpha <= 1:
-        raise DomainError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     x, v = h.positions, h.values
     spread = float(np.max(v) - np.min(v))
     best = 0.0
@@ -275,9 +278,9 @@ def norm_report(
     A: float,
     p: Optional[float] = None,
 ) -> NormReport:
+    kel = keller_seminorm(h, m, alpha, A)  # checks alpha before 1 / alpha
     if p is None:
         p = 1.0 / alpha
-    kel = keller_seminorm(h, m, alpha, A)
     sup = float(np.max(np.abs(h.values)))
     var = p_variation(h, p)
     hol = holder_seminorm(h, alpha)
@@ -341,6 +344,7 @@ def norm_chain_audit(
     another p only Var^{1/alpha} is recomputed; one for another alpha, A
     or measure (other points or masses) raises DomainError.
     """
+    _check_alpha(alpha)
     if g is None:
         g = h
     p = 1.0 / alpha

@@ -407,7 +407,8 @@ def pressure_curve(
     n_max: int = 8,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> PressureCurve:
-    """Tree pressure of phi + t*chi on a uniform t grid.
+    """Tree pressure of phi + t*chi on a uniform t grid of at least 5 points
+    and a nonzero step.
 
     Reports central first and second differences (ends are nan) and the RMS
     residual of a least-squares cubic over the points with
@@ -418,8 +419,8 @@ def pressure_curve(
     if ts.size < 5:
         raise DomainError("need at least 5 curve points")
     steps = np.diff(ts)
-    if not np.allclose(steps, steps[0], rtol=0, atol=1e-12):
-        raise DomainError("t grid must be uniform")
+    if steps[0] == 0 or not np.allclose(steps, steps[0], rtol=0, atol=1e-12):
+        raise DomainError("t grid must be uniform with a nonzero step")
     estimates = np.empty(ts.size)
     fluctuations = np.empty(ts.size)
     for i, t in enumerate(ts):

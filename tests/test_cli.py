@@ -327,6 +327,29 @@ class TestConfigValidation:
     def test_missing_file_exits_64(self, tmp_path):
         assert main(["pressure", str(tmp_path / "nope.json")]) == 64
 
+    @pytest.mark.parametrize(
+        "case", ["config-is-directory", "config-not-utf8", "output-dir-is-file"]
+    )
+    def test_unreadable_config_or_output_dir_exits_64(self, tmp_path, capsys, case):
+        path = write_config(tmp_path)
+        if case == "config-is-directory":
+            path = tmp_path / "configs"
+            path.mkdir()
+        elif case == "config-not-utf8":
+            path.write_bytes(path.read_bytes() + b"\xff")
+        else:
+            (tmp_path / "out").write_text("a file\n")
+
+        def tree():
+            return sorted(
+                (str(p), p.is_file() and p.read_bytes()) for p in tmp_path.rglob("*")
+            )
+
+        before = tree()
+        assert main(["pressure", str(path)]) == 64
+        assert "config error:" in capsys.readouterr().err
+        assert tree() == before  # nothing written
+
     def test_bad_threads_flag_exits_64(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["pressure", str(path), "--threads", "0"]) == 64
@@ -363,6 +386,8 @@ class TestConfigValidation:
             ("norms", {"alpha": "0.5"}),
             ("norms", {"scale": float("inf")}),
             ("curve", {"t_count": 9.0, "chi": BERNOULLI}),
+            ("curve", {"t_count": -1, "chi": BERNOULLI}),
+            ("curve", {"t_count": 4, "chi": BERNOULLI}),
             ("conformal", {"bins": 0}),
             ("conformal", {"bins": -4}),
             ("audit-all", {"intervals": 0}),
@@ -370,7 +395,8 @@ class TestConfigValidation:
         ],
         ids=["int-string", "int-fraction", "int-bool", "float-string",
              "float-bool", "float-nan", "int-huge", "float-null", "alpha-string",
-             "scale-inf", "t_count-float", "bins-zero", "bins-negative",
+             "scale-inf", "t_count-float", "t_count-negative", "t_count-four",
+             "bins-zero", "bins-negative",
              "intervals-zero", "intervals-negative"],
     )
     def test_bad_param_exits_64_before_any_work(
@@ -904,6 +930,14 @@ class TestCurveCommand:
         assert rows[0][2] == "nan" and rows[-1][3] == "nan"
         interior = [float(r[3]) for r in rows[1:-1]]
         assert all(d2 >= -1e-9 for d2 in interior)
+
+    def test_zero_t_step_exits_64_and_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, command_params={
+            "t_lo": 0.5, "t_hi": 0.5, "t_count": 5, "n_max": 4, "chi": BERNOULLI,
+        })
+        assert main(["curve", str(path)]) == 64
+        assert "nonzero step" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_missing_chi_exits_64(self, tmp_path):
         path = write_config(tmp_path, command_params={"t_count": 5})

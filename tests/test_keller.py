@@ -422,6 +422,12 @@ class TestNormReport:
         for val in (kel.l1, rep.sup, kel.seminorm, rep.var_p):
             assert val >= 0
 
+    def test_rejects_zero_alpha(self):
+        # alpha is checked before the default p = 1 / alpha is formed
+        m = uniform_atoms(8)
+        with pytest.raises(DomainError, match="alpha"):
+            norm_report(step_function(m.points), m, 0.0, 0.5)
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_osc_power_integrals_bit_equal_to_profiles(self, alpha):
         m = uniform_atoms(256)
@@ -434,6 +440,15 @@ class TestNormReport:
 
 
 class TestNormChainAudit:
+    def test_rejects_zero_alpha(self):
+        # with or without a report, alpha is checked before 1 / alpha
+        m = uniform_atoms(8)
+        h = step_function(m.points)
+        with pytest.raises(DomainError, match="alpha"):
+            norm_chain_audit(h, m, 0.0, 0.5)
+        with pytest.raises(DomainError, match="alpha"):
+            norm_chain_audit(h, m, 0.0, 0.5, report=norm_report(h, m, 0.5, 0.5))
+
     def test_constant_passes_trivially(self):
         m = uniform_atoms(64)
         h = SampledFunction(m.points, np.full(64, 2.0))

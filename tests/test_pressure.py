@@ -422,6 +422,12 @@ def test_pressure_curve_rejects_nonuniform_grid():
         )
 
 
+def test_pressure_curve_rejects_zero_step():
+    # a zero step would divide the central differences by zero
+    with pytest.raises(DomainError, match="nonzero step"):
+        pressure_curve(tent_map(), None, ConstantPotential(1.0), np.full(5, 0.5))
+
+
 def test_constant_shift_calibration():
     f = tent_map()
     phi = CosineSeriesPotential((0.3,), offset=-0.2)

@@ -1,6 +1,7 @@
 """README's Library example runs against the current API, its file formats
-name every file a command writes, and its config reference names every key
-of the config schema tables, with each command parameter's numeric default.
+name every file a command writes with its header, and its config reference
+names every key of the config schema tables, with each command parameter's
+numeric default.
 
 The block is executed as written, so a renamed function, a removed option
 or a changed call form that the README still shows fails here.
@@ -23,6 +24,7 @@ from thermomap.cli import (
     RUNNERS,
     Experiment,
 )
+from thermomap.conformal import AtomicMeasure
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,14 +62,18 @@ SMALL_PARAMS = {
 }
 
 
-def file_formats_section() -> str:
+def file_formats_section() -> list:
+    """README's File formats bullets, each joined into one line."""
     text = (ROOT / "README.md").read_text()
     match = re.search(r"^File formats:\n\n((?:(?:- |  ).*\n)+)", text, re.M)
     assert match, "README has no 'File formats:' list"
-    return match.group(1)
+    return [" ".join(b.split()) for b in re.split(r"^- ", match.group(1), flags=re.M)[1:]]
 
 
 def test_every_command_file_is_documented(tmp_path):
+    """Each file a command returns has the one File formats bullet naming it,
+    and that bullet shows the file's header: `point,mass` for a measure,
+    else the keys of its first row."""
     documented = file_formats_section()
     assert sorted(SMALL_PARAMS) == sorted(RUNNERS)
     flags = argparse.Namespace(budget=DEFAULT_BUDGET, grid=256, tol=1e-10)
@@ -79,9 +85,10 @@ def test_every_command_file_is_documented(tmp_path):
                           "segments": [0.0, 0.5, 1.0], "values": [0.0, -1.0]},
             "command_params": params,
         }))
-        files, _ = RUNNERS[command](Experiment(str(config), flags))
-        for name, _, _ in files:
-            assert f"`{name}`" in documented, f"{command}: {name}"
+        files = RUNNERS[command](Experiment(str(config), flags))
+        for name, rows in files:
+            header = "point,mass" if isinstance(rows, AtomicMeasure) else ",".join(rows[0])
+            assert f"`{header}`" in bullet(documented, name), f"{command}: {name}"
 
 
 def config_reference() -> dict:

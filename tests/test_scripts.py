@@ -14,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
+    "cli_sweep.py": (["--depth", "6", "--grid", "64"], ["cli_sweep.csv"]),
     "conformal_pipeline.py": (
         ["--depth", "10"],
         ["weighted_doubling_measure.csv", "weighted_doubling_equilibrium.csv"],
