@@ -67,7 +67,7 @@ def main():
                       zip(atoms.levels, atoms.max_bin_masses)))
 
     eig = power_iteration(imap, phi, grid_size=4096)
-    state = equilibrium_state(imap, phi, m, eig, hyperbolic=True)
+    state = equilibrium_state(phi, m, eig, hyperbolic=True)
     expected = np.log(1 + np.exp(-1.0)) + (1.0 - p_left)
     print(f"leading eigenvalue : {eig.eigenvalue:.12f} "
           f"(exact {1 + np.exp(-1.0):.12f})")

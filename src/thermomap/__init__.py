@@ -38,7 +38,6 @@ from .pressure import (
     pressure_curve,
     pressure_report,
     separated_pressure,
-    topological_entropy,
     tree_pressure,
 )
 from .transfer import (
@@ -86,7 +85,6 @@ __all__ = [
     "pw_linear_map",
     "separated_pressure",
     "spectral_gap_estimate",
-    "topological_entropy",
     "transition_parameter",
     "tree_pressure",
     "uniform_atoms",

@@ -382,8 +382,8 @@ PARAMS = {
 # exit code is the worst of the status cells (EXIT_CODES).
 
 
-def _pressure_rows(report, requested_max: int) -> list[dict]:
-    status = "ok" if report.depths[-1] >= requested_max else "budget"
+def _pressure_rows(report) -> list[dict]:
+    status = "ok" if report.complete else "budget"
     return [
         {"n": int(n), "p_n": p, "P_hat": report.estimate,
          "delta": report.fluctuation, "status": status}
@@ -404,7 +404,7 @@ def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
         budget=exp.budget,
         partial_on_budget=True,
     )
-    return [(filename, _pressure_rows(report, p["n_max"]))]
+    return [(filename, _pressure_rows(report))]
 
 
 def _conformal_pipeline(exp: Experiment, p: dict):
@@ -468,8 +468,7 @@ def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
         exp.imap, exp.potential, tree.estimate, grid_size=exp.grid
     )
     state = equilibrium_state(
-        exp.imap, exp.potential, mu, eigen,
-        hyperbolic=hyper.verdict == "hyperbolic",
+        exp.potential, mu, eigen, hyperbolic=hyper.verdict == "hyperbolic"
     )
     return eigen, hyper, state
 
@@ -619,7 +618,7 @@ def cmd_audit_all(exp: Experiment):
         trans.c,
         _single_branch_intervals(exp.imap, p["intervals"]),
     )
-    atoms = atom_audit(mu, (64, 512))
+    atoms = atom_audit(mu, (512,))
     support = float(np.min(mu.bin_masses(64)))
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, mu)
 
@@ -661,7 +660,7 @@ def cmd_audit_all(exp: Experiment):
                            "passed": "true" if passed else "false",
                            "status": "ok" if passed else "audit_failed"})
     return [
-        ("pressure.csv", _pressure_rows(tree, p["tree_depth"])),
+        ("pressure.csv", _pressure_rows(tree)),
         ("measure.csv", mu),
         ("conformal.csv", [_conformal_row(trans, limit)]),
         ("nu.csv", state.nu),

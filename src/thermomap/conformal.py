@@ -51,6 +51,9 @@ class AtomicMeasure:
     def __post_init__(self) -> None:
         if self.points.size != self.masses.size or self.points.size == 0:
             raise DomainError("measure needs matching nonempty points and masses")
+        # checked first: nan fails no order, sign or sum comparison below
+        if not (np.isfinite(self.points).all() and np.isfinite(self.masses).all()):
+            raise DomainError("points and masses must be finite")
         if np.any(np.diff(self.points) < 0):
             raise DomainError("points must be ascending")
         if np.any(self.masses < 0):

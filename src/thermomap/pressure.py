@@ -5,8 +5,9 @@ of weighted preimages, optionally with the deep levels themselves; the tree
 estimator averages those sums, and the conformal construction reduces the
 same walk. The separated-set estimator greedily packs grid points under the
 iterated sup metric and serves as an independent cross-check. The module also houses the
-hyperbolicity and bounded-range classifiers, the pressure-curve smoothness
-probe, and the four-branch construction separating those two conditions.
+hyperbolicity classifier, the pressure-curve smoothness probe, and the
+four-branch construction of a hyperbolic potential whose range exceeds the
+entropy.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from .maps import (
     iter_preimage_levels,
     pw_linear_map,
 )
-from .potentials import (
-    ConstantPotential,
-    PiecewiseLinearPotential,
-    Potential,
-    potential_range,
-)
+from .potentials import PiecewiseLinearPotential, Potential, potential_range
 
 BREAKPOINT_REJECT_TOL = 1e-12
 CURVE_FIT_WINDOW = 0.2
@@ -236,19 +232,6 @@ def tree_pressure(
     return pressure_report(sums, n_max, n_min)
 
 
-def topological_entropy(
-    imap: IntervalMap,
-    x0: float = 0.3,
-    n_max: int = 15,
-    budget: int = DEFAULT_NODE_BUDGET,
-    partial_on_budget: bool = False,
-) -> PressureReport:
-    """Tree pressure of the zero potential."""
-    return tree_pressure(
-        imap, None, x0, n_max, budget=budget, partial_on_budget=partial_on_budget
-    )
-
-
 @dataclass(frozen=True)
 class SeparatedSetEstimate:
     """Greedy lower bound for the separated-set pressure supremum.
@@ -379,12 +362,6 @@ def hyperbolicity_check(
     return HyperbolicityReport("unknown", None, 0.0)
 
 
-def bounded_range_check(phi_range: tuple[float, float], h_top: float) -> bool:
-    """Whether the potential's oscillation stays below the entropy."""
-    lo, hi = min(phi_range), max(phi_range)
-    return (hi - lo) < h_top
-
-
 @dataclass(frozen=True)
 class PressureCurve:
     """Pressure along a one-parameter potential family with smoothness data."""
@@ -487,6 +464,8 @@ def appendix_construct(
 ) -> AppendixReport:
     if gap <= 0:
         raise DomainError("gap must be positive")
+    if n_max < 1:
+        raise DomainError("need n_max >= 1")
     imap = pw_linear_map(
         [0.0, 0.25, 0.5, 0.75, 1.0],
         [4.0, -4.0, 4.0, -4.0],
@@ -496,10 +475,13 @@ def appendix_construct(
     depth = -(gap + 0.5)
     phi = PiecewiseLinearPotential((0.0, 0.5, 0.75, 1.0), (0.0, 0.0, depth, depth))
     inf_phi, sup_phi = potential_range(phi, imap.domain)
-    pressure = tree_pressure(imap, phi, x0, n_max, budget=budget)
-    # zero-potential level sums factorize (4^n preimages), so a short tree
-    # already gives the entropy exactly
-    entropy = topological_entropy(imap, x0, n_max=6, budget=budget)
+    phi_range = sup_phi - inf_phi
+    # one walk serves both reports: zero-potential level sums factorize (4^n
+    # preimages), so depth 6 already gives the entropy exactly, and their
+    # log-sum-exp is log #f^{-n}(x0), which the walk counts anyway
+    sums = level_sums(imap, phi, x0, max(n_max, 6), budget)
+    pressure = pressure_report(sums, n_max)
+    entropy = pressure_report(replace(sums, a_values=np.log(sums.counts)), 6)
     hyper = hyperbolicity_check(imap, phi, pressure.estimate, n_max=1)
     fixed_point = 0.8  # solves 4 - 4x = x on the last branch
     return AppendixReport(
@@ -508,12 +490,12 @@ def appendix_construct(
         gap=gap,
         sup_phi=sup_phi,
         inf_phi=inf_phi,
-        phi_range=sup_phi - inf_phi,
+        phi_range=phi_range,
         pressure=pressure,
         entropy=entropy,
         hyperbolic=hyper.verdict == "hyperbolic",
         hyperbolic_margin=hyper.margin,
-        bounded_range=bounded_range_check((inf_phi, sup_phi), entropy.estimate),
+        bounded_range=phi_range < entropy.estimate,
         fixed_point=fixed_point,
         phi_at_fixed_point=float(phi(np.asarray(fixed_point))),
     )

@@ -149,38 +149,35 @@ def power_iteration(
 
     The eigenvalue is the asymptotic sup-norm growth factor; iteration
     stops when consecutive factors agree within tol and the eigen-residual
-    is below 10 tol. The eigenfunction is rescaled to integrate to 1
-    against mu (uniform midpoint atoms when omitted). The subdominant rate
-    rho_hat is fitted from the decay of a deflated probe under the
-    normalized operator, using the last DEFLATE_WINDOW resolvable steps.
+    is below 10 tol, or after max_iter >= 1 steps. A run of k steps applies
+    the operator k + 1 times: each image gives both the previous step's
+    residual and the next iterate. The eigenfunction is rescaled to
+    integrate to 1 against mu (uniform midpoint atoms when omitted). The
+    subdominant rate rho_hat is fitted from the decay of a deflated probe
+    under the normalized operator, using the last DEFLATE_WINDOW resolvable
+    steps.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
+    if max_iter < 1:
+        raise DomainError("max_iter must be at least 1")
     if mu is None:
         mu = uniform_atoms(grid_size, imap.domain)
     psi = GridFunction.constant(1.0, grid_size, imap.domain)
+    image = apply_transfer(imap, potential, psi)
     lam_prev = np.inf
-    lam = 1.0
     converged = False
-    iterations = 0
-
-    def eigen_residual() -> float:
-        image = apply_transfer(imap, potential, psi)
-        return float(np.max(np.abs(image.values / lam - psi.values)))
     for iterations in range(1, max_iter + 1):
-        image = apply_transfer(imap, potential, psi)
         lam = float(np.max(np.abs(image.values)))
         if lam <= 0:
             raise ConvergenceError("operator annihilated the iterate")
         psi = image.with_values(image.values / lam)
-        if abs(lam - lam_prev) < tol:
-            residual = eigen_residual()
-            if residual < 10 * tol:
-                converged = True
-                break
+        image = apply_transfer(imap, potential, psi)
+        residual = float(np.max(np.abs(image.values / lam - psi.values)))
+        if abs(lam - lam_prev) < tol and residual < 10 * tol:
+            converged = True
+            break
         lam_prev = lam
-    if not converged:
-        residual = eigen_residual()
     scale = mu.integrate(psi)
     if scale <= 0:
         raise AuditError("eigenfunction has nonpositive mass against mu")
@@ -235,7 +232,6 @@ class EquilibriumState:
 
 
 def equilibrium_state(
-    imap: IntervalMap,
     potential: Optional[Potential],
     mu: AtomicMeasure,
     eigen: EigenReport,
@@ -248,8 +244,9 @@ def equilibrium_state(
     strictly positive; a nonpositive value then indicates a broken
     eigenpair or measure and is raised as an audit failure.
     """
+    # mu's atoms are already sorted and distinct: nu keeps them as they are
     weights = mu.masses * eigen.h(mu.points)
-    nu = AtomicMeasure.normalized(mu.points, weights, mu.domain)
+    nu = AtomicMeasure(mu.points, weights / weights.sum(), mu.domain)
     if potential is not None:
         phi_mean = nu.integrate(potential)
     else:
@@ -432,7 +429,7 @@ def spectral_gap_estimate(
     away.
     """
     eigen = power_iteration(imap, potential, grid_size=grid_size, mu=mu)
-    state = equilibrium_state(imap, potential, mu, eigen)
+    state = equilibrium_state(potential, mu, eigen)
     if n_max is None:
         # step-observable correlations on an M-atom measure are clean down
         # to roughly lag log2(M)/2; keep a two-lag margin above that floor

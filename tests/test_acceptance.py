@@ -291,7 +291,7 @@ def test_equilibrium_entropy(bern_limit):
     """8: weighted-case entropy matches both closed forms; positive always."""
     imap, phi, _, limit = bern_limit
     eig = power_iteration(imap, phi, grid_size=4096)
-    state = equilibrium_state(imap, phi, limit.measure, eig, hyperbolic=True)
+    state = equilibrium_state(phi, limit.measure, eig, hyperbolic=True)
     expected = C_BERN + (1.0 - P0)
     shannon = float(-P0 * np.log(P0) - (1.0 - P0) * np.log(1.0 - P0))
     err_closed = abs(state.entropy - expected)
@@ -311,7 +311,7 @@ def test_equilibrium_entropy(bern_limit):
             continue
         verified += 1
         eig2 = power_iteration(imap2, phi2, grid_size=2048)
-        state2 = equilibrium_state(imap2, phi2, mu2, eig2, hyperbolic=True)
+        state2 = equilibrium_state(phi2, mu2, eig2, hyperbolic=True)
         positive &= state2.entropy > 0.0
 
     ok = err_closed <= 5e-3 and err_shannon <= 5e-3 and positive and verified > 0

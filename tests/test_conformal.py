@@ -97,6 +97,25 @@ class TestAtomicMeasure:
         with pytest.raises(DomainError):
             AtomicMeasure.normalized(np.array([0.2]), np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "points, masses",
+        [
+            ([np.nan], [1.0]),
+            ([np.inf], [1.0]),
+            ([0.2, np.nan], [0.5, 0.5]),
+            ([-np.inf, 0.5], [0.5, 0.5]),
+            ([0.5], [np.nan]),
+            ([0.2, 0.5], [1.0, np.nan]),
+        ],
+        ids=["nan-point", "inf-point", "nan-last-point", "minus-inf-point",
+             "nan-mass", "nan-second-mass"],
+    )
+    def test_rejects_non_finite_atoms(self, points, masses):
+        # nan passes the order, sign and unit-sum comparisons, and an
+        # infinite point passes all three too
+        with pytest.raises(DomainError, match="finite"):
+            AtomicMeasure(np.array(points), np.array(masses), (0.0, 1.0))
+
     def test_dirac(self):
         mu = point_mass(0.5)
         assert mu.mass_interval(0.5, 0.5) == 1.0

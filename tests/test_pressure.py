@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from helpers import verify_separated
+from thermomap import pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
     forward_orbit,
@@ -23,16 +24,15 @@ from thermomap.potentials import (
     CosineSeriesPotential,
 )
 from thermomap.pressure import (
+    PressureReport,
     _level_lse,
     _verify_separated,
     appendix_construct,
-    bounded_range_check,
     hyperbolicity_check,
     level_sums,
     pressure_curve,
     pressure_report,
     separated_pressure,
-    topological_entropy,
     tree_pressure,
 )
 
@@ -42,21 +42,21 @@ BERNOULLI_PRESSURE = np.log(1.0 + np.exp(-1.0))
 
 
 def test_tent_entropy_is_log2_at_machine_precision():
-    rep = topological_entropy(tent_map(), 0.3, n_max=15)
+    rep = tree_pressure(tent_map(), None, 0.3, 15)
     assert rep.estimate == pytest.approx(LOG2, abs=1e-10)
     assert rep.fluctuation < 1e-12
     assert rep.complete
 
 
 def test_four_branch_entropy_is_log4():
-    rep = topological_entropy(full_linear_map(4), 0.3, n_max=8)
+    rep = tree_pressure(full_linear_map(4), None, 0.3, 8)
     assert rep.estimate == pytest.approx(np.log(4.0), abs=1e-10)
     assert rep.fluctuation < 1e-12
 
 
 def test_logistic_counting_entropy_is_log2():
     # two preimages per interior point regardless of nonlinearity
-    rep = topological_entropy(logistic4_map(), 0.3, n_max=12)
+    rep = tree_pressure(logistic4_map(), None, 0.3, 12)
     assert rep.estimate == pytest.approx(LOG2, abs=1e-10)
 
 
@@ -74,7 +74,7 @@ def test_golden_tent_entropy_estimate_carries_depth_drift():
     # log(golden) - log(C sqrt(5)^-1 ...)/n; the finite-depth estimate sits
     # below the true value by an O(1/n) offset that has not died out by
     # depth 18
-    rep = topological_entropy(golden_tent_map(), 0.3, n_max=18)
+    rep = tree_pressure(golden_tent_map(), None, 0.3, 18)
     true = np.log(GOLDEN)
     assert rep.estimate < true - 5e-3
     assert rep.estimate > true - 0.03
@@ -384,9 +384,11 @@ def test_hyperbolicity_unknown_at_equality():
 
 
 def test_bounded_range_check():
-    assert bounded_range_check((0.0, 0.0), LOG2)
-    assert not bounded_range_check((0.0, -1.0), LOG2)
-    assert not bounded_range_check((-np.log(4) - 0.5, 0.0), np.log(4))
+    # the appendix flag is the comparison of the oscillation with log 4
+    small = appendix_construct(0.1, n_max=7)
+    assert small.bounded_range and small.phi_range < np.log(4.0)
+    wide = appendix_construct(np.log(4.0), n_max=7)
+    assert not wide.bounded_range and not wide.phi_range < np.log(4.0)
 
 
 def test_pressure_curve_matches_closed_form():
@@ -468,7 +470,49 @@ def test_appendix_construction_certificates():
 def test_appendix_small_gap_still_unbounded_range():
     rep = appendix_construct(0.1, n_max=7)
     assert rep.phi_range == pytest.approx(0.6)
-    assert not bounded_range_check((rep.inf_phi, rep.sup_phi), rep.gap)
+    assert not rep.phi_range < rep.gap
+
+
+def test_appendix_walks_the_tree_once(monkeypatch):
+    walk = pressure.iter_preimage_levels
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "iter_preimage_levels", counting)
+    for n_max in (4, 11):
+        walks.clear()
+        appendix_construct(np.log(4.0), n_max=n_max)
+        assert len(walks) == 1
+        assert walks[0][3] == max(n_max, 6)
+
+
+def _assert_same_report(got, want):
+    for name in PressureReport.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@pytest.mark.parametrize("n_max", [4, 11])
+def test_appendix_reports_bit_equal_to_separate_walks(n_max):
+    # the entropy reads the node counts of the weighted walk: log of a
+    # count is the log-sum-exp of that many zeros, bit for bit
+    rep = appendix_construct(np.log(4.0), x0=0.3, n_max=n_max)
+    _assert_same_report(rep.entropy, tree_pressure(rep.imap, None, 0.3, 6))
+    _assert_same_report(
+        rep.pressure, tree_pressure(rep.imap, rep.potential, 0.3, n_max)
+    )
+
+
+def test_appendix_rejects_depth_below_one_before_walking():
+    # a tiny budget would stop the depth-6 walk: the depth is checked first
+    with pytest.raises(DomainError, match="n_max"):
+        appendix_construct(np.log(4.0), n_max=0, budget=10)
 
 
 @settings(deadline=None, max_examples=25)

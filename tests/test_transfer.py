@@ -177,6 +177,39 @@ class TestPowerIteration:
         assert len(plain) == rep.iterations + 1
         assert rep.residual == 0.0
 
+    def test_one_application_per_step_after_a_failed_check(self, monkeypatch):
+        # doubling map, potential peaked at 0.3, tol 1e-4 on 64 nodes: at
+        # one step the eigenvalue has settled but the eigen-residual has
+        # not. Each step's residual reads the next step's image, so a
+        # failed check costs no extra application.
+        images = []
+
+        def counting(imap, potential, psi, p_hat=None):
+            out = apply_transfer(imap, potential, psi, p_hat)
+            if p_hat is None:
+                images.append((psi.values, out.values))
+            return out
+
+        monkeypatch.setattr(transfer, "apply_transfer", counting)
+        tol = 1e-4
+        peak = PiecewiseLinearPotential((0.0, 0.3, 1.0), (-2.0, 1.0, -2.0))
+        rep = power_iteration(full_linear_map(2), peak, grid_size=64, tol=tol)
+        assert rep.converged
+        assert len(images) == rep.iterations + 1
+        lams = [float(np.max(np.abs(out))) for _, out in images]
+        failed = [
+            k for k in range(1, rep.iterations)
+            if abs(lams[k] - lams[k - 1]) < tol
+            and np.max(np.abs(images[k + 1][1] / lams[k] - images[k + 1][0]))
+            >= 10 * tol
+        ]
+        assert failed
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_no_iterations(self, max_iter):
+        with pytest.raises(DomainError, match="max_iter"):
+            power_iteration(tent_map(), None, grid_size=64, max_iter=max_iter)
+
     def test_non_convergence_flagged(self):
         rep = power_iteration(
             tent_map(), bern_potential(), grid_size=256, max_iter=1
@@ -215,7 +248,7 @@ class TestEquilibriumState:
     def test_tent_zero_potential_uniform(self):
         rep = power_iteration(tent_map(), None, grid_size=1024)
         mu = uniform_atoms(4096, (0.0, 1.0))
-        eq = equilibrium_state(tent_map(), None, mu, rep, hyperbolic=True)
+        eq = equilibrium_state(None, mu, rep, hyperbolic=True)
         bins = eq.nu.bin_masses(16)
         assert np.ptp(bins) <= 1e-12
         assert eq.entropy == pytest.approx(LOG2, abs=1e-12)
@@ -223,9 +256,7 @@ class TestEquilibriumState:
     def test_bernoulli_entropy(self):
         rep = power_iteration(tent_map(), bern_potential(), grid_size=1024)
         mu = tent_bernoulli_atoms(P0, 12)
-        eq = equilibrium_state(
-            tent_map(), bern_potential(), mu, rep, hyperbolic=True
-        )
+        eq = equilibrium_state(bern_potential(), mu, rep, hyperbolic=True)
         expected = np.log(LAM_BERN) + (1.0 - P0)
         cross = -P0 * np.log(P0) - (1.0 - P0) * np.log(1.0 - P0)
         assert eq.potential_mean == pytest.approx(-(1.0 - P0), abs=1e-10)
@@ -239,13 +270,27 @@ class TestEquilibriumState:
         shifted = BranchConstantPotential((0.0, 0.5, 1.0), (0.7, -0.3))
         rep_a = power_iteration(tent, bern_potential(), grid_size=1024)
         rep_b = power_iteration(tent, shifted, grid_size=1024)
-        eq_a = equilibrium_state(tent, bern_potential(), mu, rep_a)
-        eq_b = equilibrium_state(tent, shifted, mu, rep_b)
+        eq_a = equilibrium_state(bern_potential(), mu, rep_a)
+        eq_b = equilibrium_state(shifted, mu, rep_b)
         diff = np.max(np.abs(eq_a.nu.bin_masses(64) - eq_b.nu.bin_masses(64)))
         assert diff <= 1e-6
         assert rep_b.log_eigenvalue - rep_a.log_eigenvalue == pytest.approx(
             0.7, abs=1e-10
         )
+
+    def test_nu_keeps_mu_atoms(self):
+        # mu's atoms are sorted and distinct, so nu is built on them as
+        # they are, with the masses the sorting constructor would give
+        mu = tent_bernoulli_atoms(P0, 12)
+        phi = CosineSeriesPotential((0.3,))
+        rep = power_iteration(tent_map(), phi, grid_size=256)
+        nu = equilibrium_state(phi, mu, rep).nu
+        ref = AtomicMeasure.normalized(
+            mu.points, mu.masses * rep.h(mu.points), mu.domain
+        )
+        assert nu.points is mu.points and nu.domain == mu.domain
+        assert np.array_equal(nu.masses, ref.masses)
+        assert np.array_equal(nu.points, ref.points)
 
     def test_nonpositive_entropy_fails_hyperbolic_audit(self):
         # a potential peaked at a non-periodic point has pressure far below
@@ -259,9 +304,9 @@ class TestEquilibriumState:
         )
         assert rep.log_eigenvalue < 3.0
         with pytest.raises(AuditError):
-            equilibrium_state(tent, peak, spike, rep, hyperbolic=True)
+            equilibrium_state(peak, spike, rep, hyperbolic=True)
         # without the hyperbolic claim the state is still reported
-        eq = equilibrium_state(tent, peak, spike, rep, hyperbolic=False)
+        eq = equilibrium_state(peak, spike, rep, hyperbolic=False)
         assert eq.entropy < 0
 
 
@@ -435,7 +480,7 @@ class TestBatchedCorrelation:
             )
             if kind == "equilibrium":
                 nu = equilibrium_state(
-                    imap, CosineSeriesPotential((0.3,)), nu, small_eigen(name)
+                    CosineSeriesPotential((0.3,)), nu, small_eigen(name)
                 ).nu
         phis = [phi for phi, _, _ in pairs]
         psis = [phi if same else psi for phi, psi, same in pairs]
