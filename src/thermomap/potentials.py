@@ -26,10 +26,6 @@ class Potential(abc.ABC):
     @abc.abstractmethod
     def __call__(self, x: np.ndarray) -> np.ndarray: ...
 
-    @abc.abstractmethod
-    def scale(self, c: float) -> "Potential":
-        """The potential c * phi."""
-
     @property
     def holder_exponent(self) -> float:
         return 1.0
@@ -42,11 +38,6 @@ class Potential(abc.ABC):
         """Points where sup or inf may be attained, beyond a uniform grid."""
         return np.empty(0)
 
-    def __add__(self, other: "Potential") -> "Potential":
-        if isinstance(other, SummedPotential):
-            return SummedPotential((self,) + other.parts)
-        return SummedPotential((self, other))
-
 
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
@@ -55,9 +46,6 @@ class ConstantPotential(Potential):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.full_like(x, self.value)
-
-    def scale(self, c: float) -> "ConstantPotential":
-        return ConstantPotential(c * self.value)
 
     @property
     def holder_constant(self) -> float:
@@ -85,9 +73,6 @@ class BranchConstantPotential(Potential):
         edges = np.asarray(self.cell_edges)
         idx = np.searchsorted(edges[1:-1], np.asarray(x, dtype=float), side="left")
         return np.asarray(self.values)[idx]
-
-    def scale(self, c: float) -> "BranchConstantPotential":
-        return BranchConstantPotential(self.cell_edges, tuple(c * v for v in self.values))
 
     @property
     def holder_constant(self) -> float:
@@ -120,11 +105,6 @@ class CosineSeriesPotential(Potential):
                 out = out + a * np.cos(2.0 * np.pi * j * u)
         return out
 
-    def scale(self, c: float) -> "CosineSeriesPotential":
-        return CosineSeriesPotential(
-            tuple(c * a for a in self.coefficients), c * self.offset, self.lo, self.hi
-        )
-
     @property
     def holder_constant(self) -> float:
         total = sum(j * abs(a) for j, a in enumerate(self.coefficients, start=1))
@@ -155,9 +135,6 @@ class PiecewiseLinearPotential(Potential):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
 
-    def scale(self, c: float) -> "PiecewiseLinearPotential":
-        return PiecewiseLinearPotential(self.xs, tuple(c * v for v in self.values))
-
     @property
     def holder_constant(self) -> float:
         dx = np.diff(np.asarray(self.xs))
@@ -166,45 +143,6 @@ class PiecewiseLinearPotential(Potential):
 
     def extremum_candidates(self) -> np.ndarray:
         return np.asarray(self.xs, dtype=float)
-
-
-@dataclass(frozen=True)
-class SummedPotential(Potential):
-    """Pointwise sum; Holder data is combined conservatively.
-
-    The summed constant is valid verbatim when all parts share an exponent,
-    and for mixed exponents whenever the domain has length at most one.
-    """
-
-    parts: tuple[Potential, ...]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for p in self.parts:
-            out = out + p(x)
-        return out
-
-    def scale(self, c: float) -> "SummedPotential":
-        return SummedPotential(tuple(p.scale(c) for p in self.parts))
-
-    def __add__(self, other: Potential) -> "SummedPotential":
-        if isinstance(other, SummedPotential):
-            return SummedPotential(self.parts + other.parts)
-        return SummedPotential(self.parts + (other,))
-
-    @property
-    def holder_exponent(self) -> float:
-        return min(p.holder_exponent for p in self.parts)
-
-    @property
-    def holder_constant(self) -> float:
-        return float(sum(p.holder_constant for p in self.parts))
-
-    def extremum_candidates(self) -> np.ndarray:
-        arrays = [p.extremum_candidates() for p in self.parts]
-        arrays = [a for a in arrays if a.size]
-        return np.unique(np.concatenate(arrays)) if arrays else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -226,9 +164,6 @@ class AveragedPotential(Potential):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return birkhoff_sum(self.imap, self.base, x, self.window) / self.window
-
-    def scale(self, c: float) -> "AveragedPotential":
-        return AveragedPotential(self.imap, self.base.scale(c), self.window)
 
     def transfer_term(self, x: np.ndarray) -> np.ndarray:
         """The function u with avg = base + u o f - u."""

@@ -4,8 +4,9 @@
 of weighted preimages, optionally with the deep levels themselves; the tree
 estimator averages those sums, and the conformal construction reduces the
 same walk. The separated-set estimator greedily packs grid points under the
-iterated sup metric and serves as an independent cross-check. The module also houses the
-hyperbolicity classifier, the pressure-curve smoothness probe, and the
+iterated sup metric and serves as an independent cross-check. The module
+also houses the hyperbolicity classifier, the pressure-curve smoothness
+probe (two walks, one for phi and one for chi, serve every t), and the
 four-branch construction of a hyperbolic potential whose range exceeds the
 entropy.
 """
@@ -384,29 +385,48 @@ def pressure_curve(
     n_max: int = 8,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> PressureCurve:
-    """Tree pressure of phi + t*chi on a uniform t grid of at least 5 points
-    and a nonzero step.
+    """Tree pressure of phi + t*chi on a uniform t grid of at least 5 points,
+    a nonzero step and a finite max|t|**3.
 
-    Reports central first and second differences (ends are nan) and the RMS
-    residual of a least-squares cubic over the points with
-    |t| <= CURVE_FIT_WINDOW (over all points when fewer than 5 lie there),
-    a purely diagnostic smoothness probe.
+    Preimages do not depend on the potential and S_n(phi + t chi) = S_n phi
+    + t S_n chi, so two budgeted walks in lockstep, for phi (zero sums when
+    None) and for chi, give every t its level sums. Reports central first
+    and second differences (ends are nan) and the RMS residual of a
+    least-squares cubic over the points with |t| <= CURVE_FIT_WINDOW (over
+    all points when fewer than 5 lie there), a purely diagnostic probe.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
         raise DomainError("need at least 5 curve points")
     steps = np.diff(ts)
-    if steps[0] == 0 or not np.allclose(steps, steps[0], rtol=0, atol=1e-12):
+    atol = 1e-12 * max(1.0, abs(float(steps[0])))
+    if steps[0] == 0 or not np.allclose(steps, steps[0], rtol=0, atol=atol):
         raise DomainError("t grid must be uniform with a nonzero step")
-    estimates = np.empty(ts.size)
-    fluctuations = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        pot = chi.scale(float(t))
-        if phi is not None:
-            pot = phi + pot
-        rep = tree_pressure(imap, pot, x0, n_max, budget=budget)
-        estimates[i] = rep.estimate
-        fluctuations[i] = rep.fluctuation
+    if not np.max(np.abs(ts)) <= np.cbrt(np.finfo(float).max):
+        raise DomainError("max|t|**3 overflows, so the cubic fit cannot run")
+    if n_max < 1:
+        raise DomainError("need 1 <= n_min <= n_max")
+    _reject_breakpoint(imap, x0)
+    a_values = np.empty((ts.size, n_max))
+    counts = []
+    for phi_level, chi_level in zip(
+        iter_preimage_levels(imap, phi, x0, n_max, budget),
+        iter_preimage_levels(imap, chi, x0, n_max, budget),
+    ):
+        if phi_level.depth == 0:
+            continue
+        for i, t in enumerate(ts):
+            a_values[i, phi_level.depth - 1] = _level_lse(
+                phi_level.birkhoff + t * chi_level.birkhoff
+            )
+        counts.append(phi_level.points.size)
+    counts = np.asarray(counts, dtype=np.int64)
+    reports = [
+        pressure_report(LevelSums(float(x0), imap.domain, a, counts, n_max + 1), n_max)
+        for a in a_values
+    ]
+    estimates = np.array([rep.estimate for rep in reports])
+    fluctuations = np.array([rep.fluctuation for rep in reports])
     dt = float(steps[0])
     first = np.full(ts.size, np.nan)
     second = np.full(ts.size, np.nan)

@@ -943,6 +943,26 @@ class TestCurveCommand:
         path = write_config(tmp_path, command_params={"t_count": 5})
         assert main(["curve", str(path)]) == 64
 
+    @pytest.mark.parametrize(
+        "t_max, code", [(1e80, 0), (1e103, 64), (1e300, 64)]
+    )
+    def test_huge_t_range_exits_0_or_64(self, tmp_path, capsys, t_max, code):
+        # the step check scales with the step; a max|t| whose cube overflows
+        # is refused before any walk, so the cubic fit and dt**2 never run
+        path = write_config(
+            tmp_path,
+            potential={"kind": "cosine_series", "coefficients": [0.3, -0.2]},
+            command_params={"t_lo": -t_max, "t_hi": t_max, "t_count": 5,
+                            "n_max": 4, "chi": BERNOULLI},
+        )
+        assert main(["curve", str(path)]) == code
+        if code == 0:
+            _, rows = read_csv(tmp_path / "out" / "curve.csv")
+            assert len(rows) == 5
+        else:
+            assert "overflows" in capsys.readouterr().err
+            assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestAppendixCommand:
     def test_constructed_example_fields(self, tmp_path):

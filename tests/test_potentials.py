@@ -14,7 +14,6 @@ from thermomap.potentials import (
     ConstantPotential,
     CosineSeriesPotential,
     PiecewiseLinearPotential,
-    SummedPotential,
     audit_holder,
     potential_range,
 )
@@ -25,7 +24,6 @@ def test_constant_potential():
     xs = np.linspace(0, 1, 11)
     assert np.all(phi(xs) == -0.7)
     assert phi.holder_constant == 0.0
-    assert phi.scale(2.0).value == -1.4
 
 
 def test_branch_constant_left_edge_convention():
@@ -104,19 +102,6 @@ def test_piecewise_linear_validation():
         PiecewiseLinearPotential((0.0,), (1.0,))
 
 
-def test_sum_and_scale():
-    a = CosineSeriesPotential((0.1,))
-    b = ConstantPotential(2.0)
-    s = a + b
-    assert isinstance(s, SummedPotential)
-    xs = np.linspace(0, 1, 17)
-    assert np.allclose(s(xs), a(xs) + b(xs))
-    assert np.allclose(s.scale(-3.0)(xs), -3.0 * s(xs))
-    three = s + ConstantPotential(1.0)
-    assert len(three.parts) == 3
-    assert s.holder_constant == pytest.approx(a.holder_constant)
-
-
 def test_averaged_potential_matches_direct_mean():
     f = tent_map()
     base = CosineSeriesPotential((0.3,), offset=-0.2)
@@ -169,15 +154,6 @@ def test_coboundary_bound_controls_birkhoff_gap():
         assert gap.max() <= bound + 1e-9
 
 
-def test_averaged_scale_commutes():
-    f = tent_map()
-    base = CosineSeriesPotential((0.2,), offset=0.4)
-    avg = AveragedPotential(f, base, 3)
-    xs = np.linspace(0, 1, 9)
-    assert np.allclose(avg.scale(2.5)(xs), 2.5 * avg(xs), atol=1e-12)
-    assert isinstance(avg.scale(2.5), AveragedPotential)
-
-
 def test_audit_holder_accepts_honest_constants():
     phi = CosineSeriesPotential((0.2, -0.05), offset=0.3)
     rep = audit_holder(phi, (0.0, 1.0))
@@ -219,13 +195,3 @@ def test_branch_constant_lookup_matches_linear_scan(x):
         if x > edges[i]:
             idx = i
     assert phi(np.asarray(x)) == values[idx]
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    c=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-    x=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
-def test_scaling_is_pointwise(c, x):
-    phi = CosineSeriesPotential((0.4, 0.1), offset=-0.3) + ConstantPotential(1.1)
-    assert phi.scale(c)(np.asarray(x)) == pytest.approx(c * phi(np.asarray(x)), abs=1e-9)

@@ -430,10 +430,92 @@ def test_pressure_curve_rejects_zero_step():
         pressure_curve(tent_map(), None, ConstantPotential(1.0), np.full(5, 0.5))
 
 
+def _counting_walks(monkeypatch):
+    """Record the arguments of every preimage walk the pressure module starts."""
+    walk = pressure.iter_preimage_levels
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "iter_preimage_levels", counting)
+    return walks
+
+
+@pytest.mark.parametrize("t_count", [5, 41])
+def test_pressure_curve_walks_the_tree_twice(monkeypatch, t_count):
+    walks = _counting_walks(monkeypatch)
+    f = tent_map()
+    phi = CosineSeriesPotential((0.3, -0.2))
+    chi = CosineSeriesPotential((0.0, 0.0, 1.0))
+    pressure_curve(f, phi, chi, np.linspace(-1.0, 1.0, t_count), n_max=7)
+    assert [(w[1], w[3]) for w in walks] == [(phi, 7), (chi, 7)]
+
+
+CURVE_CASES = {
+    "tent-cosine": (
+        tent_map(), CosineSeriesPotential((0.3, -0.2)),
+        CosineSeriesPotential((0.0, 0.0, 1.0)), 0.3, 10,
+    ),
+    "doubling-bernoulli": (
+        full_linear_map(2), None,
+        BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)), 0.41, 9,
+    ),
+    "logistic-cosine": (
+        logistic4_map(), None, CosineSeriesPotential((0.2, 0.1), offset=-0.3), 0.3, 8,
+    ),
+    "golden-shifted": (
+        golden_tent_map(), ConstantPotential(0.25),
+        CosineSeriesPotential((-0.4,), offset=0.1), 0.37, 9,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CURVE_CASES))
+def test_pressure_curve_matches_per_t_walks(case):
+    # S_n(phi + t chi) summed per level or from the two walks' sums differs
+    # only by rounding, and not at all at t = 0
+    f, phi, chi, x0, n_max = CURVE_CASES[case]
+    ts = np.linspace(-1.0, 1.0, 9)
+    curve = pressure_curve(f, phi, chi, ts, x0=x0, n_max=n_max)
+    for t, est, fluct in zip(ts, curve.estimates, curve.fluctuations):
+        if phi is None:
+            pot = lambda x, t=t: t * chi(x)  # noqa: E731
+        else:
+            pot = lambda x, t=t: phi(x) + t * chi(x)  # noqa: E731
+        rep = tree_pressure(f, pot, x0, n_max)
+        if t == 0.0:
+            assert (est, fluct) == (rep.estimate, rep.fluctuation)
+        assert est == pytest.approx(rep.estimate, abs=1e-15, rel=0)
+        assert fluct == pytest.approx(rep.fluctuation, abs=1e-15, rel=0)
+    assert curve.ts[4] == 0.0
+
+
+@pytest.mark.parametrize("phi", [None, CosineSeriesPotential((0.3, -0.2))])
+def test_pressure_curve_budget_error_matches_tree_pressure(phi):
+    f = tent_map()
+    chi = BranchConstantPotential.from_map(f, [0.0, -1.0])
+    with pytest.raises(BudgetError) as want:
+        tree_pressure(f, phi, 0.3, 10, budget=200)
+    with pytest.raises(BudgetError) as got:
+        pressure_curve(f, phi, chi, np.linspace(-1.0, 1.0, 5), n_max=10, budget=200)
+    assert got.value.feasible_depth == want.value.feasible_depth == 6
+    assert str(got.value) == str(want.value)
+
+
+def test_pressure_curve_rejects_breakpoint_base_before_walking(monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    f = tent_map()
+    with pytest.raises(DomainError, match="breakpoint"):
+        pressure_curve(f, None, ConstantPotential(1.0), np.linspace(-1, 1, 5), x0=0.5)
+    assert walks == []
+
+
 def test_constant_shift_calibration():
     f = tent_map()
     phi = CosineSeriesPotential((0.3,), offset=-0.2)
-    shifted = phi + ConstantPotential(0.7)
+    shifted = lambda x: phi(x) + 0.7  # noqa: E731
     rep = tree_pressure(f, phi, 0.41, 10)
     rep_shift = tree_pressure(f, shifted, 0.41, 10)
     assert np.allclose(rep_shift.p_values - rep.p_values, 0.7, atol=1e-12)
@@ -467,10 +549,15 @@ def test_appendix_construction_certificates():
     assert rep.phi_at_fixed_point < -rep.gap
 
 
-def test_appendix_small_gap_still_unbounded_range():
+def test_appendix_small_gap_is_hyperbolic_with_bounded_range():
+    # at gap 0.1 the range 0.6 is below log 4, and the depth-1 witness
+    # margin is the pressure itself, since sup phi = 0
     rep = appendix_construct(0.1, n_max=7)
     assert rep.phi_range == pytest.approx(0.6)
-    assert not rep.phi_range < rep.gap
+    assert rep.bounded_range
+    assert rep.hyperbolic
+    assert rep.hyperbolic_margin == pytest.approx(1.205, abs=1e-3)
+    assert rep.hyperbolic_margin == rep.pressure.estimate
 
 
 def test_appendix_walks_the_tree_once(monkeypatch):
