@@ -45,7 +45,6 @@ from .transfer import (
     correlation,
     equilibrium_state,
     power_iteration,
-    spectral_gap_estimate,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "pressure_report",
     "pw_linear_map",
     "separated_pressure",
-    "spectral_gap_estimate",
     "transition_parameter",
     "tree_pressure",
     "uniform_atoms",

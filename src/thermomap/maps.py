@@ -28,7 +28,6 @@ TOL_DEDUP = 1e-12
 # nodes) needs about 0.25 GB
 DEFAULT_NODE_BUDGET = 20_000_000
 POTENTIAL_CHUNK = 16384  # level points per potential call in the preimage walk
-VALIDATE_SAMPLES_PER_BRANCH = 257
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -62,12 +61,6 @@ class Branch:
                 raise DomainError("logistic_right branch domain must lie in [0.5, 1]")
         else:
             raise DomainError(f"unknown branch kind {self.kind!r}")
-
-    @property
-    def increasing(self) -> bool:
-        if self.kind == "linear":
-            return self.slope > 0
-        return self.kind == "logistic_left"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -174,34 +167,10 @@ class IntervalMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
 
-    def preimages(self, y: float) -> np.ndarray:
-        """All solutions of f(x) = y, ascending, merged at shared breakpoints.
-
-        Empty when no branch image covers y.
-        """
-        out: list[float] = []
-        for br in self.branches:
-            if br.covers(np.asarray(y)):
-                x = float(br.inverse(np.asarray(y)))
-                if out and abs(x - out[-1]) <= TOL_DEDUP:
-                    continue
-                out.append(x)
-        return np.array(out)
-
     def expansion_range(self) -> tuple[float, float]:
         """Min and max of |f'| over all branch domains."""
         lows, highs = zip(*(br.derivative_range() for br in self.branches))
         return (min(lows), max(highs))
-
-    def turning_points(self) -> np.ndarray:
-        """Interior breakpoints where adjacent branches change orientation."""
-        pts = []
-        for left, right, x in zip(
-            self.branches, self.branches[1:], self.interior_breakpoints
-        ):
-            if left.increasing != right.increasing:
-                pts.append(x)
-        return np.array(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -279,63 +248,13 @@ def golden_tent_map() -> IntervalMap:
 # diagnostics
 
 
-@dataclass(frozen=True)
-class MapDiagnostics:
-    """What validate() measures: continuity, monotonicity, surjectivity."""
-
-    continuity_residuals: np.ndarray
-    max_continuity_defect: float
-    monotone_ok: bool
-    branch_surjective: tuple[bool, ...]
-    turning_points: np.ndarray
-    injective: bool
-
-
-def validate(imap: IntervalMap) -> MapDiagnostics:
-    """Check global continuity and per-branch monotonicity by sampling.
-
-    Raises DomainError when adjacent branch values disagree by more than
-    1e-9 at a shared breakpoint; everything else is reported, not enforced.
-    """
-    lo, hi = imap.domain
-    residuals = []
-    for left, right, x in zip(
-        imap.branches, imap.branches[1:], imap.interior_breakpoints
-    ):
-        residuals.append(
-            abs(float(left.forward(np.asarray(x))) - float(right.forward(np.asarray(x))))
-        )
-    residuals = np.asarray(residuals)
-    defect = float(residuals.max()) if residuals.size else 0.0
-    if defect > TOL_CONTINUITY:
-        raise DomainError(f"continuity defect {defect} at a breakpoint exceeds 1e-9")
-    monotone_ok = True
-    surjective = []
-    for br in imap.branches:
-        xs = np.linspace(br.lo, br.hi, VALIDATE_SAMPLES_PER_BRANCH)
-        vals = br.forward(xs)
-        diffs = np.diff(vals)
-        if br.increasing:
-            monotone_ok &= bool(np.all(diffs > -TOL_DEDUP))
-        else:
-            monotone_ok &= bool(np.all(diffs < TOL_DEDUP))
-        ilo, ihi = br.image()
-        surjective.append(ilo <= lo + TOL_CONTINUITY and ihi >= hi - TOL_CONTINUITY)
-    turning = imap.turning_points()
-    return MapDiagnostics(
-        continuity_residuals=residuals,
-        max_continuity_defect=defect,
-        monotone_ok=monotone_ok,
-        branch_surjective=tuple(surjective),
-        turning_points=turning,
-        injective=turning.size == 0 and len(imap.branches) == 1,
-    )
-
-
 def is_topologically_exact(imap: IntervalMap) -> bool:
     """Exactness flag: all branches full, or a primitive Markov witness."""
-    diag = validate(imap)
-    if all(diag.branch_surjective):
+    lo, hi = imap.domain
+    if all(
+        ilo <= lo + TOL_CONTINUITY and ihi >= hi - TOL_CONTINUITY
+        for ilo, ihi in (br.image() for br in imap.branches)
+    ):
         return True
     report = markov_witness(imap)
     return report.is_markov and report.primitive and report.min_expansion > 1.0

@@ -386,7 +386,7 @@ def pressure_curve(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> PressureCurve:
     """Tree pressure of phi + t*chi on a uniform t grid of at least 5 points,
-    a nonzero step and a finite max|t|**3.
+    a step whose square is nonzero and a finite max|t|**3.
 
     Preimages do not depend on the potential and S_n(phi + t chi) = S_n phi
     + t S_n chi, so two budgeted walks in lockstep, for phi (zero sums when
@@ -404,6 +404,9 @@ def pressure_curve(
         raise DomainError("t grid must be uniform with a nonzero step")
     if not np.max(np.abs(ts)) <= np.cbrt(np.finfo(float).max):
         raise DomainError("max|t|**3 overflows, so the cubic fit cannot run")
+    dt = float(steps[0])
+    if dt**2 == 0:
+        raise DomainError("the t step squared underflows to 0")
     if n_max < 1:
         raise DomainError("need 1 <= n_min <= n_max")
     _reject_breakpoint(imap, x0)
@@ -427,7 +430,6 @@ def pressure_curve(
     ]
     estimates = np.array([rep.estimate for rep in reports])
     fluctuations = np.array([rep.fluctuation for rep in reports])
-    dt = float(steps[0])
     first = np.full(ts.size, np.nan)
     second = np.full(ts.size, np.nan)
     first[1:-1] = (estimates[2:] - estimates[:-2]) / (2 * dt)
@@ -435,8 +437,11 @@ def pressure_curve(
     mask = np.abs(ts) <= CURVE_FIT_WINDOW + 1e-12
     if mask.sum() < 5:
         mask[:] = True
-    coeffs = np.polyfit(ts[mask], estimates[mask], 3)
-    resid = estimates[mask] - np.polyval(coeffs, ts[mask])
+    # fit in u = t / 2**k with max|u| in [1/2, 1): exact, and polyfit's
+    # column norms neither underflow nor overflow
+    u = np.ldexp(ts[mask], -np.frexp(np.max(np.abs(ts[mask])))[1])
+    coeffs = np.polyfit(u, estimates[mask], 3)
+    resid = estimates[mask] - np.polyval(coeffs, u)
     fit_residual = float(np.sqrt(np.mean(resid**2)))
     fit_points = int(mask.sum())
     return PressureCurve(

@@ -4,7 +4,8 @@ Functions live on a uniform collocation grid with piecewise-linear
 interpolation; applying the operator pulls values back through the exact
 branch inverses, so no transition matrix is ever assembled. The leading
 eigenpair comes from sup-normalized power iteration, the subdominant rate
-from deflated probe decay cross-checked against fitted correlation decay.
+rho_hat from the decay of a deflated probe. Correlations against the
+equilibrium state push its atoms forward exactly and fit a geometric decay.
 """
 
 from __future__ import annotations
@@ -388,71 +389,3 @@ def smoothed_indicator(
             / (1.0 + np.exp((x - hi) / width))
 
     return fn
-
-
-@dataclass(frozen=True)
-class GapEstimate:
-    """Conservative subdominant-rate estimate from two independent routes.
-
-    `deflation_rate` is `EigenReport.rho_hat`. On the tent map it is 0.0:
-    the cos(pi x) probe is annihilated by the deflated operator at once
-    (`rho_hat` 0.0, `fit_points` 0), so `value` is the correlation route
-    alone there.
-    """
-
-    value: float
-    deflation_rate: float
-    correlation_rate: Optional[float]
-    flagged: bool
-    eigen: EigenReport
-    corr: CorrelationReport
-
-
-def spectral_gap_estimate(
-    imap: IntervalMap,
-    potential: Optional[Potential],
-    grid_size: int,
-    mu: AtomicMeasure,
-    n_max: Optional[int] = None,
-) -> GapEstimate:
-    """Max of the deflated decay rate and the fitted correlation rate.
-
-    The correlation route uses a step observable cut at one third of the
-    domain: the jump feeds every frequency, so its autocorrelation carries
-    the essential (bounded-variation) rate that smooth probes miss. The fit
-    window is sized to the atom count of mu: pushforward correlations track
-    a geometric law only down to the resolution scale of the measure, and
-    including deeper lags would fit discretization error instead of decay.
-
-    The two estimators target the same subdominant modulus; a disagreement
-    beyond a factor of 2 is flagged for manual review rather than averaged
-    away.
-    """
-    eigen = power_iteration(imap, potential, grid_size=grid_size, mu=mu)
-    state = equilibrium_state(potential, mu, eigen)
-    if n_max is None:
-        # step-observable correlations on an M-atom measure are clean down
-        # to roughly lag log2(M)/2; keep a two-lag margin above that floor
-        n_max = max(5, int(np.log2(mu.points.size) / 2.0) - 2)
-    lo, hi = imap.domain
-    cut = lo + (hi - lo) / 3.0
-
-    def obs(x):
-        return (np.asarray(x, dtype=float) <= cut).astype(float)
-
-    corr = correlation(imap, [obs], [obs], state.nu, n_max=n_max).reports[0]
-    rates = [eigen.rho_hat]
-    if corr.rho is not None:
-        rates.append(corr.rho)
-    value = max(rates)
-    flagged = False
-    if corr.rho is not None and min(rates) > 0:
-        flagged = max(rates) / min(rates) > 2.0
-    return GapEstimate(
-        value=value,
-        deflation_rate=eigen.rho_hat,
-        correlation_rate=corr.rho,
-        flagged=flagged,
-        eigen=eigen,
-        corr=corr,
-    )

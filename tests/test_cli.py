@@ -944,11 +944,14 @@ class TestCurveCommand:
         assert main(["curve", str(path)]) == 64
 
     @pytest.mark.parametrize(
-        "t_max, code", [(1e80, 0), (1e103, 64), (1e300, 64)]
+        "t_max, code",
+        [(1e80, 0), (1e103, 64), (1e300, 64), (1e-60, 0), (1e-100, 0), (1e-200, 64)],
     )
-    def test_huge_t_range_exits_0_or_64(self, tmp_path, capsys, t_max, code):
+    def test_huge_t_range_exits_0_or_64(self, tmp_path, capsys, recwarn, t_max, code):
         # the step check scales with the step; a max|t| whose cube overflows
-        # is refused before any walk, so the cubic fit and dt**2 never run
+        # or a step whose square underflows is refused before any walk, and
+        # the cubic is fitted in t / 2**k, so polyfit neither over- nor
+        # underflows in between
         path = write_config(
             tmp_path,
             potential={"kind": "cosine_series", "coefficients": [0.3, -0.2]},
@@ -957,10 +960,13 @@ class TestCurveCommand:
         )
         assert main(["curve", str(path)]) == code
         if code == 0:
-            _, rows = read_csv(tmp_path / "out" / "curve.csv")
+            header, rows = read_csv(tmp_path / "out" / "curve.csv")
             assert len(rows) == 5
+            assert np.isfinite(float(rows[0][header.index("fit_residual")]))
+            assert [str(w.message) for w in recwarn] == []
         else:
-            assert "overflows" in capsys.readouterr().err
+            message = "underflows" if t_max < 1 else "overflows"
+            assert message in capsys.readouterr().err
             assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -25,7 +25,6 @@ from thermomap.maps import (
     markov_witness,
     pw_linear_map,
     tent_map,
-    validate,
 )
 from thermomap.potentials import (
     AveragedPotential,
@@ -64,35 +63,42 @@ def test_eval_rejects_points_outside_domain():
         f.eval(np.array([0.2, -0.3]))
 
 
+def level_one(f, y):
+    """f^-1(y): depth 1 of the preimage walk from y."""
+    *_, level = iter_preimage_levels(f, None, y, 1)
+    assert level.depth == 1
+    return level.points
+
+
 def test_tent_preimages_of_half():
     f = tent_map()
-    assert np.allclose(f.preimages(0.5), [0.25, 0.75])
+    assert np.allclose(level_one(f, 0.5), [0.25, 0.75])
 
 
 def test_tent_preimage_of_top_is_single_point():
     # both branches hit 1.0 at the shared breakpoint; merged to one point
     f = tent_map()
-    assert np.allclose(f.preimages(1.0), [0.5])
+    assert np.allclose(level_one(f, 1.0), [0.5])
 
 
 def test_logistic_preimages_match_polynomial_roots():
     f = logistic4_map()
     y = 0.75
     roots = np.sort(np.roots([4.0, -4.0, y]))
-    assert np.allclose(np.sort(f.preimages(y)), roots, atol=1e-12)
+    assert np.allclose(np.sort(level_one(f, y)), roots, atol=1e-12)
 
 
 def test_logistic_preimage_near_critical_value_is_stable():
     f = logistic4_map()
     y = 1.0 - 1e-15
-    pre = f.preimages(y)
+    pre = level_one(f, y)
     assert np.all(np.isfinite(pre))
     assert np.allclose(f.eval(pre), y, atol=1e-12)
 
 
 def test_logistic_preimage_of_one_merges():
     f = logistic4_map()
-    assert np.allclose(f.preimages(1.0), [0.5])
+    assert np.allclose(level_one(f, 1.0), [0.5])
 
 
 def test_orbit_values():
@@ -119,14 +125,6 @@ def test_expansion_ranges():
     lo, hi = logistic4_map().expansion_range()
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(4.0)
-
-
-def test_turning_points():
-    assert np.allclose(tent_map().turning_points(), [0.5])
-    four = pw_linear_map(
-        [0.0, 0.25, 0.5, 0.75, 1.0], [4.0, -4.0, 4.0, -4.0], [0.0, 2.0, -2.0, 4.0]
-    )
-    assert np.allclose(four.turning_points(), [0.25, 0.5, 0.75])
 
 
 def test_branch_validation_errors():
@@ -389,27 +387,18 @@ def test_markov_witness_rejects_unaligned_branches():
     assert rep.endpoint_defect > 0.01
 
 
-def test_validate_passes_continuous_maps():
-    for f in (tent_map(), golden_tent_map(), logistic4_map(), full_linear_map(4)):
-        diag = validate(f)
-        assert diag.max_continuity_defect <= 1e-9
-        assert diag.monotone_ok
-    assert np.allclose(validate(tent_map()).turning_points, [0.5])
-
-
-def test_validate_rejects_discontinuous_map():
-    # branch values 0.9 vs 1.0 at the shared breakpoint
-    f = pw_linear_map([0.0, 0.5, 1.0], [1.8, -2.0], [0.0, 2.0])
-    with pytest.raises(DomainError):
-        validate(f)
-
-
 def test_exactness_flag():
     assert is_topologically_exact(tent_map())
     assert is_topologically_exact(logistic4_map())
     assert is_topologically_exact(golden_tent_map())
     weak = pw_linear_map([0.0, 0.3, 1.0], [2.0, -6.0 / 7.0], [0.0, 6.0 / 7.0])
     assert not is_topologically_exact(weak)
+
+
+def test_doubling_mod_one_is_exact():
+    # x -> 2x mod 1 jumps at 1/2, yet both branches are full
+    doubling = pw_linear_map([0.0, 0.5, 1.0], [2.0, 2.0], [0.0, -1.0])
+    assert is_topologically_exact(doubling)
 
 
 @settings(deadline=None, max_examples=60)
@@ -537,6 +526,6 @@ class TestOneOrbitKernel:
 @given(y=st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False))
 def test_preimages_are_true_preimages(y):
     for f in (tent_map(), logistic4_map(), golden_tent_map(), full_linear_map(3)):
-        pre = f.preimages(y)
+        pre = level_one(f, y)
         assert np.all(np.diff(pre) > 0)
         assert np.allclose(f.eval(pre), y, atol=1e-9)

@@ -1,6 +1,7 @@
 """Tree and separated-set pressure, classifiers, curve probe, construction."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,29 @@ def test_pressure_curve_constant_direction_is_linear():
     assert np.allclose(curve.estimates, LOG2 + 0.7 * ts, atol=1e-11)
     inner = curve.second_diff[1:-1]
     assert np.max(np.abs(inner)) < 1e-8
+
+
+def test_pressure_curve_fit_residual_is_free_of_t_scale():
+    # t * chi spans +-1e40 at every T, where P is piecewise linear to double
+    # precision, so only the t axis scales and the residual must not move
+    f = tent_map()
+    residuals = []
+    for t_max in (1e-100, 1.0, 1e40, 1e80):
+        chi = BranchConstantPotential.from_map(f, [0.0, -1e40 / t_max])
+        ts = np.linspace(-t_max, t_max, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = pressure_curve(f, None, chi, ts, n_max=6)
+        residuals.append(curve.fit_residual / 1e40)
+    assert residuals == pytest.approx([residuals[2]] * 4, rel=1e-12)
+    assert residuals[2] == pytest.approx(0.0534522, rel=1e-5)
+
+
+def test_pressure_curve_rejects_underflowing_step():
+    # a step of 5e-201 squares to 0, which would divide the second differences
+    ts = np.linspace(-1e-200, 1e-200, 5)
+    with pytest.raises(DomainError, match="underflows"):
+        pressure_curve(tent_map(), None, ConstantPotential(1.0), ts)
 
 
 def test_pressure_curve_rejects_nonuniform_grid():
