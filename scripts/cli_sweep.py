@@ -5,7 +5,9 @@ Runs every command through `thermomap.cli.main` on each map (doubling,
 logistic4, the tent on [0, 2]) with each potential (none, the Bernoulli
 branch potential -1 on the right branch, the cosine series 0.3 cos - 0.2
 cos 2), then every command on the doubling map with the cosine potential
-under `--budget 300` and under `--tol 1e-300 --grid 64`. Each run writes
+under `--budget 300` and under `--tol 1e-300 --grid 64`, then `norms` on
+each map with alpha 1 and p 3, so the norm audit recomputes the variation
+at p = 1/alpha that its report was not built for. Each run writes
 into its own directory under --out/cli_sweep/, and cli_sweep.csv gets one
 row `run,exit_code,file,sha256` per written file (one row with empty file
 and sha256 for a run that writes nothing). Two checkouts give the same
@@ -55,6 +57,7 @@ POTENTIALS = {
 }
 
 VARIANTS = {"budget300": ["--budget", "300"], "tol": ["--tol", "1e-300", "--grid", "64"]}
+NORMS_P3 = {"draws": 2, "atoms": 16, "alpha": 1.0, "p": 3.0}
 
 
 def command_params(depth, domain):
@@ -110,6 +113,9 @@ def main():
             runs.append((f"{command}.doubling.cosine.{variant}", command, map_spec,
                          POTENTIALS["cosine"](domain), params,
                          ["--grid", str(args.grid), *flags]))
+    for map_name, (map_spec, _) in MAPS.items():
+        runs.append((f"norms.{map_name}.p3", "norms", map_spec, None, NORMS_P3,
+                     ["--grid", str(args.grid)]))
 
     rows = []
     codes = {}

@@ -536,7 +536,7 @@ def cmd_norms(exp: Experiment):
             values += rng.uniform(-1, 1) * np.abs(m.points - c) ** p["alpha"]
         h = SampledFunction(m.points, values)
         report = norm_report(h, m, p["alpha"], p["scale"], p=p["p"])
-        audit = norm_chain_audit(h, m, p["alpha"], p["scale"], report=report)
+        audit = norm_chain_audit(report)
         rows.append({
             "draw": int(draw),
             "alpha": p["alpha"],

@@ -36,6 +36,9 @@ class SampledFunction:
     def __post_init__(self) -> None:
         if self.positions.size == 0 or self.positions.size != self.values.size:
             raise DomainError("need matching nonempty positions and values")
+        # checked first: nan fails no order comparison below
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.values).all()):
+            raise DomainError("positions and values must be finite")
         if np.any(np.diff(self.positions) <= 0):
             raise DomainError("positions must be strictly increasing")
 
@@ -258,8 +261,8 @@ def c_star(alpha: float, A: float, total_mass: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Every norm of one function against `measure`; the L1 part, Keller
-    seminorm and norm, alpha and A are those of `keller`."""
+    """Every norm of `h` against `measure`; the L1 part, Keller seminorm and
+    norm, alpha and A are those of `keller`."""
 
     keller: KellerReport
     sup: float
@@ -269,6 +272,7 @@ class NormReport:
     holder_norm: float
     p: float
     measure: AtomicMeasure
+    h: SampledFunction
 
 
 def norm_report(
@@ -293,6 +297,7 @@ def norm_report(
         holder_norm=sup + hol,
         p=p,
         measure=m,
+        h=h,
     )
 
 
@@ -306,30 +311,32 @@ class InequalityCheck:
     detail: str
 
 
+def _check(
+    name: str, lhs: float, rhs: float, slack: float, detail: str
+) -> InequalityCheck:
+    """The one pass rule: lhs <= rhs up to FLOAT_SLACK relative to max(1, rhs)."""
+    passed = lhs <= rhs + FLOAT_SLACK * max(1.0, rhs)
+    return InequalityCheck(name, lhs, rhs, slack, passed, detail)
+
+
 @dataclass(frozen=True)
 class NormChainAudit:
     checks: tuple[InequalityCheck, ...]
     passed: bool
     c_star: float
-    alpha: float
-    A: float
 
 
 def norm_chain_audit(
-    h: SampledFunction,
-    m: AtomicMeasure,
-    alpha: float,
-    A: float,
-    g: Optional[SampledFunction] = None,
-    report: Optional[NormReport] = None,
+    report: NormReport, g: Optional[SampledFunction] = None
 ) -> NormChainAudit:
-    """Audit the norm comparison chain on concrete data.
+    """Audit the norm comparison chain of `report.h` on concrete data.
 
     (i)   BV_{1/alpha} norm against the Holder norm times max{1, diam^alpha};
     (ii)  Keller norm against 2^alpha times the BV norm;
     (iii) the oscillation-power integral against 2 eps Var^{1/alpha} on the
           eps-grid;
-    (iv)  the product norm against 2 C_* times the factor norms.
+    (iv)  the product norm of h*g (g defaults to h) against 2 C_* times the
+          factor norms.
 
     The continuum proofs of (ii) and (iii) assume an atom-free reference
     measure. Against an atomic one each packing ball can overshoot by at
@@ -338,92 +345,41 @@ def norm_chain_audit(
     (1 + max_mass / eps)^alpha at the achieving eps of (ii); both slacks
     vanish as the atoms refine and are reported per check.
 
-    `report` is a `norm_report` of h against m, computed when omitted. Its
-    `keller` profile gives the achieving eps of (ii) and the left sides of
-    (iii), so past the report only h*h and g are scanned. For a report of
-    another p only Var^{1/alpha} is recomputed; one for another alpha, A
-    or measure (other points or masses) raises DomainError.
+    h, the measure, alpha and A all come from `report`. Its `keller` profile
+    gives the achieving eps of (ii) and the left sides of (iii), so past the
+    report only h*g and g are scanned. For a report of p != 1/alpha only
+    Var^{1/alpha} is recomputed.
     """
-    _check_alpha(alpha)
+    h, m, kel = report.h, report.measure, report.keller
+    alpha, A = kel.alpha, kel.A
     if g is None:
         g = h
     p = 1.0 / alpha
-    if report is None:
-        report = norm_report(h, m, alpha, A)
-    kel = report.keller
-    mr = report.measure
-    if (kel.alpha, kel.A) != (alpha, A) or not (
-        np.array_equal(mr.points, m.points) and np.array_equal(mr.masses, m.masses)
-    ):
-        raise DomainError("report was computed for another alpha, A or measure")
     var, bv_norm = report.var_p, report.bv_norm
     if report.p != p:
         var = p_variation(h, p)
         bv_norm = var + report.sup
     diam = float(h.positions[-1] - h.positions[0])
     max_mass = float(np.max(m.masses))
-    checks = []
 
-    lhs = bv_norm
-    rhs = max(1.0, diam**alpha) * report.holder_norm
-    checks.append(
-        InequalityCheck(
-            name="bv_le_scaled_holder",
-            lhs=lhs,
-            rhs=rhs,
-            slack=FLOAT_SLACK * max(1.0, rhs),
-            passed=lhs <= rhs + FLOAT_SLACK * max(1.0, rhs),
-            detail=f"diam={diam:.6g}",
-        )
-    )
-
-    lhs = kel.norm
+    holder_rhs = max(1.0, diam**alpha) * report.holder_norm
     base_rhs = 2.0**alpha * bv_norm
     atomic_factor = (1.0 + max_mass / kel.argmax_eps) ** alpha
-    rhs = base_rhs * atomic_factor
-    checks.append(
-        InequalityCheck(
-            name="keller_le_bv",
-            lhs=lhs,
-            rhs=rhs,
-            slack=rhs - base_rhs,
-            passed=lhs <= rhs + FLOAT_SLACK * max(1.0, rhs),
-            detail=f"eps*={kel.argmax_eps:.6g}, atomic factor {atomic_factor:.6g}",
-        )
-    )
+    keller_rhs = base_rhs * atomic_factor
     rhs_e = 2.0 * (kel.eps_values + max_mass) * var**p
     worst = int(np.argmax(kel.osc_power_values - rhs_e))
-    lhs, rhs = float(kel.osc_power_values[worst]), float(rhs_e[worst])
-    checks.append(
-        InequalityCheck(
-            name="osc_power_le_var",
-            lhs=lhs,
-            rhs=rhs,
-            slack=2.0 * max_mass * var**p,
-            passed=lhs - rhs <= FLOAT_SLACK * max(1.0, rhs),
-            detail=f"worst eps={kel.eps_values[worst]:.6g}",
-        )
-    )
-
     cstar = c_star(alpha, A, float(m.masses.sum()))
     g_norm = kel.norm if g is h else keller_seminorm(g, m, alpha, A).norm
-    lhs = keller_seminorm(h * g, m, alpha, A).norm
-    rhs = 2.0 * cstar * kel.norm * g_norm
-    checks.append(
-        InequalityCheck(
-            name="product_bound",
-            lhs=lhs,
-            rhs=rhs,
-            slack=FLOAT_SLACK * max(1.0, rhs),
-            passed=lhs <= rhs + FLOAT_SLACK * max(1.0, rhs),
-            detail=f"C*={cstar:.6g}",
-        )
+    product_rhs = 2.0 * cstar * kel.norm * g_norm
+    checks = (
+        _check("bv_le_scaled_holder", bv_norm, holder_rhs,
+               FLOAT_SLACK * max(1.0, holder_rhs), f"diam={diam:.6g}"),
+        _check("keller_le_bv", kel.norm, keller_rhs, keller_rhs - base_rhs,
+               f"eps*={kel.argmax_eps:.6g}, atomic factor {atomic_factor:.6g}"),
+        _check("osc_power_le_var", float(kel.osc_power_values[worst]),
+               float(rhs_e[worst]), 2.0 * max_mass * var**p,
+               f"worst eps={kel.eps_values[worst]:.6g}"),
+        _check("product_bound", keller_seminorm(h * g, m, alpha, A).norm, product_rhs,
+               FLOAT_SLACK * max(1.0, product_rhs), f"C*={cstar:.6g}"),
     )
-
-    return NormChainAudit(
-        checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-        c_star=cstar,
-        alpha=alpha,
-        A=A,
-    )
+    return NormChainAudit(checks, all(c.passed for c in checks), cstar)

@@ -11,7 +11,7 @@ equilibrium state push its atoms forward exactly and fit a geometric decay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +38,12 @@ class GridFunction:
             raise DomainError(f"grid needs at least {MIN_GRID} nodes")
         if self.grid.size != self.values.size:
             raise DomainError("grid and values must match")
+        # checked first: nan fails no order or uniformity comparison below
+        if not (np.isfinite(self.grid).all() and np.isfinite(self.values).all()):
+            raise DomainError("grid and values must be finite")
         steps = np.diff(self.grid)
         if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
             raise DomainError("grid must be uniform and increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("values must be finite")
 
     @classmethod
     def from_callable(
@@ -266,20 +267,19 @@ def adjoint_invariance_audit(
     potential: Optional[Potential],
     p_hat: float,
     mu: AtomicMeasure,
-    test_functions: Sequence[Union[GridFunction, Callable]],
+    test_functions: Sequence[Callable],
     grid_size: int = 4096,
 ) -> float:
     """Max deviation of int L-hat psi dmu from int psi dmu over the probes.
 
     The conformal measure is a fixed point of the normalized adjoint, so
     both integrals agree in the limit; the deviation measures the joint
-    error of the measure and the discretization.
+    error of the measure and the discretization. Each probe is a callable,
+    sampled on `grid_size` uniform nodes of the map's domain.
     """
     worst = 0.0
     for fn in test_functions:
-        psi = fn if isinstance(fn, GridFunction) else GridFunction.from_callable(
-            fn, grid_size, imap.domain
-        )
+        psi = GridFunction.from_callable(fn, grid_size, imap.domain)
         image = apply_transfer(imap, potential, psi, p_hat=p_hat)
         worst = max(worst, abs(mu.integrate(image) - mu.integrate(psi)))
     return worst

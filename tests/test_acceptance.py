@@ -23,7 +23,7 @@ from helpers import (
 )
 from thermomap.cli import main as cli_main
 from thermomap.conformal import atom_audit, conformality_audit, uniform_atoms
-from thermomap.keller import SampledFunction, norm_chain_audit, p_variation
+from thermomap.keller import SampledFunction, norm_chain_audit, norm_report, p_variation
 from thermomap.maps import full_linear_map, golden_tent_map, logistic4_map
 from thermomap.potentials import (
     AveragedPotential,
@@ -395,7 +395,7 @@ def test_norm_suite():
     for alpha in (0.5, 1.0):
         for _ in range(100):
             h = draw_piecewise_holder(rng, alpha, m.points)
-            if not norm_chain_audit(h, m, alpha, 0.5).passed:
+            if not norm_chain_audit(norm_report(h, m, alpha, 0.5)).passed:
                 audits_failed += 1
     ok = worst <= 1e-12 and audits_failed == 0
     record_acceptance(

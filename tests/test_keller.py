@@ -26,6 +26,7 @@ from helpers import (
 from thermomap.conformal import AtomicMeasure, uniform_atoms
 from thermomap.errors import DomainError
 from thermomap.keller import (
+    FLOAT_SLACK,
     SampledFunction,
     c_star,
     eps_grid,
@@ -124,6 +125,21 @@ class TestSampledFunction:
     def test_rejects_unsorted(self):
         with pytest.raises(DomainError):
             SampledFunction(np.array([0.5, 0.2]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "positions, values",
+        [
+            ([0.1, np.nan, 0.5], [0.0, 1.0, 2.0]),
+            ([0.1, 0.3, np.inf], [0.0, 1.0, 2.0]),
+            ([0.1, 0.3, 0.5], [0.0, np.nan, 2.0]),
+            ([0.1, 0.3, 0.5], [-np.inf, 1.0, 2.0]),
+        ],
+    )
+    def test_rejects_non_finite(self, positions, values):
+        # checked first: nan fails no order comparison, and a nan value
+        # would give norm_report a zero variation and a nan Keller norm
+        with pytest.raises(DomainError, match="finite"):
+            SampledFunction(np.array(positions), np.array(values))
 
 
 class TestPseudoDistance:
@@ -440,19 +456,10 @@ class TestNormReport:
 
 
 class TestNormChainAudit:
-    def test_rejects_zero_alpha(self):
-        # with or without a report, alpha is checked before 1 / alpha
-        m = uniform_atoms(8)
-        h = step_function(m.points)
-        with pytest.raises(DomainError, match="alpha"):
-            norm_chain_audit(h, m, 0.0, 0.5)
-        with pytest.raises(DomainError, match="alpha"):
-            norm_chain_audit(h, m, 0.0, 0.5, report=norm_report(h, m, 0.5, 0.5))
-
     def test_constant_passes_trivially(self):
         m = uniform_atoms(64)
         h = SampledFunction(m.points, np.full(64, 2.0))
-        audit = norm_chain_audit(h, m, 1.0, 0.5)
+        audit = norm_chain_audit(norm_report(h, m, 1.0, 0.5))
         assert audit.passed
         names = [c.name for c in audit.checks]
         assert names == [
@@ -475,20 +482,10 @@ class TestNormChainAudit:
             for alpha in (0.5, 1.0):
                 h = draw_piecewise_holder(rng, alpha, m.points)
                 g = draw_piecewise_holder(rng, alpha, m.points)
-                audit = norm_chain_audit(h, m, alpha, 0.5, g=g)
+                audit = norm_chain_audit(norm_report(h, m, alpha, 0.5), g=g)
                 assert audit.passed, [
                     (c.name, c.lhs, c.rhs) for c in audit.checks if not c.passed
                 ]
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_passed_report_gives_bit_equal_checks(self, alpha):
-        m = uniform_atoms(256)
-        rng = np.random.default_rng(23)
-        for _ in range(4):
-            h = norms_draw(rng, m.points, alpha)
-            rep = norm_report(h, m, alpha, 0.5)
-            with_rep = norm_chain_audit(h, m, alpha, 0.5, report=rep)
-            assert with_rep.checks == norm_chain_audit(h, m, alpha, 0.5).checks
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_achieving_eps_matches_keller_seminorm(self, alpha):
@@ -501,16 +498,58 @@ class TestNormChainAudit:
             rep = norm_report(h, m, alpha, 0.5)
             eps = keller_seminorm(h, m, alpha, 0.5).argmax_eps
             factor = (1.0 + float(np.max(m.masses)) / eps) ** alpha
-            check = norm_chain_audit(h, m, alpha, 0.5, report=rep).checks[1]
+            check = norm_chain_audit(rep).checks[1]
             assert check.rhs == 2.0**alpha * rep.bv_norm * factor
             assert check.detail.startswith(f"eps*={eps:.6g},")
+
+    def test_report_fixes_measure_alpha_and_A(self):
+        # every input but g comes from the report: a reweighted measure sets
+        # the atomic factor of (ii), the report's alpha and A set C*
+        m = uniform_atoms(128)
+        h = step_function(m.points)
+        weights = 1.0 + m.points
+        other = AtomicMeasure(m.points, weights / weights.sum(), m.domain)
+        rep = norm_report(h, other, 0.5, 0.1)
+        audit = norm_chain_audit(rep)
+        eps = rep.keller.argmax_eps
+        factor = (1.0 + float(np.max(other.masses)) / eps) ** 0.5
+        assert factor != (1.0 + float(np.max(m.masses)) / eps) ** 0.5
+        check = audit.checks[1]
+        assert check.rhs == 2.0**0.5 * rep.bv_norm * factor
+        assert check.detail == f"eps*={eps:.6g}, atomic factor {factor:.6g}"
+        assert audit.c_star == c_star(0.5, 0.1, float(other.masses.sum()))
+        assert audit.c_star != c_star(0.5, 0.5)
+
+    def test_every_check_follows_the_one_pass_rule(self):
+        m = uniform_atoms(128)
+        rng = np.random.default_rng(53)
+        outcomes = set()
+        for alpha in (0.25, 0.5, 1.0):
+            for _ in range(3):
+                rep = norm_report(norms_draw(rng, m.points, alpha), m, alpha, 0.5)
+                kel = rep.keller
+                # doctored reports push each check past its bound
+                for r in (
+                    rep,
+                    replace(rep, bv_norm=rep.bv_norm + 10.0),
+                    replace(rep, var_p=0.0, bv_norm=rep.sup),
+                    replace(rep, keller=replace(kel, norm=kel.norm * 1e-3)),
+                ):
+                    audit = norm_chain_audit(r)
+                    for c in audit.checks:
+                        rule = c.lhs <= c.rhs + FLOAT_SLACK * max(1.0, c.rhs)
+                        assert c.passed == rule, c
+                        outcomes.add((c.name, c.passed))
+                    assert audit.passed == all(c.passed for c in audit.checks)
+        names = {name for name, _ in outcomes}
+        assert outcomes == {(n, ok) for n in names for ok in (True, False)}
 
     def test_passed_report_is_used(self):
         m = uniform_atoms(128)
         h = norms_draw(np.random.default_rng(4), m.points, 0.5)
         rep = norm_report(h, m, 0.5, 0.5)
         doctored = replace(rep, bv_norm=rep.bv_norm + 1.0)
-        audit = norm_chain_audit(h, m, 0.5, 0.5, report=doctored)
+        audit = norm_chain_audit(doctored)
         assert audit.checks[0].lhs == rep.bv_norm + 1.0
 
     def test_report_for_another_p_is_recomputed(self):
@@ -518,36 +557,8 @@ class TestNormChainAudit:
         h = norms_draw(np.random.default_rng(5), m.points, 0.5)
         rep = norm_report(h, m, 0.5, 0.5, p=3.0)
         assert rep.var_p != norm_report(h, m, 0.5, 0.5).var_p
-        audit = norm_chain_audit(h, m, 0.5, 0.5, report=rep)
-        assert audit.checks == norm_chain_audit(h, m, 0.5, 0.5).checks
-
-    @pytest.mark.parametrize(
-        "field, value", [("alpha", 1.0), ("A", 0.25), ("measure_size", 129)]
-    )
-    def test_mismatched_report_raises(self, field, value):
-        m = uniform_atoms(128)
-        h = norms_draw(np.random.default_rng(6), m.points, 0.5)
-        rep = norm_report(h, m, 0.5, 0.5)
-        if field == "measure_size":
-            rep = replace(rep, measure=uniform_atoms(value))
-        else:
-            rep = replace(rep, keller=replace(rep.keller, **{field: value}))
-        with pytest.raises(DomainError):
-            norm_chain_audit(h, m, 0.5, 0.5, report=rep)
-
-    def test_report_for_reweighted_measure_raises(self):
-        # same atom count and points, other masses: the report's Keller
-        # profile belongs to another measure
-        m = uniform_atoms(128)
-        h = step_function(m.points)
-        weights = 1.0 + m.points
-        other = AtomicMeasure(m.points, weights / weights.sum(), m.domain)
-        rep = norm_report(h, other, 0.5, 0.5)
-        with pytest.raises(DomainError, match="measure"):
-            norm_chain_audit(h, m, 0.5, 0.5, report=rep)
-        moved = AtomicMeasure(m.points * 0.5, m.masses, m.domain)
-        with pytest.raises(DomainError, match="measure"):
-            norm_chain_audit(h, m, 0.5, 0.5, report=norm_report(h, moved, 0.5, 0.5))
+        audit = norm_chain_audit(rep)
+        assert audit.checks == norm_chain_audit(norm_report(h, m, 0.5, 0.5)).checks
 
     @pytest.mark.parametrize("with_g", [False, True])
     def test_product_check_matches_full_reports(self, with_g):
@@ -557,9 +568,7 @@ class TestNormChainAudit:
             h = norms_draw(rng, m.points, 0.5)
             g = norms_draw(rng, m.points, 0.5) if with_g else h
             rep = norm_report(h, m, 0.5, 0.5)
-            check = norm_chain_audit(
-                h, m, 0.5, 0.5, g=g if with_g else None, report=rep
-            ).checks[3]
+            check = norm_chain_audit(rep, g=g if with_g else None).checks[3]
             cstar = c_star(0.5, 0.5)
             assert check.lhs == norm_report(h * g, m, 0.5, 0.5).keller.norm
             assert check.rhs == 2.0 * cstar * rep.keller.norm * norm_report(
@@ -577,8 +586,8 @@ class TestNormChainAudit:
         monkeypatch.setattr(
             keller, "norm_report", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
-        norm_chain_audit(h, m, 0.5, 0.5, report=rep)
-        norm_chain_audit(h, m, 0.5, 0.5, g=g, report=rep)
+        norm_chain_audit(rep)
+        norm_chain_audit(rep, g=g)
         assert calls == []
 
     def test_audit_never_scans_h(self, monkeypatch):
@@ -594,7 +603,7 @@ class TestNormChainAudit:
         rep = norm_report(h, m, 0.5, 0.5)
         assert len(scanned) == 21 and all(f is h for f in scanned)
         scanned.clear()
-        norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        norm_chain_audit(rep)
         # only the product h*h of check (iv): 42 scans per draw with the report
         assert len(scanned) == 21
         assert not any(f is h for f in scanned)
@@ -614,7 +623,7 @@ class TestNormChainAudit:
         monkeypatch.setattr(
             keller, "norm_report", lambda *a, **k: pytest.fail("report rebuilt")
         )
-        norm_chain_audit(h, m, 0.5, 0.5, report=rep)
+        norm_chain_audit(rep)
         assert calls == [2.0]
 
     def test_triangle_inequality_for_keller_norm(self):

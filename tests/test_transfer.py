@@ -71,6 +71,16 @@ class TestGridFunction:
         g = GridFunction.from_callable(lambda x: 3.0 * x, 64)
         assert g(np.array([0.31])) == pytest.approx(0.93, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "field, bad", [("grid", np.nan), ("grid", np.inf), ("values", np.nan)]
+    )
+    def test_rejects_non_finite(self, field, bad):
+        # checked first: a nan node fails no order or uniformity comparison
+        arrays = {"grid": np.linspace(0.0, 1.0, 16), "values": np.ones(16)}
+        arrays[field][5] = bad
+        with pytest.raises(DomainError, match="finite"):
+            GridFunction(**arrays)
+
 
 class TestApplyTransfer:
     def test_tent_constant_doubles(self):
@@ -348,6 +358,16 @@ class TestAdjointInvariance:
         ]
         dev = adjoint_invariance_audit(tent_map(), None, LOG2, mu, fns)
         assert dev <= 1e-2
+
+    def test_grid_function_probe_is_resampled(self):
+        # a GridFunction is one more callable: sampled on the audit grid
+        mu = uniform_atoms(1024, (0.0, 1.0))
+        coarse = GridFunction.from_callable(lambda x: np.cos(np.pi * x), 64)
+        args = (tent_map(), None, LOG2, mu)
+        dev = adjoint_invariance_audit(*args, [coarse], grid_size=512)
+        assert dev == adjoint_invariance_audit(
+            *args, [lambda x: coarse(x)], grid_size=512
+        )
 
 
 class TestCorrelation:
