@@ -47,8 +47,13 @@ class AtomicMeasure:
     _cum: Optional[np.ndarray] = field(
         init=False, repr=False, compare=False, default=None
     )
+    _hat: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
         if self.points.size != self.masses.size or self.points.size == 0:
             raise DomainError("measure needs matching nonempty points and masses")
         # checked first: nan fails no order, sign or sum comparison below
@@ -114,8 +119,47 @@ class AtomicMeasure:
         )
         return hist
 
+    def hat_weights(self, grid: np.ndarray) -> np.ndarray:
+        """Weights w with w @ values the integral of np.interp(x, grid, values).
+
+        Linear interpolation is linear in the node values, so w_j is the
+        sum over atoms of m_i hat_j(x_i), where hat_j is node j's hat
+        function; atoms outside the grid count at its nearest end node, as
+        np.interp clamps there. Read-only; built on first use and kept for
+        the last grid asked for, as a run integrates many grid functions on
+        one grid.
+        """
+        grid = np.asarray(grid, dtype=float)
+        if self._hat is not None and np.array_equal(self._hat[0], grid):
+            return self._hat[1]
+        if grid.ndim != 1 or grid.size < 2:
+            raise DomainError("grid needs at least 2 nodes")
+        steps = np.diff(grid)
+        if not (np.isfinite(grid).all() and np.all(steps > 0)):
+            raise DomainError("grid must be finite and increasing")
+        # atoms are ascending, so each cell [g_j, g_j+1) holds a run of them;
+        # the first and last cells also take the atoms left and right of the grid
+        ends = np.searchsorted(self.points, grid[1:-1], side="left")
+        counts = np.diff(ends, prepend=0, append=self.size)
+        cell = np.repeat(np.arange(grid.size - 1), counts)
+        right = self.points - np.repeat(grid[:-1], counts)
+        right /= np.repeat(steps, counts)
+        np.clip(right, 0.0, 1.0, out=right)
+        right *= self.masses  # m_i times the right node's hat at x_i
+        w = np.bincount(cell, weights=self.masses - right, minlength=grid.size)
+        w[1:] += np.bincount(cell, weights=right, minlength=grid.size - 1)
+        grid = grid.copy()
+        grid.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "_hat", (grid, w))
+        return w
+
     def integrate(self, fn) -> float:
-        """The integral of `fn` (called once, on every atom) against the measure."""
+        """The integral of `fn` (called once, on every atom) against the measure.
+
+        Grid functions integrate as ``hat_weights(grid) @ values`` instead,
+        which evaluates nothing at the atoms once the weights are built.
+        """
         return float(np.sum(self.masses * np.asarray(fn(self.points), dtype=float)))
 
 

@@ -34,6 +34,8 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.positions.size == 0 or self.positions.size != self.values.size:
             raise DomainError("need matching nonempty positions and values")
         # checked first: nan fails no order comparison below

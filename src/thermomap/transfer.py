@@ -2,10 +2,13 @@
 
 Functions live on a uniform collocation grid with piecewise-linear
 interpolation; applying the operator pulls values back through the exact
-branch inverses, so no transition matrix is ever assembled. The leading
-eigenpair comes from sup-normalized power iteration, the subdominant rate
-rho_hat from the decay of a deflated probe. Correlations against the
-equilibrium state push its atoms forward exactly and fit a geometric decay.
+branch inverses, so no transition matrix is ever assembled. A grid function
+integrates against an atomic measure as `AtomicMeasure.hat_weights(grid)`
+dotted with its values, one weight vector per (grid, measure), so no
+integral evaluates the function at the atoms. The leading eigenpair comes
+from sup-normalized power iteration, the subdominant rate rho_hat from the
+decay of a deflated probe. Correlations against the equilibrium state push
+its atoms forward exactly and fit a geometric decay.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.grid.size < MIN_GRID:
             raise DomainError(f"grid needs at least {MIN_GRID} nodes")
         if self.grid.size != self.values.size:
@@ -121,6 +126,8 @@ class EigenReport:
     fit_r2: float
     fit_points: int
     converged: bool
+    lambda_history: np.ndarray  # the sup-norm growth factor of each step
+    deflation_rates: np.ndarray  # sup norm of the deflated probe per step
 
     def __post_init__(self) -> None:
         if self.eigenvalue <= 0:
@@ -157,7 +164,9 @@ def power_iteration(
     integrate to 1 against mu (uniform midpoint atoms when omitted). The
     subdominant rate rho_hat is fitted from the decay of a deflated probe
     under the normalized operator, using the last DEFLATE_WINDOW resolvable
-    steps.
+    steps. Every integral against mu is one dot product with
+    mu.hat_weights(grid). The report keeps the eigenvalue of each step and
+    the probe's sup norm after each deflation.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -169,10 +178,12 @@ def power_iteration(
     image = apply_transfer(imap, potential, psi)
     lam_prev = np.inf
     converged = False
+    lambdas = []
     for iterations in range(1, max_iter + 1):
         lam = float(np.max(np.abs(image.values)))
         if lam <= 0:
             raise ConvergenceError("operator annihilated the iterate")
+        lambdas.append(lam)
         psi = image.with_values(image.values / lam)
         image = apply_transfer(imap, potential, psi)
         residual = float(np.max(np.abs(image.values / lam - psi.values)))
@@ -180,22 +191,20 @@ def power_iteration(
             converged = True
             break
         lam_prev = lam
-    scale = mu.integrate(psi)
+    # every grid function below lives on psi's grid: one weight vector
+    weights = mu.hat_weights(psi.grid)
+    scale = float(weights @ psi.values)
     if scale <= 0:
         raise AuditError("eigenfunction has nonpositive mass against mu")
     h = psi.with_values(psi.values / scale)
 
     log_p = float(np.log(lam))
-    work = GridFunction.from_callable(
-        lambda x: 1.0 + 0.1 * np.cos(np.pi * (x - imap.domain[0])
-                                     / (imap.domain[1] - imap.domain[0])),
-        grid_size,
-        imap.domain,
-    )
+    lo, hi = imap.domain
+    work = psi.with_values(1.0 + 0.1 * np.cos(np.pi * (psi.grid - lo) / (hi - lo)))
     rates = []
     for _ in range(60):
         work = apply_transfer(imap, potential, work, p_hat=log_p)
-        mean = mu.integrate(work)
+        mean = float(weights @ work.values)
         perp = work.values - mean * h.values
         r = float(np.max(np.abs(perp)))
         rates.append(r)
@@ -221,6 +230,8 @@ def power_iteration(
         fit_r2=r2,
         fit_points=fit_points,
         converged=converged,
+        lambda_history=np.asarray(lambdas),
+        deflation_rates=np.asarray(rates),
     )
 
 
@@ -275,13 +286,16 @@ def adjoint_invariance_audit(
     The conformal measure is a fixed point of the normalized adjoint, so
     both integrals agree in the limit; the deviation measures the joint
     error of the measure and the discretization. Each probe is a callable,
-    sampled on `grid_size` uniform nodes of the map's domain.
+    sampled on `grid_size` uniform nodes of the map's domain; both of its
+    integrals are dot products with mu.hat_weights of that grid.
     """
     worst = 0.0
     for fn in test_functions:
         psi = GridFunction.from_callable(fn, grid_size, imap.domain)
         image = apply_transfer(imap, potential, psi, p_hat=p_hat)
-        worst = max(worst, abs(mu.integrate(image) - mu.integrate(psi)))
+        weights = mu.hat_weights(psi.grid)
+        worst = max(worst, abs(float(weights @ image.values)
+                               - float(weights @ psi.values)))
     return worst
 
 

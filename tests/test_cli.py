@@ -1055,6 +1055,29 @@ class TestAuditAll:
         assert first == second
 
 
+class TestOneWeightBuild:
+    """Grid functions integrate against mu through one hat-weight vector,
+    shared by power iteration and the adjoint audit."""
+
+    @pytest.mark.parametrize("command", ["equilibrium", "correlations", "audit-all"])
+    def test_weights_built_once(self, tmp_path, monkeypatch, command):
+        builds = []
+        real = AtomicMeasure.hat_weights
+
+        def counting(self, grid):
+            if self._hat is None or not np.array_equal(self._hat[0], grid):
+                builds.append(self.size)
+            return real(self, grid)
+
+        monkeypatch.setattr(AtomicMeasure, "hat_weights", counting)
+        params = {"n_max": 10, "tree_depth": 10}
+        if command == "correlations":
+            params["lags"] = 6
+        path = write_config(tmp_path, potential=BERNOULLI, command_params=params)
+        assert main([command, str(path)]) == 0
+        assert len(builds) == 1
+
+
 class TestOneTreeWalk:
     """Each tree pipeline walks the preimage tree once and reduces that walk
     to the pressure, the transition parameter and the weak limit."""

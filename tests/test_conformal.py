@@ -27,6 +27,7 @@ from thermomap.errors import DomainError
 from thermomap.maps import golden_tent_map, tent_map
 from thermomap.potentials import BranchConstantPotential, CosineSeriesPotential
 from thermomap.pressure import level_sums
+from thermomap.transfer import GridFunction
 
 LOG2 = np.log(2.0)
 C_BERN = np.log(1.0 + np.exp(-1.0))
@@ -116,6 +117,11 @@ class TestAtomicMeasure:
         with pytest.raises(DomainError, match="finite"):
             AtomicMeasure(np.array(points), np.array(masses), (0.0, 1.0))
 
+    def test_accepts_lists(self):
+        mu = AtomicMeasure([0.2, 0.5], [0.5, 0.5], (0, 1))
+        assert mu.points.dtype == mu.masses.dtype == np.float64
+        assert mu.mass_interval(0.0, 0.3) == 0.5
+
     def test_dirac(self):
         mu = point_mass(0.5)
         assert mu.mass_interval(0.5, 0.5) == 1.0
@@ -133,6 +139,104 @@ class TestAtomicMeasure:
         lo, hi = min(a, b), max(a, b)
         brute = mu.masses[(mu.points >= lo) & (mu.points <= hi)].sum()
         assert mu.mass_interval(a, b) == pytest.approx(brute, abs=1e-12)
+
+
+def random_measure(rng, size, lo=0.0, hi=1.0):
+    return AtomicMeasure.normalized(
+        rng.uniform(lo, hi, size), rng.uniform(0.0, 1.0, size), (lo, hi)
+    )
+
+
+class TestHatWeights:
+    """hat_weights(g) @ v is the integral of np.interp(x, g, v) against mu."""
+
+    @staticmethod
+    def assert_matches_pointwise(mu, grid, rng):
+        # positive values keep the integral away from 0, so the check is relative
+        for _ in range(3):
+            values = rng.uniform(0.5, 2.0, grid.size)
+            pointwise = mu.integrate(GridFunction(grid, values))
+            assert mu.hat_weights(grid) @ values == pytest.approx(pointwise, rel=1e-13)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_measures(self, seed):
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, int(rng.integers(1, 20000)))
+        grid = np.linspace(0.0, 1.0, int(rng.integers(16, 5000)))
+        self.assert_matches_pointwise(mu, grid, rng)
+
+    def test_atoms_on_grid_nodes(self):
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 1.0, 257)
+        pts = np.concatenate([grid[rng.choice(grid.size, 100, replace=False)],
+                              rng.uniform(0.0, 1.0, 100)])
+        mu = AtomicMeasure.normalized(pts, rng.uniform(0.0, 1.0, pts.size), (0.0, 1.0))
+        self.assert_matches_pointwise(mu, grid, rng)
+        # an atom on a node weighs that node alone
+        on_node = AtomicMeasure(grid[[3]], np.array([1.0]), (0.0, 1.0))
+        w = on_node.hat_weights(grid)
+        assert w[3] == 1.0 and np.count_nonzero(w) == 1
+
+    def test_atoms_at_both_domain_ends(self):
+        rng = np.random.default_rng(12)
+        pts = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 500)])
+        mu = AtomicMeasure.normalized(pts, rng.uniform(0.5, 1.0, pts.size), (0.0, 1.0))
+        grid = np.linspace(0.0, 1.0, 64)
+        self.assert_matches_pointwise(mu, grid, rng)
+        ends = AtomicMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]), (0.0, 1.0))
+        w = ends.hat_weights(grid)
+        assert (w[0], w[-1], np.count_nonzero(w)) == (0.25, 0.75, 2)
+
+    @pytest.mark.parametrize("x", [0.0, 0.123456789, 0.5, 1.0])
+    def test_single_atom(self, x):
+        rng = np.random.default_rng(13)
+        self.assert_matches_pointwise(point_mass(x), np.linspace(0.0, 1.0, 100), rng)
+
+    def test_measure_on_a_sub_interval(self):
+        rng = np.random.default_rng(14)
+        mu = random_measure(rng, 3000, 0.3, 0.6)
+        grid = np.linspace(0.0, 1.0, 512)
+        self.assert_matches_pointwise(mu, grid, rng)
+        assert not mu.hat_weights(grid)[grid < 0.29].any()
+
+    def test_atoms_outside_the_grid_clamp_to_its_end_nodes(self):
+        # np.interp holds the end values outside the grid
+        rng = np.random.default_rng(15)
+        mu = random_measure(rng, 2000, -0.5, 1.5)
+        grid = np.linspace(0.0, 1.0, 128)
+        self.assert_matches_pointwise(mu, grid, rng)
+        w = mu.hat_weights(grid)
+        assert w[0] >= mu.mass_interval(-0.5, 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_kept_for_the_last_grid(self):
+        mu = random_measure(np.random.default_rng(16), 1000)
+        w = mu.hat_weights(np.linspace(0.0, 1.0, 64))
+        assert not w.flags.writeable
+        # an equal grid built anew reuses the weights; another grid replaces them
+        assert mu.hat_weights(np.linspace(0.0, 1.0, 64)) is w
+        other = mu.hat_weights(np.linspace(0.0, 1.0, 65))
+        assert other.size == 65
+        assert mu.hat_weights(np.linspace(0.0, 1.0, 65)) is other
+        # a measure copied with new masses does not inherit the weights
+        nu = replace(mu, masses=np.full(mu.size, 1.0 / mu.size))
+        assert nu.hat_weights(np.linspace(0.0, 1.0, 65)) is not other
+
+    def test_cached_grid_is_a_copy(self):
+        mu = random_measure(np.random.default_rng(17), 100)
+        grid = np.linspace(0.0, 1.0, 32)
+        w = mu.hat_weights(grid)
+        grid[5] = 0.9
+        assert mu.hat_weights(np.linspace(0.0, 1.0, 32)) is w
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.array([0.5]), np.array([0.0, 0.5, 0.5, 1.0]), np.array([1.0, 0.0]),
+         np.array([0.0, np.nan]), np.array([0.0, np.inf])],
+    )
+    def test_rejects_grids_that_are_not_finite_and_increasing(self, grid):
+        with pytest.raises(DomainError, match="grid"):
+            point_mass(0.5).hat_weights(grid)
 
 
 def brute_mix(sums, s, theta):

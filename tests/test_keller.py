@@ -126,6 +126,11 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             SampledFunction(np.array([0.5, 0.2]), np.array([1.0, 2.0]))
 
+    def test_accepts_lists(self):
+        h = SampledFunction([0.1, 0.2, 0.5], [0, 1, 2])
+        assert h.positions.dtype == h.values.dtype == np.float64
+        assert h(0.3) == 1.0
+
     @pytest.mark.parametrize(
         "positions, values",
         [

@@ -67,6 +67,11 @@ class TestGridFunction:
         with pytest.raises(DomainError):
             GridFunction.constant(0.0, 8)
 
+    def test_accepts_lists(self):
+        g = GridFunction(list(range(16)), [0] * 16)
+        assert g.grid.dtype == g.values.dtype == np.float64
+        assert g(2.5) == 0.0
+
     def test_interpolates_linearly(self):
         g = GridFunction.from_callable(lambda x: 3.0 * x, 64)
         assert g(np.array([0.31])) == pytest.approx(0.93, abs=1e-12)
@@ -230,6 +235,77 @@ class TestPowerIteration:
         assert rep.eigenvalue > 0
         assert np.all(rep.h.values >= 0)
         assert rep.residual <= 1e-10
+
+    def test_h_integrates_to_one_against_mu(self):
+        rng = np.random.default_rng(3)
+        mu = AtomicMeasure.normalized(
+            rng.uniform(0.0, 1.0, 5000), rng.uniform(0.0, 1.0, 5000), (0.0, 1.0)
+        )
+        cosine = CosineSeriesPotential((0.3, -0.2))
+        rep = power_iteration(full_linear_map(2), cosine, grid_size=512, mu=mu)
+        assert abs(mu.hat_weights(rep.h.grid) @ rep.h.values - 1.0) <= 1e-15
+        assert mu.integrate(rep.h) == pytest.approx(1.0, abs=1e-14)
+
+    # Computed when every integral of a grid function evaluated it at each
+    # atom. lambda, log lambda, the residual and the iteration count are
+    # read before the eigenfunction is scaled against mu, so the quadrature
+    # must leave them bit-equal.
+    @pytest.mark.parametrize(
+        "imap, potential, grid_size, expected",
+        [
+            (full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 512,
+             (2.0052666531297527, 0.6957770459952811, 4.176659018639839e-12, 18)),
+            (logistic4_map(), bern_potential(), 256,
+             (1.3678794411714423, 0.31326168751822286, 0.0, 2)),
+            (golden_tent_map(), None, 1024,
+             (1.6182385631434848, 0.48133825099597444, 7.327582984828496e-12, 65)),
+        ],
+        ids=["doubling-cosine", "logistic4-bernoulli", "golden-none"],
+    )
+    def test_spectral_values_bit_equal_to_reference(
+        self, imap, potential, grid_size, expected
+    ):
+        rng = np.random.default_rng(20)
+        mu = AtomicMeasure.normalized(
+            rng.uniform(0.0, 1.0, 5000), rng.uniform(0.0, 1.0, 5000), (0.0, 1.0)
+        )
+        rep = power_iteration(imap, potential, grid_size=grid_size, mu=mu)
+        got = (rep.eigenvalue, rep.log_eigenvalue, rep.residual, rep.iterations)
+        assert got == expected
+
+    def test_report_keeps_its_trajectories(self):
+        cosine = CosineSeriesPotential((0.3, -0.2))
+        rep = power_iteration(full_linear_map(2), cosine, grid_size=256)
+        lams = rep.lambda_history
+        assert lams.size == rep.iterations and lams[-1] == rep.eigenvalue
+        assert abs(lams[-1] - lams[-2]) < 1e-12 <= abs(lams[0] - lams[1])
+        # rho_hat is the fit over the last resolvable deflation rates
+        rates = rep.deflation_rates
+        tail = rates[rates > 1e-14][-transfer.DEFLATE_WINDOW:]
+        assert tail.size == rep.fit_points >= 3
+        slope = np.polyfit(np.arange(tail.size, dtype=float), np.log(tail), 1)[0]
+        assert rep.rho_hat == float(np.exp(slope))
+
+    def test_adjoint_audit_reuses_the_eigenfunction_weights(self):
+        # audit-all integrates both on mu and on one grid: one weight build
+        rng = np.random.default_rng(5)
+        mu = AtomicMeasure.normalized(
+            rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1.0, 2000), (0.0, 1.0)
+        )
+        rep = power_iteration(tent_map(), bern_potential(), grid_size=256, mu=mu)
+        w = mu.hat_weights(rep.h.grid)
+        probes = [np.cos, smoothed_indicator(0.2, 0.4)]
+        dev = adjoint_invariance_audit(
+            tent_map(), bern_potential(), rep.log_eigenvalue, mu, probes,
+            grid_size=256,
+        )
+        assert mu.hat_weights(rep.h.grid) is w
+        pointwise = 0.0
+        for fn in probes:
+            psi = GridFunction.from_callable(fn, 256)
+            image = apply_transfer(tent_map(), bern_potential(), psi, rep.log_eigenvalue)
+            pointwise = max(pointwise, abs(mu.integrate(image) - mu.integrate(psi)))
+        assert dev == pytest.approx(pointwise, abs=1e-15)
 
     def test_cohomology_invariance_of_log_lambda(self):
         tent = tent_map()
