@@ -15,7 +15,10 @@ Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
 naming the key path; an unknown key is anchored to its line). On exit 3
 a flagged result is still written, with status ``budget`` (pressure,
 entropy) or ``not_converged`` (conformal, equilibrium, correlations,
-audit-all); a raised failure writes nothing.
+audit-all); a raised failure writes nothing. `correlations` writes the
+signed C_n of `transfer.correlation` per lag, each lag from the first one
+at its observable's resolution floor on with status ``below_resolution``,
+which exits 0.
 """
 
 from __future__ import annotations
@@ -484,8 +487,6 @@ def _equilibrium_row(tree, limit, eigen, hyper, state) -> dict:
         "potential_mean": state.potential_mean,
         "residual": eigen.residual,
         "iterations": int(eigen.iterations),
-        "rho_hat": eigen.rho_hat,
-        "fit_r2": eigen.fit_r2,
         "hyperbolicity": hyper.verdict,
         "status": "ok" if limit.converged and eigen.converged else "not_converged",
     }
@@ -508,11 +509,13 @@ def cmd_correlations(exp: Experiment):
     eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
     status = _equilibrium_row(tree, limit, eigen, hyper, state)["status"]
     fns = p["observables"]
-    batch = correlation(exp.imap, fns, fns, state.nu, n_max=p["lags"])
+    batch = correlation(
+        exp.imap, fns, fns, limit.measure, exp.potential, eigen, n_max=p["lags"]
+    )
     rows = []
     for idx, rep in enumerate(batch.reports):
-        flag = "below_resolution" if rep.below_resolution else "ok"
-        for n, c in zip(rep.ns, rep.c_values):
+        for n, c, below in zip(rep.ns, rep.c_values, rep.below_resolution):
+            flag = "below_resolution" if below else "ok"
             # write_csv writes a missing fit (None) as nan
             rows.append({"observable": int(idx), "n": int(n), "c_n": c, "rho": rep.rho,
                          "r_squared": rep.r_squared,

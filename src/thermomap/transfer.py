@@ -6,9 +6,10 @@ branch inverses, so no transition matrix is ever assembled. A grid function
 integrates against an atomic measure as `AtomicMeasure.hat_weights(grid)`
 dotted with its values, one weight vector per (grid, measure), so no
 integral evaluates the function at the atoms. The leading eigenpair comes
-from sup-normalized power iteration, the subdominant rate rho_hat from the
-decay of a deflated probe. Correlations against the equilibrium state push
-its atoms forward exactly and fit a geometric decay.
+from sup-normalized power iteration. Correlations against the equilibrium
+state nu = h mu take the dual route: psi h is pushed through the normalized
+operator, each lag is one integral against mu, and the signed sequence is
+fitted with a geometric decay down to the measure's invariance defect.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ import numpy as np
 
 from .conformal import AtomicMeasure, uniform_atoms
 from .errors import AuditError, ConvergenceError, DomainError
-from .maps import IntervalMap, forward_orbit
+from .maps import IntervalMap
 from .potentials import Potential
 
 MIN_GRID = 16
 CORRELATION_FLOOR = 1e-13
-CORRELATION_CHUNK = 16384  # atoms per observable call in the correlation sum
-DEFLATE_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,15 @@ def apply_transfer(
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Leading eigenpair of the discretized operator with gap diagnostics."""
+    """Leading eigenpair of the discretized operator with its trajectory."""
 
     eigenvalue: float
     log_eigenvalue: float
     h: GridFunction
     residual: float
     iterations: int
-    rho_hat: float
-    fit_r2: float
-    fit_points: int
     converged: bool
     lambda_history: np.ndarray  # the sup-norm growth factor of each step
-    deflation_rates: np.ndarray  # sup norm of the deflated probe per step
 
     def __post_init__(self) -> None:
         if self.eigenvalue <= 0:
@@ -161,12 +156,9 @@ def power_iteration(
     is below 10 tol, or after max_iter >= 1 steps. A run of k steps applies
     the operator k + 1 times: each image gives both the previous step's
     residual and the next iterate. The eigenfunction is rescaled to
-    integrate to 1 against mu (uniform midpoint atoms when omitted). The
-    subdominant rate rho_hat is fitted from the decay of a deflated probe
-    under the normalized operator, using the last DEFLATE_WINDOW resolvable
-    steps. Every integral against mu is one dot product with
-    mu.hat_weights(grid). The report keeps the eigenvalue of each step and
-    the probe's sup norm after each deflation.
+    integrate to 1 against mu (uniform midpoint atoms when omitted): one
+    dot product with mu.hat_weights(grid). The report keeps the eigenvalue
+    of each step.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -191,47 +183,17 @@ def power_iteration(
             converged = True
             break
         lam_prev = lam
-    # every grid function below lives on psi's grid: one weight vector
-    weights = mu.hat_weights(psi.grid)
-    scale = float(weights @ psi.values)
+    scale = float(mu.hat_weights(psi.grid) @ psi.values)
     if scale <= 0:
         raise AuditError("eigenfunction has nonpositive mass against mu")
-    h = psi.with_values(psi.values / scale)
-
-    log_p = float(np.log(lam))
-    lo, hi = imap.domain
-    work = psi.with_values(1.0 + 0.1 * np.cos(np.pi * (psi.grid - lo) / (hi - lo)))
-    rates = []
-    for _ in range(60):
-        work = apply_transfer(imap, potential, work, p_hat=log_p)
-        mean = float(weights @ work.values)
-        perp = work.values - mean * h.values
-        r = float(np.max(np.abs(perp)))
-        rates.append(r)
-        work = work.with_values(perp)
-        if r < 1e-15:
-            break
-    usable = np.asarray([r for r in rates if r > 1e-14])
-    if usable.size >= 3:
-        tail = usable[-DEFLATE_WINDOW:]
-        slope, _, r2 = _log_linear_fit(np.arange(tail.size, dtype=float), np.log(tail))
-        rho_hat = float(np.exp(slope))
-        fit_points = int(tail.size)
-    else:
-        # probe collapsed immediately: subdominant part below resolution
-        rho_hat, r2, fit_points = 0.0, float("nan"), int(usable.size)
     return EigenReport(
         eigenvalue=lam,
-        log_eigenvalue=log_p,
-        h=h,
+        log_eigenvalue=float(np.log(lam)),
+        h=psi.with_values(psi.values / scale),
         residual=residual,
         iterations=iterations,
-        rho_hat=rho_hat,
-        fit_r2=r2,
-        fit_points=fit_points,
         converged=converged,
         lambda_history=np.asarray(lambdas),
-        deflation_rates=np.asarray(rates),
     )
 
 
@@ -301,14 +263,15 @@ def adjoint_invariance_audit(
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation sequence against nu with its fitted geometric decay."""
+    """Signed correlation sequence against nu with its fitted geometric decay."""
 
     ns: np.ndarray
     c_values: np.ndarray
+    floor: float
+    below_resolution: np.ndarray  # per lag: from the first |C_n| <= floor on
     rho: Optional[float]
     prefactor: Optional[float]
     r_squared: Optional[float]
-    below_resolution: bool
 
 
 @dataclass(frozen=True)
@@ -319,77 +282,71 @@ class CorrelationBatch:
     reports: tuple[CorrelationReport, ...]
 
 
-def fit_decay(ns: np.ndarray, c_values: np.ndarray) -> CorrelationReport:
-    """Log-linear fit of C_n = prefactor rho^n over the lags above the floor.
+def fit_decay(ns: np.ndarray, c_values: np.ndarray, floor: float) -> CorrelationReport:
+    """Log-linear fit of |C_n| = prefactor rho^n over the resolved lags.
 
-    Fewer than two lags above CORRELATION_FLOOR leave the sequence
-    `below_resolution` with no fit.
+    Every lag from the first one with |C_n| <= floor on is
+    `below_resolution`; the fit reads the lags before it, and fewer than two
+    of them leave no fit.
     """
-    valid = c_values > CORRELATION_FLOOR
-    if valid.sum() < 2:
-        return CorrelationReport(
-            ns=ns, c_values=c_values, rho=None, prefactor=None,
-            r_squared=None, below_resolution=True,
-        )
-    slope, intercept, r2 = _log_linear_fit(ns[valid], np.log(c_values[valid]))
-    return CorrelationReport(
-        ns=ns,
-        c_values=c_values,
-        rho=float(np.exp(slope)),
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        below_resolution=False,
-    )
+    size = np.abs(c_values)
+    below = np.logical_or.accumulate(size <= floor)
+    fit = (None, None, None)
+    if (~below).sum() >= 2:
+        slope, intercept, r2 = _log_linear_fit(ns[~below], np.log(size[~below]))
+        fit = (float(np.exp(slope)), float(np.exp(intercept)), r2)
+    return CorrelationReport(ns, c_values, floor, below, *fit)
 
 
 def correlation(
     imap: IntervalMap,
     phi_obs: Sequence[Callable],
     psi: Sequence[Callable],
-    nu: AtomicMeasure,
+    mu: AtomicMeasure,
+    potential: Optional[Potential],
+    eigen: EigenReport,
     n_max: int = 12,
 ) -> CorrelationBatch:
-    """C_n = |int phi(f^n) psi dnu - int phi dnu int psi dnu| for n = 1..n_max.
+    """Signed C_n = int phi L-hat^n(psi h) dmu - int phi dnu int psi dnu, n = 1..n_max.
 
-    Orbits of the atoms are pushed forward exactly through the map, so the
-    only error is that of nu itself. Observables may be grid functions or
-    plain callables; exact callables keep cancellation effects intact.
+    mu is the conformal measure and `eigen` the eigenpair of (imap,
+    potential); L-hat is the operator normalized by eigen's log eigenvalue
+    and nu = h mu / int h dmu, so the first term is int phi(f^n) psi dnu.
+    The observables, callables acting pointwise, are sampled on h's grid:
+    psi h is pushed through L-hat n_max times and each lag is one dot
+    product with mu.hat_weights of that grid.
 
-    `phi_obs` and `psi` are two equal-length sequences of callables; the
-    `CorrelationBatch` holds one report per pair (phi_obs[k], psi[k]). The
-    atoms are pushed forward once for all pairs. At each lag the products
-    w phi(f^n x) psi(x) are written into one buffer CORRELATION_CHUNK atoms
-    at a time and summed over the whole buffer, so phi is called on slices
-    of the orbit: observables must act pointwise.
+    `phi_obs` and `psi` are two equal-length sequences; the batch holds one
+    report per pair (phi_obs[k], psi[k]). A pair's floor is sup_grid
+    |phi_obs[k]| times |int L-hat(psi h) dmu - int psi h dmu|, mu's
+    invariance defect read from the first image, and at least
+    CORRELATION_FLOOR; `fit_decay` flags the lags below it.
     """
     phis, psis = list(phi_obs), list(psi)
     if not phis or len(phis) != len(psis):
         raise DomainError("need equal-length, nonempty observable sequences")
     if n_max < 5:
         raise DomainError("need n_max >= 5")
-    pts = nu.points
-    w = nu.masses
-    psi_vals = []
-    mean_products = []
-    for phi, ps in zip(phis, psis):
-        vals = np.asarray(ps(pts), dtype=float)
-        phi_vals = vals if phi is ps else np.asarray(phi(pts), dtype=float)
-        psi_vals.append(vals)
-        mean_products.append(float(np.sum(w * phi_vals)) * float(np.sum(w * vals)))
-    cs = np.empty((len(phis), n_max))
-    buf = np.empty(pts.size)
-    orbit = forward_orbit(imap, pts, n_max + 1)
-    next(orbit)  # f^0: the atoms themselves
-    for n, (cur, _) in enumerate(orbit):
-        for k, phi in enumerate(phis):
-            for lo in range(0, pts.size, CORRELATION_CHUNK):
-                part = slice(lo, lo + CORRELATION_CHUNK)
-                out = buf[part]
-                np.multiply(w[part], np.asarray(phi(cur[part]), dtype=float), out=out)
-                np.multiply(out, psi_vals[k][part], out=out)
-            cs[k, n] = abs(float(np.sum(buf)) - mean_products[k])
+    grid = eigen.h.grid
+    w = mu.hat_weights(grid)
+    h = eigen.h.values / float(w @ eigen.h.values)
     ns = np.arange(1, n_max + 1)
-    return CorrelationBatch(ns=ns, reports=tuple(fit_decay(ns, row) for row in cs))
+    reports = []
+    for phi, ps in zip(phis, psis):
+        phi_vals = np.asarray(phi(grid), dtype=float)
+        work = eigen.h.with_values(np.asarray(ps(grid), dtype=float) * h)
+        psi_mean = float(w @ work.values)
+        images = []
+        for _ in range(n_max):
+            work = apply_transfer(imap, potential, work, p_hat=eigen.log_eigenvalue)
+            images.append(work.values)
+        # one dot product per lag, so C_n does not depend on n_max
+        wphi = w * phi_vals
+        cs = np.array([wphi @ v for v in images]) - float(wphi @ h) * psi_mean
+        defect = abs(float(w @ images[0]) - psi_mean)
+        floor = max(CORRELATION_FLOOR, float(np.max(np.abs(phi_vals))) * defect)
+        reports.append(fit_decay(ns, cs, floor))
+    return CorrelationBatch(ns=ns, reports=tuple(reports))
 
 
 def smoothed_indicator(

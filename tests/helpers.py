@@ -8,10 +8,6 @@ from thermomap.conformal import AtomicMeasure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.keller import SampledFunction
 from thermomap.maps import TOL_CONTINUITY, TOL_DEDUP, PreimageLevel
-from thermomap.transfer import (
-    CORRELATION_FLOOR,
-    CorrelationReport,
-)
 
 # acceptance-criterion results, keyed by criterion number; each entry is a
 # list of (ok, detail) clause records merged into one line per criterion
@@ -160,44 +156,6 @@ def preimage_words(imap, x0, n):
             words.append(word)
             points.append(x)
     return np.array(words, dtype=np.int64).reshape(len(words), n), np.array(points)
-
-
-def pair_correlation(imap, phi_obs, psi, nu, n_max):
-    """One observable pair, one pushforward of full-length arrays per pair:
-    each lag evaluates phi on every atom at once and sums w phi psi. The
-    oracle for transfer.correlation, which shares one chunked pushforward
-    among all pairs."""
-    pts = nu.points
-    w = nu.masses
-    psi_vals = np.asarray(psi(pts), dtype=float)
-    phi_mean = float(np.sum(w * np.asarray(phi_obs(pts), dtype=float)))
-    psi_mean = float(np.sum(w * psi_vals))
-    cs = np.empty(n_max)
-    cur = pts
-    for n in range(1, n_max + 1):
-        cur = imap.eval(cur)
-        phi_n = np.asarray(phi_obs(cur), dtype=float)
-        cs[n - 1] = abs(float(np.sum(w * phi_n * psi_vals)) - phi_mean * psi_mean)
-    ns = np.arange(1, n_max + 1)
-    valid = cs > CORRELATION_FLOOR
-    if valid.sum() < 2:
-        return CorrelationReport(
-            ns=ns, c_values=cs, rho=None, prefactor=None,
-            r_squared=None, below_resolution=True,
-        )
-    slope, intercept = np.polyfit(ns[valid], np.log(cs[valid]), 1)
-    fitted = slope * ns[valid] + intercept
-    log_c = np.log(cs[valid])
-    ss_tot = float(np.sum((log_c - log_c.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((log_c - fitted) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return CorrelationReport(
-        ns=ns,
-        c_values=cs,
-        rho=float(np.exp(slope)),
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        below_resolution=False,
-    )
 
 
 def verify_separated(orbit, positions, indices, epsilon):

@@ -843,7 +843,29 @@ class TestCorrelationsCommand:
         assert f"command_params.{key}" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
-    def test_observables_share_one_pushforward(self, tmp_path):
+    def test_lags_past_the_floor_are_flagged_one_by_one(self, tmp_path):
+        # doubling + cos at depth 10: mu's invariance defect floors each
+        # sequence after a few lags, and the fit reads only the lags before
+        path = write_config(
+            tmp_path, potential=COSINE,
+            command_params={
+                "x0": 0.2, "n_max": 10, "tree_depth": 10, "lags": 12,
+                "observables": [{"lo": 0.1, "hi": 0.4},
+                                {"lo": 0.3, "hi": 0.9, "width": 0.1}],
+            },
+        )
+        assert main(["correlations", str(path)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "correlations.csv")
+        for idx in ("0", "1"):
+            mine = [dict(zip(header, r)) for r in rows if r[0] == idx]
+            statuses = [r["status"] for r in mine]
+            resolved = statuses.count("ok")
+            assert 2 <= resolved < 12
+            assert statuses == ["ok"] * resolved + ["below_resolution"] * (12 - resolved)
+            (rho,) = {r["rho"] for r in mine}
+            assert 0.0 < float(rho) < 1.0
+
+    def test_each_observable_matches_its_own_run(self, tmp_path):
         # each observable's rows equal the rows of a run with it alone
         specs = [{"lo": 0.1, "hi": 0.4}, {"lo": 0.3, "hi": 0.9, "width": 0.1}]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import orbit, preimage_words, reference_preimage_levels
 from thermomap import maps, pressure
-from thermomap.conformal import uniform_atoms
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
     Branch,
@@ -32,7 +31,6 @@ from thermomap.potentials import (
     CosineSeriesPotential,
 )
 from thermomap.pressure import hyperbolicity_check, level_sums, separated_pressure
-from thermomap.transfer import correlation
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 # the appendix construction's map: four full branches of slope +-4
@@ -509,8 +507,6 @@ class TestOneOrbitKernel:
         runs = {
             "separated_pressure": lambda: separated_pressure(f, phi, 4, 0.05, 40),
             "hyperbolicity_check": lambda: hyperbolicity_check(f, phi, -1.0, n_max=3),
-            "correlation": lambda: correlation(
-                f, [phi], [phi], uniform_atoms(64, f.domain), n_max=5),
             "AveragedPotential": lambda: AveragedPotential(f, phi, 3)(
                 np.linspace(0.0, 1.0, 9)),
         }

@@ -20,10 +20,6 @@ SCRIPTS = {
         ["weighted_doubling_measure.csv", "weighted_doubling_equilibrium.csv"],
     ),
     "depth_convergence.py": (["--depth", "10"], ["depth_convergence.csv"]),
-    "correlation_floor.py": (
-        ["--max-power", "14", "--lags", "8"],
-        ["correlation_floor.csv"],
-    ),
     "walk_peak.py": (["--depth", "10"], ["walk_peak.csv"]),
 }
 
@@ -52,10 +48,3 @@ def test_script_runs(tmp_path, script):
 def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
 
-
-def test_correlation_floor_rejects_empty_sweep(tmp_path):
-    # below 2^14 atoms the sweep has no step and would write a bare header
-    proc = run_script("correlation_floor.py", ["--max-power", "12"], tmp_path)
-    assert proc.returncode == 2
-    assert "--max-power must be at least 14" in proc.stderr
-    assert not (tmp_path / "correlation_floor.csv").exists()

@@ -10,6 +10,7 @@ measure is the arcsine law; the eigenfunction of the collocation operator is
 the constant, and the arcsine shape lives in the measure, not in h.
 """
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -17,9 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_correlation, tent_bernoulli_atoms
+from helpers import tent_bernoulli_atoms
 from thermomap import transfer
-from thermomap.conformal import AtomicMeasure, uniform_atoms
+from thermomap.conformal import (
+    AtomicMeasure,
+    transition_parameter,
+    uniform_atoms,
+    weak_limit,
+    window_start,
+)
 from thermomap.errors import AuditError, DomainError
 from thermomap.maps import (
     IntervalMap,
@@ -34,9 +41,8 @@ from thermomap.potentials import (
     CosineSeriesPotential,
     PiecewiseLinearPotential,
 )
-from thermomap.pressure import hyperbolicity_check, tree_pressure
+from thermomap.pressure import hyperbolicity_check, level_sums, tree_pressure
 from thermomap.transfer import (
-    CORRELATION_CHUNK,
     CorrelationBatch,
     GridFunction,
     adjoint_invariance_audit,
@@ -148,9 +154,6 @@ class TestPowerIteration:
         assert rep.converged
         assert rep.eigenvalue == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(rep.h.values - 1.0)) <= 1e-10
-        # the cosine probe is annihilated in one step, so the deflated
-        # subdominant estimate collapses to the honest floor value
-        assert rep.rho_hat <= 0.51
 
     def test_bernoulli_exact_eigenpair(self):
         rep = power_iteration(tent_map(), bern_potential(), grid_size=1024)
@@ -279,12 +282,6 @@ class TestPowerIteration:
         lams = rep.lambda_history
         assert lams.size == rep.iterations and lams[-1] == rep.eigenvalue
         assert abs(lams[-1] - lams[-2]) < 1e-12 <= abs(lams[0] - lams[1])
-        # rho_hat is the fit over the last resolvable deflation rates
-        rates = rep.deflation_rates
-        tail = rates[rates > 1e-14][-transfer.DEFLATE_WINDOW:]
-        assert tail.size == rep.fit_points >= 3
-        slope = np.polyfit(np.arange(tail.size, dtype=float), np.log(tail), 1)[0]
-        assert rep.rho_hat == float(np.exp(slope))
 
     def test_adjoint_audit_reuses_the_eigenfunction_weights(self):
         # audit-all integrates both on mu and on one grid: one weight build
@@ -446,88 +443,146 @@ class TestAdjointInvariance:
         )
 
 
+def step_third(x):
+    return (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
+
+
+@lru_cache(maxsize=None)
+def tent_lebesgue(grid_size):
+    """Lebesgue (2^16 midpoint atoms) and the zero-potential tent eigenpair
+    on it; h = 1, so nu is Lebesgue too."""
+    mu = uniform_atoms(2**16, (0.0, 1.0))
+    return mu, power_iteration(tent_map(), None, grid_size=grid_size, mu=mu)
+
+
+def tent_correlation(phis, psis, grid_size=4096, n_max=12):
+    mu, eigen = tent_lebesgue(grid_size)
+    return correlation(tent_map(), phis, psis, mu, None, eigen, n_max=n_max)
+
+
+@lru_cache(maxsize=None)
+def tent_cosine_limit(depth=18, grid_size=4096):
+    """Tent + cos [0.3, -0.2]: the depth-`depth` weak limit and the eigenpair
+    normalized against it."""
+    imap, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
+    sums = level_sums(imap, phi, 0.3, depth, retain_from=window_start(depth))
+    mu = weak_limit(sums, transition_parameter(sums).c, bins=64, tol=1e-6).measure
+    return imap, phi, mu, power_iteration(imap, phi, grid_size=grid_size, mu=mu)
+
+
 class TestCorrelation:
     def test_tent_cosine_autocorrelation_floor(self):
-        nu = uniform_atoms(2**16, (0.0, 1.0))
-        rep = correlation(
-            tent_map(),
-            [lambda x: np.cos(np.pi * np.asarray(x, dtype=float))],
-            [lambda x: np.cos(np.pi * np.asarray(x, dtype=float))],
-            nu,
-            n_max=12,
-        ).reports[0]
-        assert np.max(rep.c_values) <= 1e-10
-        assert rep.below_resolution
+        cos = lambda x: np.cos(np.pi * np.asarray(x, dtype=float))
+        rep = tent_correlation([cos], [cos]).reports[0]
+        assert np.max(np.abs(rep.c_values)) <= 1e-10
+        assert rep.below_resolution.all() and rep.rho is None
 
-    def test_constant_observable_zero(self):
-        nu = uniform_atoms(1024, (0.0, 1.0))
-        rep = correlation(
-            tent_map(),
-            [lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)],
-            [lambda x: np.asarray(x, dtype=float)],
-            nu,
-            n_max=6,
-        ).reports[0]
-        assert np.max(rep.c_values) <= 1e-13
+    def test_constant_observable_stays_at_its_floor(self):
+        # C_n = 2.5 (int L-hat^n(psi h) dmu - int psi h dmu): the defect
+        # the floor is built from, so no lag resolves
+        const = lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)
+        rep = tent_correlation([const], [lambda x: np.asarray(x, dtype=float)],
+                               n_max=6).reports[0]
+        assert np.max(np.abs(rep.c_values)) <= 1e-13
+        assert rep.below_resolution[0] and rep.rho is None
 
     def test_smoothed_indicator_fit(self):
-        nu = uniform_atoms(2**18, (0.0, 1.0))
         obs = smoothed_indicator(0.0, 0.5)
-        rep = correlation(tent_map(), [obs], [obs], nu, n_max=10).reports[0]
+        rep = tent_correlation([obs], [obs], n_max=10).reports[0]
         assert rep.rho is not None
         assert rep.rho <= 0.55
         assert rep.r_squared >= 0.9
 
-    def test_sharp_generic_indicator_rate_half(self):
-        # a step at 1/3 feeds the invariant Fourier pair (1/3 -> 2/3 -> 2/3),
-        # giving exactly geometric decay C_n = (1/9) 2^{-n} on Lebesgue
-        nu = uniform_atoms(2**18, (0.0, 1.0))
-        obs = lambda x: (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
-        rep = correlation(tent_map(), [obs], [obs], nu, n_max=7).reports[0]
-        expected = (1.0 / 9.0) * 0.5 ** np.arange(1, 8)
-        # early lags are resolution-exact; the deepest carry the atom
-        # lattice's boundary-counting error, a few percent at 2^18 atoms
-        np.testing.assert_allclose(rep.c_values[:4], expected[:4], rtol=1e-3)
-        np.testing.assert_allclose(rep.c_values, expected, rtol=7e-2)
+    def test_sharp_step_closed_form(self):
+        # the step at 1/3 feeds the invariant Fourier pair (1/3 -> 2/3 ->
+        # 2/3): on Lebesgue its signed correlations are -(-1/2)^n / 9; the
+        # grid smears the jump over one cell, an error that grows with n
+        rep = tent_correlation([step_third], [step_third], grid_size=16384,
+                               n_max=7).reports[0]
+        expected = -((-0.5) ** rep.ns) / 9.0
+        assert np.array_equal(np.sign(rep.c_values), np.sign(expected))
+        rel = np.abs(rep.c_values / expected - 1.0)
+        assert np.all(rel <= [2e-4, 6e-4, 1.2e-3, 2.5e-3, 5e-3, 1e-2, 2e-2])
+        assert not rep.below_resolution.any()
         assert rep.rho == pytest.approx(0.5, abs=1e-2)
         assert rep.r_squared >= 0.999
 
+    def test_tent_cosine_sine_decays_at_the_subdominant_ratio(self):
+        # |lambda_2 / lambda_1| = 0.2755671353 for tent + cos [0.3, -0.2];
+        # from lag 13 on C_n sits on a plateau near 1.7e-9, the depth-18
+        # measure's own error, under the first image's defect floor
+        imap, phi, mu, eigen = tent_cosine_limit()
+        sine = lambda x: np.sin(2 * np.pi * np.asarray(x, dtype=float))
+        rep = correlation(imap, [sine], [sine], mu, phi, eigen, n_max=20).reports[0]
+        ratios = rep.c_values[5:10] / rep.c_values[4:9]  # C_n / C_{n-1}, n = 6..10
+        assert np.all((0.27 <= ratios) & (ratios <= 0.28))
+        assert np.all(np.abs(rep.c_values[14:]) >= 1e-9)
+        assert not rep.below_resolution[:11].any()
+        assert rep.below_resolution[11:].all()
+        assert rep.rho < 1.0
+
+    def test_floor_is_the_adjoint_defect_of_the_first_image(self):
+        imap, phi, mu, eigen = tent_cosine_limit(depth=12, grid_size=512)
+        obs = smoothed_indicator(0.2, 0.5)
+        sine = lambda x: 3.0 * np.sin(2 * np.pi * np.asarray(x, dtype=float))
+        rep = correlation(imap, [sine], [obs], mu, phi, eigen).reports[0]
+        defect = adjoint_invariance_audit(
+            imap, phi, eigen.log_eigenvalue, mu, [lambda x: obs(x) * eigen.h(x)],
+            grid_size=512,
+        )
+        sup = np.max(np.abs(sine(eigen.h.grid)))  # on the grid: below 3
+        assert rep.floor == pytest.approx(sup * defect, rel=1e-9)
+        assert rep.floor > transfer.CORRELATION_FLOOR
+
+    def test_h_is_normalized_against_mu(self):
+        # nu = h mu / int h dmu, as equilibrium_state builds it
+        imap, phi, mu, eigen = tent_cosine_limit(depth=12, grid_size=512)
+        scaled = dataclasses.replace(eigen, h=eigen.h.with_values(3.0 * eigen.h.values))
+        obs = smoothed_indicator(0.2, 0.5)
+        want = correlation(imap, [obs], [obs], mu, phi, eigen).reports[0]
+        got = correlation(imap, [obs], [obs], mu, phi, scaled).reports[0]
+        np.testing.assert_allclose(got.c_values, want.c_values, rtol=1e-12, atol=1e-18)
+
     def test_rejects_short_window(self):
         with pytest.raises(DomainError):
-            correlation(
-                tent_map(),
-                [lambda x: np.asarray(x, dtype=float)],
-                [lambda x: np.asarray(x, dtype=float)],
-                uniform_atoms(64, (0.0, 1.0)),
-                n_max=3,
-            )
+            tent_correlation([np.cos], [np.cos], n_max=3)
+
+    @pytest.mark.parametrize(
+        "phis, psis",
+        [
+            ([np.cos], [np.cos, np.sin]),
+            ([], []),
+        ],
+        ids=["unequal", "empty"],
+    )
+    def test_rejects_mismatched_observables(self, phis, psis):
+        with pytest.raises(DomainError):
+            tent_correlation(phis, psis, grid_size=64, n_max=5)
 
 
-CHUNK_COUNTS = (
-    1,
-    CORRELATION_CHUNK - 1,
-    CORRELATION_CHUNK,
-    CORRELATION_CHUNK + 1,
-    3 * CORRELATION_CHUNK + 5,
-)
-CORRELATION_MAPS = {
-    "tent": tent_map(),
-    "doubling": full_linear_map(2),
-    "logistic4": logistic4_map(),
-}
+class TestFitDecay:
+    def test_lags_after_the_first_crossing_stay_below(self):
+        # |C_3| is at the floor; the larger |C_4| after it is not resolved
+        ns = np.arange(1, 6)
+        cs = np.array([1e-2, -5e-3, 1e-13, 1e-3, 2e-4])
+        rep = fit_decay(ns, cs, 1e-13)
+        assert rep.below_resolution.tolist() == [False, False, True, True, True]
+        assert rep.rho == pytest.approx(0.5, rel=1e-12)
+        assert rep.prefactor == pytest.approx(2e-2, rel=1e-12)
+        assert rep.r_squared == 1.0
 
-
-@lru_cache(maxsize=None)
-def small_eigen(name):
-    imap = CORRELATION_MAPS[name]
-    return power_iteration(imap, CosineSeriesPotential((0.3,)), grid_size=256)
+    def test_fewer_than_two_resolved_lags_leave_no_fit(self):
+        rep = fit_decay(np.arange(1, 6), np.array([1e-2, 1e-9, 1e-3, 1e-3, 1e-3]), 1e-8)
+        assert rep.below_resolution.tolist() == [False, True, True, True, True]
+        assert (rep.rho, rep.prefactor, rep.r_squared) == (None, None, None)
 
 
 def assert_same_report(got, want):
     assert np.array_equal(got.ns, want.ns)
     assert np.array_equal(got.c_values, want.c_values)
-    assert (got.rho, got.prefactor, got.r_squared, got.below_resolution) == (
-        want.rho, want.prefactor, want.r_squared, want.below_resolution
+    assert np.array_equal(got.below_resolution, want.below_resolution)
+    assert (got.floor, got.rho, got.prefactor, got.r_squared) == (
+        want.floor, want.rho, want.prefactor, want.r_squared
     )
 
 
@@ -547,95 +602,65 @@ def observable(draw):
 
 
 class TestBatchedCorrelation:
-    """`correlation` pushes the atoms forward once for every observable pair
-    and reduces each lag chunk by chunk; `helpers.pair_correlation` is the
-    old full-array loop, one pushforward per pair."""
+    """Each pair of a batch is reduced on its own, with no atom moved."""
 
     @settings(deadline=None, max_examples=30)
     @given(
-        name=st.sampled_from(sorted(CORRELATION_MAPS)),
-        count=st.sampled_from(CHUNK_COUNTS),
-        kind=st.sampled_from(["uniform", "random", "equilibrium"]),
         pairs=st.lists(
             st.tuples(observable(), observable(), st.booleans()),
             min_size=1, max_size=3,
         ),
         n_max=st.integers(5, 9),
-        seed=st.integers(0, 2**16),
     )
-    def test_bit_equal_to_pair_loop(self, name, count, kind, pairs, n_max, seed):
-        imap = CORRELATION_MAPS[name]
-        if kind == "uniform":
-            nu = uniform_atoms(count)
-        else:
-            rng = np.random.default_rng(seed)
-            nu = AtomicMeasure.normalized(
-                rng.uniform(0.0, 1.0, count), rng.uniform(0.1, 2.0, count),
-                (0.0, 1.0),
-            )
-            if kind == "equilibrium":
-                nu = equilibrium_state(
-                    CosineSeriesPotential((0.3,)), nu, small_eigen(name)
-                ).nu
+    def test_each_report_equals_its_pair_alone(self, pairs, n_max):
         phis = [phi for phi, _, _ in pairs]
         psis = [phi if same else psi for phi, psi, same in pairs]
-        batch = correlation(imap, phis, psis, nu, n_max=n_max)
+        batch = tent_correlation(phis, psis, grid_size=256, n_max=n_max)
         assert isinstance(batch, CorrelationBatch)
         assert np.array_equal(batch.ns, np.arange(1, n_max + 1))
         assert len(batch.reports) == len(pairs)
         for phi, psi, rep in zip(phis, psis, batch.reports):
-            assert_same_report(rep, pair_correlation(imap, phi, psi, nu, n_max))
+            (alone,) = tent_correlation([phi], [psi], grid_size=256, n_max=n_max).reports
+            assert_same_report(rep, alone)
+
+    def test_prefix_refit_equals_shorter_run(self):
+        # the floor is read from the first image, so it does not depend on n_max
+        (rep,) = tent_correlation([step_third], [step_third], n_max=12).reports
+        for window in range(5, 13):
+            (short,) = tent_correlation([step_third], [step_third], n_max=window).reports
+            assert_same_report(
+                fit_decay(rep.ns[:window], rep.c_values[:window], rep.floor), short
+            )
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
-    def test_one_pushforward_whatever_the_pairs(self, monkeypatch, pairs):
-        calls = []
+    def test_no_atom_moves(self, monkeypatch, pairs):
+        # one normalized application per pair and lag, and no map evaluation
+        evals, applied = [], []
         real_eval = IntervalMap.eval
 
         def counting(self, x):
-            calls.append(np.size(x))
+            evals.append(np.size(x))
             return real_eval(self, x)
 
+        def applying(imap, potential, psi, p_hat=None):
+            applied.append(p_hat)
+            return apply_transfer(imap, potential, psi, p_hat)
+
+        # the eigenpair is built first: its own applications are not counted
+        log_lam = tent_lebesgue(256)[1].log_eigenvalue
         monkeypatch.setattr(IntervalMap, "eval", counting)
+        monkeypatch.setattr(transfer, "apply_transfer", applying)
         fns = [smoothed_indicator(0.1 * k, 0.1 * k + 0.3) for k in range(pairs)]
-        nu = uniform_atoms(2 * CORRELATION_CHUNK + 3)
-        batch = correlation(tent_map(), fns, fns[::-1], nu, n_max=7)
+        batch = tent_correlation(fns, fns[::-1], grid_size=256, n_max=7)
         assert len(batch.reports) == pairs
-        assert calls == [nu.size] * 7
-
-    def test_prefix_refit_equals_shorter_run(self):
-        # what scripts/correlation_floor.py relies on for its clean window
-        obs = lambda x: (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
-        nu = uniform_atoms(2**12)
-        full = correlation(full_linear_map(2), [obs], [obs], nu, n_max=12)
-        (rep,) = full.reports
-        for window in range(5, 13):
-            short = correlation(full_linear_map(2), [obs], [obs], nu, n_max=window)
-            assert_same_report(
-                fit_decay(rep.ns[:window], rep.c_values[:window]), short.reports[0]
-            )
-
-    @pytest.mark.parametrize(
-        "phis, psis",
-        [
-            ([np.cos], [np.cos, np.sin]),
-            ([], []),
-        ],
-        ids=["unequal", "empty"],
-    )
-    def test_rejects_mismatched_observables(self, phis, psis):
-        with pytest.raises(DomainError):
-            correlation(tent_map(), phis, psis, uniform_atoms(64), n_max=5)
+        assert evals == []
+        assert applied == [log_lam] * (7 * pairs)
 
 
 def test_tent_step_correlations_decay_at_half():
     # the sharp step at 1/3 feeds every frequency, so its autocorrelation
-    # carries the essential rate 1/2; lags up to 7 stay above the floor of
-    # a 2^18-atom Lebesgue measure
-    def step(x):
-        return (np.asarray(x, dtype=float) <= 1.0 / 3.0).astype(float)
-
-    batch = correlation(tent_map(), [step], [step], uniform_atoms(2**18), n_max=7)
-    rep = batch.reports[0]
+    # carries the essential rate 1/2
+    rep = tent_correlation([step_third], [step_third], n_max=7).reports[0]
     assert 0.45 <= rep.rho <= 0.55
     assert rep.r_squared >= 0.9
 
