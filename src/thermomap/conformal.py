@@ -291,7 +291,8 @@ def weak_limit(
         [birk - n * s_final + lb for birk, n, lb in zip(kept_birk, depths, log_b)]
     )
     points = np.concatenate(kept_pts)
-    masses = np.exp(logw_all - logsumexp(logw_all))
+    logw_all -= logsumexp(logw_all)
+    masses = np.exp(logw_all, out=logw_all)  # in place: one window-sized array less
     measure = AtomicMeasure.normalized(points, masses, sums.domain)
     return WeakLimitResult(
         measure=measure,

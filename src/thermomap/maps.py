@@ -4,9 +4,9 @@ A map is a finite ordered list of monotone branches over contiguous
 subintervals of its domain. Branches are linear or one of the two monotone
 halves of the degree-4 logistic family, which keeps inverse branches
 closed-form and numerically stable. The preimage walk enumerates f^{-n}(x0)
-level by level together with backward Birkhoff sums of a potential, holding
-one level at a time, under an explicit node budget that fails loudly
-instead of thrashing memory.
+level by level, each level ascending, together with backward Birkhoff sums
+of a potential, holding one level at a time, under an explicit node budget
+that fails loudly instead of thrashing memory.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ TOL_CONTINUITY = 1e-9
 TOL_COVER = 1e-12
 TOL_DEDUP = 1e-12
 # cumulative nodes of one preimage walk; a streaming tree_pressure peaks near
-# 30 B per node of its deepest level (scripts/walk_peak.py at depth 20: 3.72
+# 25 B per node of its deepest level (scripts/walk_peak.py at depth 20: 3.13
 # float64 arrays of that size on the doubling map with a cosine potential,
-# 4.78 on the golden tent), so a doubling-map walk stopped here (8.4M deepest
-# nodes) needs about 0.25 GB
+# 3.24 on the golden tent, 3.13 on logistic4 with a cosine potential), so a
+# doubling-map walk stopped here (8.4M deepest nodes) needs about 0.21 GB
 DEFAULT_NODE_BUDGET = 20_000_000
 POTENTIAL_CHUNK = 16384  # level points per potential call in the preimage walk
 
@@ -79,24 +79,39 @@ class Branch:
         y = np.asarray(y, dtype=float)
         return (y >= lo - tol) & (y <= hi + tol)
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
+    @property
+    def increasing(self) -> bool:
+        """Orientation: whether forward(lo) <= forward(hi)."""
+        return bool(self.forward(np.asarray(self.lo)) <= self.forward(np.asarray(self.hi)))
+
+    def inverse(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Preimage under this branch; callers must mask with covers first.
 
-        Logistic inverses use the rationalized forms that stay accurate
-        near the critical value where 1 - y underflows:
+        Written into ``out`` (an array of y's shape, possibly a strided
+        view) when given, with no temporary of y's size. Logistic inverses
+        use the rationalized forms that stay accurate near the critical
+        value where 1 - y underflows:
         left  branch: x = y / (2 (1 + sqrt(1 - y)))
         right branch: x = (1 + sqrt(1 - y)) / 2
         """
         y = np.asarray(y, dtype=float)
+        if out is None:
+            out = np.empty(y.shape)
         if self.kind == "linear":
-            x = (y - self.intercept) / self.slope
+            np.subtract(y, self.intercept, out=out)
+            np.divide(out, self.slope, out=out)
         else:
-            root = np.sqrt(np.clip(1.0 - y, 0.0, None))
+            np.subtract(1.0, y, out=out)
+            np.clip(out, 0.0, None, out=out)
+            np.sqrt(out, out=out)
+            np.add(1.0, out, out=out)
             if self.kind == "logistic_left":
-                x = np.clip(y, 0.0, None) / (2.0 * (1.0 + root))
+                np.multiply(2.0, out, out=out)
+                np.divide(y, out, out=out)
+                np.clip(out, 0.0, None, out=out)
             else:
-                x = (1.0 + root) / 2.0
-        return np.clip(x, self.lo, self.hi)
+                np.divide(out, 2.0, out=out)
+        return np.clip(out, self.lo, self.hi, out=out)
 
     def derivative_range(self) -> tuple[float, float]:
         """Range of |f'| over the branch domain."""
@@ -324,8 +339,7 @@ class PreimageLevel:
 
     ``points[i]`` satisfies f^depth(points[i]) = x0 and ``birkhoff[i]`` is the
     forward Birkhoff sum of the potential along its orbit down to x0 (zeros
-    without a potential). Points are ordered by the branches of their inverse
-    steps, the earliest step most significant.
+    without a potential). Points are ascending.
     """
 
     depth: int
@@ -342,57 +356,78 @@ def iter_preimage_levels(
 ) -> Iterator[PreimageLevel]:
     """Yield preimage levels 0..n_max, raising BudgetError when too large.
 
-    Candidate preimages produced by adjacent branches that coincide at a
-    shared breakpoint (within 1e-12) are merged, keeping the lower branch,
-    so each geometric preimage appears exactly once. Only the current level
-    is held: a level where no candidate was masked or merged is the
-    candidate table itself, any other is gathered from it by the mask, with
-    np.repeat for the parent sums, and the table and mask are freed before
-    each yield. The potential is added to the level POTENTIAL_CHUNK points
-    at a time, so it is called on slices of the level: potentials must act
-    pointwise.
+    Every level is ascending, so the parents one branch covers form one
+    slice, found by two searchsorted calls, and the branch writes their
+    inverses into its own block of the next level, through a reversed view
+    when it decreases; the Birkhoff sums are copied the same way. Blocks
+    follow the branch order, so the level ascends. Preimages by adjacent
+    branches of one parent that coincide at their shared breakpoint (within
+    1e-12) are merged, keeping the lower branch, so each geometric preimage
+    appears once; only the entries of a block within 2e-12 of the previous
+    branch's end can merge, so only those are tested. Branch domains that
+    overlap by less than TOL_DEDUP can leave two blocks out of order, and
+    such a level is sorted. Only the current level is held. The potential
+    is added to the level POTENTIAL_CHUNK points at a time, so it is called
+    on slices of the level: potentials must act pointwise.
     """
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
         raise DomainError(f"base point {x0} outside domain [{lo}, {hi}]")
-    k = len(imap.branches)
+    branches = imap.branches
+    images = [br.image() for br in branches]
+    increasing = [br.increasing for br in branches]
     pts = np.array([float(np.clip(x0, lo, hi))])
     birk = np.zeros(1)
     yield PreimageLevel(0, pts, birk)
     used = 1
     for depth in range(1, n_max + 1):
-        p = pts.size
-        cand = np.full((p, k), np.nan)
-        valid = np.zeros((p, k), dtype=bool)
-        for b, br in enumerate(imap.branches):
-            mask = br.covers(pts)
-            if mask.any():
-                cand[mask, b] = br.inverse(pts[mask])
-                valid[:, b] = mask
-        for b in range(1, k):
-            dup = (
-                valid[:, b - 1]
-                & valid[:, b]
-                & (np.abs(cand[:, b] - cand[:, b - 1]) <= TOL_DEDUP)
-            )
-            valid[dup, b] = False
-        size = int(np.count_nonzero(valid))
-        if size == 0:
+        spans = [
+            (int(np.searchsorted(pts, ilo - TOL_COVER, side="left")),
+             int(np.searchsorted(pts, ihi + TOL_COVER, side="right")))
+            for ilo, ihi in images
+        ]
+        total = sum(stop - start for start, stop in spans)
+        if total == 0:
             raise DomainError(f"no preimages at depth {depth}; map is not onto")
+        new_pts = np.empty(total)
+        new_birk = np.empty(total)
+        size = 0
+        unsorted = False
+        dropped = np.empty(0, dtype=np.intp)  # parents merged out of the last block
+        for b, (br, (start, stop)) in enumerate(zip(branches, spans)):
+            n = stop - start
+            block, sums = new_pts[size:size + n], new_birk[size:size + n]
+            step = 1 if increasing[b] else -1
+            br.inverse(pts[start:stop], out=block[::step])
+            sums[::step] = birk[start:stop]
+            # only the block's head, within 2e-12 of the previous branch's
+            # end, can hold preimages that merge with that branch's
+            m = 0 if b == 0 else int(np.searchsorted(
+                block, branches[b - 1].hi + 2 * TOL_DEDUP, side="right"))
+            parent = start + np.arange(m) if step == 1 else stop - 1 - np.arange(m)
+            left_start, left_stop = spans[b - 1]
+            shared = (parent >= left_start) & (parent < left_stop)
+            shared &= ~np.isin(parent, dropped)
+            left = branches[b - 1].inverse(pts[parent])
+            dup = shared & (np.abs(block[:m] - left) <= TOL_DEDUP)
+            dropped = parent[dup]
+            if dropped.size:
+                n -= dropped.size
+                block[:n] = np.concatenate((block[:m][~dup], block[m:]))
+                sums[:n] = np.concatenate((sums[:m][~dup], sums[m:]))
+            if n and size:
+                unsorted |= bool(new_pts[size - 1] > new_pts[size])
+            size += n
         if used + size > budget:
             raise BudgetError(depth - 1, n_max, budget)
         used += size
-        if size == cand.size:
-            # no candidate was masked or merged: the table is the level
-            pts = cand.reshape(-1)
-            birk = np.repeat(birk, k)
-        else:
-            pts = cand[valid]
-            birk = np.repeat(birk, np.count_nonzero(valid, axis=1))
-        del cand, valid
+        pts, birk = new_pts[:size], new_birk[:size]
+        if unsorted:
+            order = np.argsort(pts, kind="stable")
+            pts, birk = pts[order], birk[order]
         if potential is not None:
-            for start in range(0, size, POTENTIAL_CHUNK):
-                part = slice(start, start + POTENTIAL_CHUNK)
+            for at in range(0, size, POTENTIAL_CHUNK):
+                part = slice(at, at + POTENTIAL_CHUNK)
                 birk[part] += np.asarray(potential(pts[part]), dtype=float)
         yield PreimageLevel(depth, pts, birk)
 

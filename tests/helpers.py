@@ -84,8 +84,10 @@ def orbit(imap, x, n):
 def reference_preimage_levels(imap, potential, x0, n_max, budget):
     """The preimage walk that gathers every level through parent indices:
     candidates of all branches in one table, merged at shared breakpoints,
-    then selected with flatnonzero. The oracle for maps.iter_preimage_levels,
-    whose points and Birkhoff sums must be bit-equal to these."""
+    then selected with flatnonzero, so its levels come in branch-word order.
+    Each level is yielded reordered by a stable argsort on its points. The
+    oracle for maps.iter_preimage_levels, whose points and Birkhoff sums
+    must be bit-equal to these."""
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
         raise DomainError(f"base point {x0} outside domain [{lo}, {hi}]")
@@ -122,7 +124,8 @@ def reference_preimage_levels(imap, potential, x0, n_max, budget):
             birk = np.asarray(potential(pts), dtype=float) + birk[parent]
         else:
             birk = birk[parent]
-        yield PreimageLevel(depth, pts, birk)
+        order = np.argsort(pts, kind="stable")
+        yield PreimageLevel(depth, pts[order], birk[order])
 
 
 def branch_preimage(imap, b, y):
@@ -144,7 +147,8 @@ def preimage_words(imap, x0, n):
     """Every branch word (b_1 .. b_n) whose inverse branches compose from
     x0, in lexicographic order, with the preimage of x0 it reaches: b_t is
     the branch of the ancestor t inverse steps from x0. Brute force over all
-    k^n words; the oracle for the point order of maps.iter_preimage_levels."""
+    k^n words; the oracle for the points of maps.iter_preimage_levels, which
+    come in ascending order instead of word order."""
     words, points = [], []
     for word in itertools.product(range(len(imap.branches)), repeat=n):
         x = float(x0)

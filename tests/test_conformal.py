@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from thermomap.conformal import (
     AtomicMeasure,
@@ -24,7 +25,7 @@ from thermomap.conformal import (
     window_start,
 )
 from thermomap.errors import DomainError
-from thermomap.maps import golden_tent_map, tent_map
+from thermomap.maps import full_linear_map, golden_tent_map, tent_map
 from thermomap.potentials import BranchConstantPotential, CosineSeriesPotential
 from thermomap.pressure import level_sums
 from thermomap.transfer import GridFunction
@@ -387,6 +388,26 @@ class TestWeakLimit:
         np.testing.assert_array_equal(res.measure.points, bernoulli_limit.measure.points)
         np.testing.assert_array_equal(res.measure.masses, bernoulli_limit.measure.masses)
         np.testing.assert_array_equal(res.s_values, bernoulli_limit.s_values)
+
+
+    def test_exact_duplicates_across_the_window_merge(self):
+        # x0 = 0.5 is a fixed point of sawtooth3's middle branch, so every
+        # level contains the one before it: the depth-5..8 window holds
+        # 243 + 729 + 2187 + 6561 = 9720 atoms at 6561 distinct points
+        f, phi = full_linear_map(3), CosineSeriesPotential((0.3, -0.2))
+        sums = window_sums(f, phi, 8, x0=0.5)
+        res = weak_limit(sums, transition_parameter(sums).c)
+        points = np.concatenate(sums.points)
+        assert points.size == 9720
+        unique, inverse = np.unique(points, return_inverse=True)
+        assert unique.size == 6561
+        np.testing.assert_array_equal(res.measure.points, unique)
+        s = float(res.s_values[-1])
+        depths = range(res.window[0], res.window[1] + 1)
+        logw = np.concatenate([birk - n * s for n, birk in zip(depths, sums.birkhoff)])
+        merged = np.bincount(inverse, weights=np.exp(logw - logsumexp(logw)))
+        np.testing.assert_allclose(res.measure.masses, merged / merged.sum(),
+                                   rtol=1e-15, atol=0)
 
 
 class TestConformalityAudit:

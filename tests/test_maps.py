@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orbit, preimage_words, reference_preimage_levels
+from helpers import branch_preimage, orbit, preimage_words, reference_preimage_levels
 from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -192,18 +192,19 @@ def test_preimage_words_are_lexicographically_sorted():
     assert words.shape == (64, 6)
     as_ints = words @ (2 ** np.arange(5, -1, -1))
     assert np.array_equal(as_ints, np.arange(64))
-    assert np.array_equal(_walk_level(f, 0.37, 6).points, points)
+    assert np.array_equal(_walk_level(f, 0.37, 6).points, np.sort(points))
 
 
 def test_words_recompute_points():
     # applying the word's inverse branches to x0 must reproduce the points
     f = golden_tent_map()
     words, points = preimage_words(f, 0.3, 7)
+    order = np.argsort(points, kind="stable")
     lv = _walk_level(f, 0.3, 7)
     assert lv.points.size == words.shape[0] == 21
     for i in range(lv.points.size):
         x = 0.3
-        for b in words[i]:
+        for b in words[order[i]]:
             x = float(f.branches[b].inverse(np.asarray(x)))
         assert x == pytest.approx(lv.points[i], abs=1e-10)
 
@@ -226,7 +227,7 @@ def test_walk_order_matches_word_oracle(name):
     levels = list(iter_preimage_levels(f, None, x0, n))
     for depth in range(n + 1):
         words, points = preimage_words(f, x0, depth)
-        assert np.array_equal(levels[depth].points, points), depth
+        assert np.array_equal(levels[depth].points, np.sort(points)), depth
         assert np.array_equal(levels[depth].birkhoff, np.zeros(points.size))
 
 
@@ -279,9 +280,10 @@ def _sums_bits(sums):
 
 
 class TestLeanWalk:
-    """The walk is bit-equal to the parent-index walk it replaced
-    (helpers.reference_preimage_levels), level by level and through
-    level_sums, whatever the map, potential and budget stop."""
+    """The walk is bit-equal to the parent-index walk it replaced with each
+    level stably sorted by its points (helpers.reference_preimage_levels),
+    level by level and through level_sums, whatever the map, potential and
+    budget stop."""
 
     @settings(deadline=None, max_examples=120)
     @given(
@@ -336,6 +338,64 @@ def test_chunked_potential_bit_equal_to_reference_walk(monkeypatch, map_name,
     levels, error = new
     depth, (_, shape, _), _ = levels[-1]
     assert error is None and depth == 9 and shape[0] > 7
+
+
+def _levels_until_error(f, x0, n_max):
+    levels = []
+    try:
+        for lv in iter_preimage_levels(f, None, x0, n_max):
+            levels.append(lv)
+    except DomainError:
+        pass
+    return levels
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MAPS))
+def test_every_level_ascends(name):
+    f = WALK_MAPS[name]
+    for x0 in (0.0, 0.25, 0.3, 0.5, 0.6, 0.77, 1.0, 2.0 - GOLDEN):
+        levels = _levels_until_error(f, x0, 9)
+        assert levels, x0
+        for lv in levels:
+            assert np.all(np.diff(lv.points) >= 0), (x0, lv.depth)
+
+
+@pytest.mark.parametrize("f, x0", [(tent_map(), 1.0), (golden_tent_map(), 2.0 - GOLDEN)],
+                         ids=["tent_top", "golden_kink"])
+def test_merged_preimages_keep_the_lower_branch(f, x0):
+    # a parent on the image of a shared breakpoint has two candidates there;
+    # branch_preimage keeps the lower branch's, which for the golden tent
+    # differs from the upper one's in its last bit
+    levels = list(iter_preimage_levels(f, None, x0, 8))
+    merged = 0
+    for parent, level in zip(levels, levels[1:]):
+        kept = []
+        for y in parent.points:
+            for b, br in enumerate(f.branches):
+                x = branch_preimage(f, b, y)
+                merged += x is None and bool(br.covers(np.asarray(y)))
+                if x is not None:
+                    kept.append(x)
+        assert np.array_equal(level.points, np.sort(kept)), level.depth
+    assert merged > 0
+
+
+def test_overlapping_branch_domains_still_ascend():
+    # the branch domains overlap on [0.5, 0.5 + 5e-13], where the first
+    # branch's preimage of 0 lies above the second's preimage of 1, which
+    # puts two blocks out of order from depth 4 on; the walk sorts such a
+    # level. Clipping at the first branch's image ends makes equal points
+    # (0 and -0), whose order the sort leaves open, so values are compared.
+    f = IntervalMap((
+        Branch(0.0, 0.5 + 5e-13, "linear", -0.5 / (0.5 + 5e-13), 0.5),
+        Branch(0.5, 1.0, "linear", -2.0, 2.0),
+    ))
+    levels = list(iter_preimage_levels(f, None, 0.0, 7))
+    for lv, ref in zip(levels, reference_preimage_levels(f, None, 0.0, 7, 10**6)):
+        assert np.array_equal(lv.points, ref.points), lv.depth
+        assert np.all(np.diff(lv.points) >= 0), lv.depth
+    pts = levels[4].points
+    assert 0.5 in pts and np.any((pts > 0.5) & (pts <= 0.5 + 5e-13))
 
 
 def test_budget_error_reports_feasible_depth():
