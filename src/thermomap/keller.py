@@ -82,8 +82,6 @@ class _RangeTable:
 
     def spread(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """max - min over [lo, hi] per pair; 0 where the range is empty."""
-        lo = np.asarray(lo)
-        hi = np.asarray(hi)
         out = np.zeros(lo.shape, dtype=float)
         ok = lo <= hi
         if not np.any(ok):
@@ -106,39 +104,34 @@ class _RangeTable:
         return out
 
 
-def _ball_windows(
-    h: SampledFunction, m: AtomicMeasure, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index ranges [lo_k, hi_k] of h-samples inside each atom's eps-ball.
-
-    With cum the exclusive prefix masses of m, the sample at position q has
-    closed-interval mass coordinates L = cum[left insert] and U = cum[right
-    insert]; it lies in the ball of atom k exactly when L > cum[k+1] - eps
-    and U < cum[k] + eps. Both bounds are nondecreasing in k.
-    """
-    cum = m.cumulative
-    left = np.searchsorted(m.points, h.positions, side="left")
-    right = np.searchsorted(m.points, h.positions, side="right")
-    lower_coord = cum[left]
-    upper_coord = cum[right]
-    lo = np.searchsorted(lower_coord, cum[1:] - eps, side="right")
-    hi = np.searchsorted(upper_coord, cum[:-1] + eps, side="left") - 1
-    return lo, hi
-
-
 def osc_profile(
-    h: SampledFunction, m: AtomicMeasure, eps: float
+    h: SampledFunction, m: AtomicMeasure, eps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oscillation of h over the eps-ball centered at every atom of m.
-
-    Returns (osc values, empty-ball flags). A ball can be empty when the
-    center atom itself carries mass >= eps; oscillation is 0 there.
+    """Oscillation of h over the eps-ball centered at every atom of m, for
+    each radius eps in the array; (osc values, empty-ball flags) of shape
+    (radii, atoms). A ball is empty when its center atom carries mass >= eps;
+    oscillation is 0 there. With cum the exclusive prefix masses of m, the
+    sample at q has mass coordinates L = cum[left insert] and U = cum[right
+    insert], and lies in the ball of atom k exactly when L > cum[k+1] - eps
+    and U < cum[k] + eps, bounds nondecreasing in k. The coordinates and h's
+    range table are built once; each radius then costs two searchsorted
+    calls and one range lookup.
     """
-    if eps <= 0:
+    radii = np.atleast_1d(np.asarray(eps, dtype=float))
+    if np.any(radii <= 0):
         raise DomainError("eps must be positive")
-    lo, hi = _ball_windows(h, m, eps)
+    cum = m.cumulative
+    lower_coord = cum[np.searchsorted(m.points, h.positions, side="left")]
+    upper_coord = cum[np.searchsorted(m.points, h.positions, side="right")]
     table = _RangeTable(h.values)
-    return table.spread(lo, hi), lo > hi
+    osc = np.empty((radii.size, m.size))
+    empty = np.empty(osc.shape, dtype=bool)
+    for i, e in enumerate(radii):
+        lo = np.searchsorted(lower_coord, cum[1:] - e, side="right")
+        hi = np.searchsorted(upper_coord, cum[:-1] + e, side="left") - 1
+        osc[i] = table.spread(lo, hi)
+        empty[i] = lo > hi
+    return osc, empty
 
 
 EPS_LEVELS = 21
@@ -172,17 +165,14 @@ def _check_alpha(alpha: float) -> None:
 def keller_seminorm(
     h: SampledFunction, m: AtomicMeasure, alpha: float, A: float
 ) -> KellerReport:
-    """|h| over the grid {A 2^-i} plus the L1 part of the norm."""
+    """|h| over the grid {A 2^-i}, one osc_profile call, plus the L1 part."""
     _check_alpha(alpha)
     if A <= 0:
         raise DomainError("A must be positive")
     grid = eps_grid(A)
-    osc1_vals = np.empty(grid.size)
-    power_vals = np.empty(grid.size)
-    for i, e in enumerate(grid):
-        vals, _ = osc_profile(h, m, e)
-        osc1_vals[i] = np.sum(m.masses * vals)
-        power_vals[i] = np.sum(m.masses * vals ** (1.0 / alpha))
+    osc, _ = osc_profile(h, m, grid)
+    osc1_vals = np.array([np.sum(m.masses * vals) for vals in osc])
+    power_vals = np.array([np.sum(m.masses * vals ** (1.0 / alpha)) for vals in osc])
     ratios = osc1_vals / grid**alpha
     best = int(np.argmax(ratios))
     seminorm = float(ratios[best])

@@ -337,9 +337,10 @@ def markov_witness(imap: IntervalMap, tol: float = TOL_CONTINUITY) -> MarkovRepo
 class PreimageLevel:
     """One level of a preimage tree.
 
-    ``points[i]`` satisfies f^depth(points[i]) = x0 and ``birkhoff[i]`` is the
-    forward Birkhoff sum of the potential along its orbit down to x0 (zeros
-    without a potential). Points are ascending.
+    ``points[i]`` satisfies f^depth(points[i]) = x0 and ``birkhoff[..., i]``
+    is the forward Birkhoff sum of the potential along its orbit down to x0
+    (zeros without one), of shape (size,), or (k, size) for a potential with
+    k rows. Points are ascending.
     """
 
     depth: int
@@ -364,11 +365,14 @@ def iter_preimage_levels(
     branches of one parent that coincide at their shared breakpoint (within
     1e-12) are merged, keeping the lower branch, so each geometric preimage
     appears once; only the entries of a block within 2e-12 of the previous
-    branch's end can merge, so only those are tested. Branch domains that
-    overlap by less than TOL_DEDUP can leave two blocks out of order, and
-    such a level is sorted. Only the current level is held. The potential
-    is added to the level POTENTIAL_CHUNK points at a time, so it is called
-    on slices of the level: potentials must act pointwise.
+    branch's end can merge, so only those are tested. Merges drop only
+    parents two adjacent slices share, so a level whose slice lengths less
+    those overlaps exceed the budget raises before it is built. Branch
+    domains that overlap by less than TOL_DEDUP can leave two blocks out of
+    order, and such a level is sorted. Only the current level is held. The
+    potential is added POTENTIAL_CHUNK points at a time, so it must act
+    pointwise; one returning k rows, shape (k, n) for n points (learnt from
+    a call on no points), gives k sums per point, each as its row alone.
     """
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
@@ -377,7 +381,8 @@ def iter_preimage_levels(
     images = [br.image() for br in branches]
     increasing = [br.increasing for br in branches]
     pts = np.array([float(np.clip(x0, lo, hi))])
-    birk = np.zeros(1)
+    rows = () if potential is None else np.shape(potential(pts[:0]))[:-1]
+    birk = np.zeros(rows + (1,))
     yield PreimageLevel(0, pts, birk)
     used = 1
     for depth in range(1, n_max + 1):
@@ -389,17 +394,21 @@ def iter_preimage_levels(
         total = sum(stop - start for start, stop in spans)
         if total == 0:
             raise DomainError(f"no preimages at depth {depth}; map is not onto")
+        overlap = sum(max(0, min(a[1], b[1]) - max(a[0], b[0]))
+                      for a, b in zip(spans, spans[1:]))
+        if used + total - overlap > budget:
+            raise BudgetError(depth - 1, n_max, budget)
         new_pts = np.empty(total)
-        new_birk = np.empty(total)
+        new_birk = np.empty(rows + (total,))
         size = 0
         unsorted = False
         dropped = np.empty(0, dtype=np.intp)  # parents merged out of the last block
         for b, (br, (start, stop)) in enumerate(zip(branches, spans)):
             n = stop - start
-            block, sums = new_pts[size:size + n], new_birk[size:size + n]
+            block, sums = new_pts[size:size + n], new_birk[..., size:size + n]
             step = 1 if increasing[b] else -1
             br.inverse(pts[start:stop], out=block[::step])
-            sums[::step] = birk[start:stop]
+            sums[..., ::step] = birk[..., start:stop]
             # only the block's head, within 2e-12 of the previous branch's
             # end, can hold preimages that merge with that branch's
             m = 0 if b == 0 else int(np.searchsorted(
@@ -413,22 +422,22 @@ def iter_preimage_levels(
             dropped = parent[dup]
             if dropped.size:
                 n -= dropped.size
-                block[:n] = np.concatenate((block[:m][~dup], block[m:]))
-                sums[:n] = np.concatenate((sums[:m][~dup], sums[m:]))
+                block[:n] = np.delete(block, np.flatnonzero(dup))
+                sums[..., :n] = np.delete(sums, np.flatnonzero(dup), axis=-1)
             if n and size:
                 unsorted |= bool(new_pts[size - 1] > new_pts[size])
             size += n
         if used + size > budget:
             raise BudgetError(depth - 1, n_max, budget)
         used += size
-        pts, birk = new_pts[:size], new_birk[:size]
+        pts, birk = new_pts[:size], new_birk[..., :size]
         if unsorted:
             order = np.argsort(pts, kind="stable")
-            pts, birk = pts[order], birk[order]
+            pts, birk = pts[order], birk[..., order]
         if potential is not None:
             for at in range(0, size, POTENTIAL_CHUNK):
                 part = slice(at, at + POTENTIAL_CHUNK)
-                birk[part] += np.asarray(potential(pts[part]), dtype=float)
+                birk[..., part] += np.asarray(potential(pts[part]), dtype=float)
         yield PreimageLevel(depth, pts, birk)
 
 

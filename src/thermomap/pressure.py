@@ -6,7 +6,7 @@ estimator averages those sums, and the conformal construction reduces the
 same walk. The separated-set estimator greedily packs grid points under the
 iterated sup metric and serves as an independent cross-check. The module
 also houses the hyperbolicity classifier, the pressure-curve smoothness
-probe (two walks, one for phi and one for chi, serve every t), and the
+probe (one walk carrying the sums of phi and of chi serves every t), and the
 four-branch construction of a hyperbolic potential whose range exceeds the
 entropy.
 """
@@ -389,8 +389,8 @@ def pressure_curve(
     a step whose square is nonzero and a finite max|t|**3.
 
     Preimages do not depend on the potential and S_n(phi + t chi) = S_n phi
-    + t S_n chi, so two budgeted walks in lockstep, for phi (zero sums when
-    None) and for chi, give every t its level sums. Reports central first
+    + t S_n chi, so one budgeted walk with the two rows x -> (phi(x), chi(x))
+    (zeros for phi None) gives every t its level sums. Reports central first
     and second differences (ends are nan) and the RMS residual of a
     least-squares cubic over the points with |t| <= CURVE_FIT_WINDOW (over
     all points when fewer than 5 lie there), a purely diagnostic probe.
@@ -410,19 +410,19 @@ def pressure_curve(
     if n_max < 1:
         raise DomainError("need 1 <= n_min <= n_max")
     _reject_breakpoint(imap, x0)
+
+    def phi_chi(x: np.ndarray) -> np.ndarray:
+        return np.stack((np.zeros(x.size) if phi is None else phi(x), chi(x)))
+
     a_values = np.empty((ts.size, n_max))
     counts = []
-    for phi_level, chi_level in zip(
-        iter_preimage_levels(imap, phi, x0, n_max, budget),
-        iter_preimage_levels(imap, chi, x0, n_max, budget),
-    ):
-        if phi_level.depth == 0:
+    for level in iter_preimage_levels(imap, phi_chi, x0, n_max, budget):
+        if level.depth == 0:
             continue
+        phi_sums, chi_sums = level.birkhoff
         for i, t in enumerate(ts):
-            a_values[i, phi_level.depth - 1] = _level_lse(
-                phi_level.birkhoff + t * chi_level.birkhoff
-            )
-        counts.append(phi_level.points.size)
+            a_values[i, level.depth - 1] = _level_lse(phi_sums + t * chi_sums)
+        counts.append(level.points.size)
     counts = np.asarray(counts, dtype=np.int64)
     reports = [
         pressure_report(LevelSums(float(x0), imap.domain, a, counts, n_max + 1), n_max)

@@ -7,7 +7,13 @@ import numpy as np
 from thermomap.conformal import AtomicMeasure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.keller import SampledFunction
-from thermomap.maps import TOL_CONTINUITY, TOL_DEDUP, PreimageLevel
+from thermomap.maps import (
+    TOL_CONTINUITY,
+    TOL_DEDUP,
+    PreimageLevel,
+    iter_preimage_levels,
+)
+from thermomap.pressure import LevelSums, _level_lse, pressure_report
 
 # acceptance-criterion results, keyed by criterion number; each entry is a
 # list of (ok, detail) clause records merged into one line per criterion
@@ -126,6 +132,31 @@ def reference_preimage_levels(imap, potential, x0, n_max, budget):
             birk = birk[parent]
         order = np.argsort(pts, kind="stable")
         yield PreimageLevel(depth, pts[order], birk[order])
+
+
+def lockstep_curve_reports(imap, phi, chi, ts, x0, n_max, budget):
+    """Pressure report of phi + t chi for every t from two walks in
+    lockstep, one for phi (zero sums when None) and one for chi, each level
+    reduced to the log-sum-exp of S_n phi + t S_n chi. The oracle for
+    pressure.pressure_curve, whose estimates and fluctuations must be
+    bit-equal to these reports'."""
+    a_values = np.empty((len(ts), n_max))
+    counts = []
+    for phi_level, chi_level in zip(
+        iter_preimage_levels(imap, phi, x0, n_max, budget),
+        iter_preimage_levels(imap, chi, x0, n_max, budget),
+    ):
+        if phi_level.depth:
+            for i, t in enumerate(ts):
+                a_values[i, phi_level.depth - 1] = _level_lse(
+                    phi_level.birkhoff + t * chi_level.birkhoff
+                )
+            counts.append(phi_level.points.size)
+    counts = np.asarray(counts, dtype=np.int64)
+    return [
+        pressure_report(LevelSums(float(x0), imap.domain, a, counts, n_max + 1), n_max)
+        for a in a_values
+    ]
 
 
 def branch_preimage(imap, b, y):

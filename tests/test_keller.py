@@ -189,8 +189,8 @@ class TestOsc:
         h = SampledFunction(m.points, np.array([0.0, 1.0, 2.0]))
         # the center atom alone outweighs eps, so d(x, x) >= eps
         vals, empty = osc_profile(h, m, 0.5)
-        assert empty[1]
-        assert vals[1] == 0.0
+        assert empty[0, 1]
+        assert vals[0, 1] == 0.0
         assert osc(h, m, 0.5, 0.5) == 0.0
 
     def test_rejects_nonpositive_eps(self):
@@ -199,6 +199,15 @@ class TestOsc:
         with pytest.raises(DomainError):
             osc_profile(h, m, 0.0)
 
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [0.0, -0.25])
+    def test_rejects_nonpositive_radius_anywhere(self, at, bad):
+        m = uniform_atoms(8)
+        radii = np.array([0.5, 0.25, 0.125])
+        radii[at] = bad
+        with pytest.raises(DomainError):
+            osc_profile(step_function(m.points), m, radii)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_profile_matches_single_ball_oracle_at_every_atom(self, seed):
         rng = np.random.default_rng(seed)
@@ -206,8 +215,10 @@ class TestOsc:
             np.sort(rng.uniform(0, 1, 40)), rng.uniform(0.1, 3.0, 40), (0.0, 1.0)
         )
         h = draw_piecewise_holder(rng, 0.5, m.points)
-        for eps in (0.01, 0.05, 0.2, 0.7):
-            vals, _ = osc_profile(h, m, eps)
+        radii = (0.01, 0.05, 0.2, 0.7)
+        profile, _ = osc_profile(h, m, np.array(radii))
+        assert profile.shape == (4, 40)
+        for vals, eps in zip(profile, radii):
             oracle = [osc(h, m, eps, x) for x in m.points]
             np.testing.assert_array_equal(vals, oracle)
 
@@ -606,11 +617,12 @@ class TestNormChainAudit:
             keller, "osc_profile", lambda f, *a: scanned.append(f) or real(f, *a)
         )
         rep = norm_report(h, m, 0.5, 0.5)
-        assert len(scanned) == 21 and all(f is h for f in scanned)
+        # one scan serves all 21 radii
+        assert len(scanned) == 1 and scanned[0] is h
         scanned.clear()
         norm_chain_audit(rep)
-        # only the product h*h of check (iv): 42 scans per draw with the report
-        assert len(scanned) == 21
+        # only the product h*h of check (iv): 2 scans per draw with the report
+        assert len(scanned) == 1
         assert not any(f is h for f in scanned)
         np.testing.assert_array_equal(scanned[0].values, h.values * h.values)
 

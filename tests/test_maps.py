@@ -1,6 +1,7 @@
 """Map evaluation, forward orbits, preimage trees, and Markov witnesses."""
 
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -340,10 +341,10 @@ def test_chunked_potential_bit_equal_to_reference_walk(monkeypatch, map_name,
     assert error is None and depth == 9 and shape[0] > 7
 
 
-def _levels_until_error(f, x0, n_max):
+def _levels_until_error(f, x0, n_max, phi=None):
     levels = []
     try:
-        for lv in iter_preimage_levels(f, None, x0, n_max):
+        for lv in iter_preimage_levels(f, phi, x0, n_max):
             levels.append(lv)
     except DomainError:
         pass
@@ -380,22 +381,88 @@ def test_merged_preimages_keep_the_lower_branch(f, x0):
     assert merged > 0
 
 
+# the branch domains overlap on [0.5, 0.5 + 5e-13], where the first
+# branch's preimage of 0 lies above the second's preimage of 1, which puts
+# two blocks out of order from depth 4 on; the walk sorts such a level
+OVERLAPPING = IntervalMap((
+    Branch(0.0, 0.5 + 5e-13, "linear", -0.5 / (0.5 + 5e-13), 0.5),
+    Branch(0.5, 1.0, "linear", -2.0, 2.0),
+))
+
+
 def test_overlapping_branch_domains_still_ascend():
-    # the branch domains overlap on [0.5, 0.5 + 5e-13], where the first
-    # branch's preimage of 0 lies above the second's preimage of 1, which
-    # puts two blocks out of order from depth 4 on; the walk sorts such a
-    # level. Clipping at the first branch's image ends makes equal points
-    # (0 and -0), whose order the sort leaves open, so values are compared.
-    f = IntervalMap((
-        Branch(0.0, 0.5 + 5e-13, "linear", -0.5 / (0.5 + 5e-13), 0.5),
-        Branch(0.5, 1.0, "linear", -2.0, 2.0),
-    ))
+    # clipping at the first branch's image ends makes equal points (0 and
+    # -0), whose order the sort leaves open, so values are compared
+    f = OVERLAPPING
     levels = list(iter_preimage_levels(f, None, 0.0, 7))
     for lv, ref in zip(levels, reference_preimage_levels(f, None, 0.0, 7, 10**6)):
         assert np.array_equal(lv.points, ref.points), lv.depth
         assert np.all(np.diff(lv.points) >= 0), lv.depth
     pts = levels[4].points
     assert 0.5 in pts and np.any((pts > 0.5) & (pts <= 0.5 + 5e-13))
+
+
+@pytest.mark.parametrize("name", [*sorted(WALK_MAPS), "overlapping"])
+def test_row_walk_bit_equal_to_one_walk_per_row(monkeypatch, name):
+    # a potential with k rows gives k Birkhoff sums per point, each the
+    # sums of a walk with that row alone; chunks of 7 points split levels
+    monkeypatch.setattr(maps, "POTENTIAL_CHUNK", 7)
+    f = WALK_MAPS.get(name, OVERLAPPING)
+    x0 = 0.0 if name == "overlapping" else 0.3
+    pots = [WALK_POTENTIALS["cosine"], WALK_POTENTIALS["branch_constant"],
+            CosineSeriesPotential((0.0, 0.0, 1.0))]
+
+    def rows(x):
+        return np.stack([phi(x) for phi in pots])
+
+    walk = _levels_until_error(f, x0, 9, rows)
+    assert len(walk) > 5
+    for lv in walk:
+        assert lv.birkhoff.shape == (3, lv.points.size)
+    for row, phi in enumerate(pots):
+        single = _levels_until_error(f, x0, 9, phi)
+        assert len(single) == len(walk)
+        for lv, one in zip(walk, single):
+            assert _bits(lv.points) == _bits(one.points)
+            assert _bits(lv.birkhoff[row]) == _bits(one.birkhoff), (row, lv.depth)
+
+
+@pytest.mark.parametrize("f, x0", [(tent_map(), 1.0), (golden_tent_map(), 2.0 - GOLDEN)],
+                         ids=["tent_top", "golden_kink"])
+def test_budget_boundaries_exact_on_merging_walks(f, x0):
+    # merges make a level smaller than its slice lengths less their
+    # overlaps, so the early raise must leave the exact check to decide
+    cum = np.cumsum([lv.points.size for lv in iter_preimage_levels(f, None, x0, 9)])
+    for depth in range(1, 10):
+        for budget in (int(cum[depth]) - 1, int(cum[depth])):
+            new = _walk(iter_preimage_levels, f, None, x0, 9, budget)
+            ref = _walk(reference_preimage_levels, f, None, x0, 9, budget)
+            assert new == ref, (depth, budget)
+            assert len(new[0]) == depth + (budget == cum[depth])
+
+
+def test_certain_overflow_raises_before_building_the_level():
+    # both doubling-map slices cover the whole depth-15 level, so the next
+    # level holds at least one copy of it, which overflows this budget:
+    # the walk raises before allocating the depth-16 level
+    f, depth = full_linear_map(2), 15
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(BudgetError) as exc:
+            for _ in iter_preimage_levels(f, None, 0.3, depth + 1, 2 ** (depth + 1) - 1):
+                pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert exc.value.feasible_depth == depth
+    # building depth 15 from depth 14 holds 1.5 times the depth-15 points
+    # and sums; building depth 16 as well would hold 3 times them
+    assert peak < 2 * 16 * 2**depth, peak / (16 * 2**depth)
 
 
 def test_budget_error_reports_feasible_depth():

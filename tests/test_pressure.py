@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from helpers import verify_separated
-from thermomap import pressure
+from helpers import lockstep_curve_reports, verify_separated
+from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
     forward_orbit,
@@ -468,13 +468,13 @@ def _counting_walks(monkeypatch):
 
 
 @pytest.mark.parametrize("t_count", [5, 41])
-def test_pressure_curve_walks_the_tree_twice(monkeypatch, t_count):
+def test_pressure_curve_walks_the_tree_once(monkeypatch, t_count):
     walks = _counting_walks(monkeypatch)
     f = tent_map()
     phi = CosineSeriesPotential((0.3, -0.2))
     chi = CosineSeriesPotential((0.0, 0.0, 1.0))
     pressure_curve(f, phi, chi, np.linspace(-1.0, 1.0, t_count), n_max=7)
-    assert [(w[1], w[3]) for w in walks] == [(phi, 7), (chi, 7)]
+    assert [w[3] for w in walks] == [7]
 
 
 CURVE_CASES = {
@@ -514,6 +514,21 @@ def test_pressure_curve_matches_per_t_walks(case):
         assert est == pytest.approx(rep.estimate, abs=1e-15, rel=0)
         assert fluct == pytest.approx(rep.fluctuation, abs=1e-15, rel=0)
     assert curve.ts[4] == 0.0
+
+
+@pytest.mark.parametrize("chunk", [maps.POTENTIAL_CHUNK, 7])
+@pytest.mark.parametrize("case", list(CURVE_CASES))
+def test_pressure_curve_bit_equal_to_lockstep_walks(monkeypatch, case, chunk):
+    # the one walk carrying both sums reduces to the same floats as the two
+    # walks it replaced; chunks of 7 points split the deep levels
+    monkeypatch.setattr(maps, "POTENTIAL_CHUNK", chunk)
+    f, phi, chi, x0, n_max = CURVE_CASES[case]
+    ts = np.linspace(-1.5, 0.5, 11)
+    curve = pressure_curve(f, phi, chi, ts, x0=x0, n_max=n_max)
+    reports = lockstep_curve_reports(f, phi, chi, ts, x0, n_max, 10**6)
+    want = np.array([(r.estimate, r.fluctuation) for r in reports])
+    assert curve.estimates.tobytes() == want[:, 0].tobytes()
+    assert curve.fluctuations.tobytes() == want[:, 1].tobytes()
 
 
 @pytest.mark.parametrize("phi", [None, CosineSeriesPotential((0.3, -0.2))])
