@@ -365,14 +365,16 @@ def iter_preimage_levels(
     branches of one parent that coincide at their shared breakpoint (within
     1e-12) are merged, keeping the lower branch, so each geometric preimage
     appears once; only the entries of a block within 2e-12 of the previous
-    branch's end can merge, so only those are tested. Merges drop only
-    parents two adjacent slices share, so a level whose slice lengths less
-    those overlaps exceed the budget raises before it is built. Branch
-    domains that overlap by less than TOL_DEDUP can leave two blocks out of
-    order, and such a level is sorted. Only the current level is held. The
-    potential is added POTENTIAL_CHUNK points at a time, so it must act
-    pointwise; one returning k rows, shape (k, n) for n points (learnt from
-    a call on no points), gives k sums per point, each as its row alone.
+    branch's end, its head, can merge, so only those are tested. Merges
+    drop only parents two adjacent slices share whose inverse lands in the
+    head, so a level whose slice lengths less the count of those parents
+    (two searchsorted calls on the head's image) exceed the budget raises
+    before it is built. Branch domains that overlap by less than TOL_DEDUP
+    can leave two blocks out of order, and such a level is sorted. Only the
+    current level is held. The potential is added POTENTIAL_CHUNK points at
+    a time, so it must act pointwise; one returning k rows, shape (k, n)
+    for n points (learnt from a call on no points), gives k sums per point,
+    each as its row alone.
     """
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
@@ -380,6 +382,13 @@ def iter_preimage_levels(
     branches = imap.branches
     images = [br.image() for br in branches]
     increasing = [br.increasing for br in branches]
+    # the parents that can merge lie in the image of each block's head,
+    # taken 1e-12 wider than the 2e-12 tested below and TOL_COVER wider in
+    # y, so rounding in the inverse cannot put a merge outside it
+    heads = []
+    for left, br in zip(branches, branches[1:]):
+        ends = br.forward(np.array([br.lo, min(left.hi + 3 * TOL_DEDUP, br.hi)]))
+        heads.append((ends.min() - TOL_COVER, ends.max() + TOL_COVER))
     pts = np.array([float(np.clip(x0, lo, hi))])
     rows = () if potential is None else np.shape(potential(pts[:0]))[:-1]
     birk = np.zeros(rows + (1,))
@@ -394,9 +403,12 @@ def iter_preimage_levels(
         total = sum(stop - start for start, stop in spans)
         if total == 0:
             raise DomainError(f"no preimages at depth {depth}; map is not onto")
-        overlap = sum(max(0, min(a[1], b[1]) - max(a[0], b[0]))
-                      for a, b in zip(spans, spans[1:]))
-        if used + total - overlap > budget:
+        merges = sum(
+            max(0, min(a[1], b[1], int(np.searchsorted(pts, yhi, side="right")))
+                - max(a[0], b[0], int(np.searchsorted(pts, ylo, side="left"))))
+            for a, b, (ylo, yhi) in zip(spans, spans[1:], heads)
+        )
+        if used + total - merges > budget:
             raise BudgetError(depth - 1, n_max, budget)
         new_pts = np.empty(total)
         new_birk = np.empty(rows + (total,))

@@ -4,16 +4,16 @@
 of weighted preimages, optionally with the deep levels themselves; the tree
 estimator averages those sums, and the conformal construction reduces the
 same walk. The separated-set estimator greedily packs grid points under the
-iterated sup metric and serves as an independent cross-check. The module
-also houses the hyperbolicity classifier, the pressure-curve smoothness
-probe (one walk carrying the sums of phi and of chi serves every t), and the
-four-branch construction of a hyperbolic potential whose range exceeds the
-entropy.
+iterated sup metric, a block of candidates at a time, testing pairs with a
+filter that reads the orbit one iterate at a time, and serves as an
+independent cross-check. The module also houses the hyperbolicity
+classifier, the pressure-curve smoothness probe (one walk carrying the sums
+of phi and of chi serves every t), and the four-branch construction of a
+hyperbolic potential whose range exceeds the entropy.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ from .potentials import PiecewiseLinearPotential, Potential, potential_range
 
 BREAKPOINT_REJECT_TOL = 1e-12
 CURVE_FIT_WINDOW = 0.2
+SEPARATED_BLOCK = 128  # candidates per vectorized step of the greedy packing
 
 
 @dataclass(frozen=True)
@@ -264,14 +265,19 @@ def separated_pressure(
     Candidates are visited in decreasing Birkhoff weight (stable order) and
     admitted when their iterated sup distance to every admitted point is at
     least epsilon. Distance at iterate 0 already exceeds epsilon for points
-    more than epsilon apart in space, so only spatial neighbors are checked.
-    The result is a lower bound of the supremum over separated subsets.
-    ``verified`` re-checks every admitted pair closer than epsilon in space,
-    one index offset at a time, and ``saturated`` reports whether two
-    admitted points are adjacent grid points.
+    more than epsilon apart in space, so only the admitted points inside the
+    closed window [x - epsilon, x + epsilon] are checked. Candidates are
+    taken in blocks: one vectorized pass drops those that clash with an
+    earlier block's points, and a loop over the remaining clashing pairs
+    inside the block settles the rest in order, so the packing is the
+    one-at-a-time greedy one. The result is a lower bound of the supremum
+    over separated subsets. ``verified`` re-checks every admitted pair
+    closer than epsilon in space, with the same pair filter, and
+    ``saturated`` reports whether two admitted points are adjacent grid
+    points.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not np.isfinite(epsilon) or epsilon <= 0:
+        raise DomainError("epsilon must be positive and finite")
     if grid_size < 10:
         raise DomainError("grid must have at least 10 points")
     if n < 1:
@@ -282,35 +288,90 @@ def separated_pressure(
     for i, (cur, total) in enumerate(forward_orbit(imap, xs, n, potential)):
         orbit[i] = cur
     weights = np.zeros(grid_size) if total is None else total
-    order = np.argsort(-weights, kind="stable")
-    adm_pos: list[float] = []
-    adm_idx: list[int] = []
-    for idx in order:
-        x = xs[idx]
-        left = bisect.bisect_left(adm_pos, x - epsilon)
-        right = bisect.bisect_right(adm_pos, x + epsilon)
-        ok = True
-        if right > left:
-            neigh = np.asarray(adm_idx[left:right])
-            dist = np.abs(orbit[:, neigh] - orbit[:, idx : idx + 1]).max(axis=0)
-            ok = bool(np.all(dist >= epsilon))
-        if ok:
-            ins = bisect.bisect_left(adm_pos, x)
-            adm_pos.insert(ins, x)
-            adm_idx.insert(ins, int(idx))
-    chosen = np.asarray(adm_idx)
-    value = float(logsumexp(weights[chosen]) / n)
-    verified = _verify_separated(orbit, np.asarray(adm_pos), chosen, epsilon)
+    chosen = _admit(xs, orbit, np.argsort(-weights, kind="stable"), epsilon)
+    points = xs[chosen]
     return SeparatedSetEstimate(
-        value=value,
+        value=float(logsumexp(weights[chosen]) / n),
         n=n,
         epsilon=epsilon,
-        points=np.asarray(adm_pos),
+        points=points,
         count=chosen.size,
         grid_size=grid_size,
-        verified=verified,
+        verified=_verify_separated(orbit, points, chosen, epsilon),
         saturated=bool(np.any(np.diff(chosen) == 1)),
     )
+
+
+def _admit(
+    xs: np.ndarray, orbit: np.ndarray, order: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """The greedy packing of separated_pressure: grid points are visited in
+    ``order``, and each is admitted unless it clashes with an admitted point
+    inside [x - epsilon, x + epsilon]; two points clash when their orbit
+    columns stay closer than epsilon at every iterate. Candidates are taken
+    SEPARATED_BLOCK at a time, with the result of taking them one at a time.
+    Returns the admitted indices ascending in position; no two share a
+    position when equal positions have equal orbits, as on a grid, since
+    such points clash."""
+    adm_idx = np.empty(0, dtype=np.intp)
+    adm_pos = np.empty(0)
+    for at in range(0, order.size, SEPARATED_BLOCK):
+        block = order[at:at + SEPARATED_BLOCK]
+        # drop the candidates that clash with a point of an earlier block
+        cand, partner = _window_pairs(adm_pos, xs[block], epsilon)
+        clash = _close_pairs(orbit, block[cand], adm_idx[partner], epsilon)
+        block = np.delete(block, cand[clash])
+        # then settle the survivors in order: one goes when an earlier
+        # survivor it clashes with stays; the clashing pairs ascend in the
+        # later survivor, so every earlier one is settled when it is read
+        pos = xs[block]
+        by_pos = np.argsort(pos, kind="stable")
+        later, earlier = _window_pairs(pos[by_pos], pos, epsilon)
+        earlier = by_pos[earlier]
+        ahead = np.flatnonzero(earlier < later)
+        later, earlier = later[ahead], earlier[ahead]
+        clash = _close_pairs(orbit, block[later], block[earlier], epsilon)
+        kept = [True] * block.size
+        for i, j in zip(later[clash].tolist(), earlier[clash].tolist()):
+            if kept[j]:
+                kept[i] = False
+        new = block[np.array(kept, dtype=bool)]
+        new = new[np.argsort(xs[new], kind="stable")]
+        adm_idx = np.insert(adm_idx, np.searchsorted(adm_pos, xs[new]), new)
+        adm_pos = xs[adm_idx]
+    return adm_idx
+
+
+def _window_pairs(
+    positions: np.ndarray, x: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with positions[j] in the closed window [x[i] - epsilon,
+    x[i] + epsilon], positions ascending; i ascends, then j."""
+    left = np.searchsorted(positions, x - epsilon, side="left")
+    right = np.searchsorted(positions, x + epsilon, side="right")
+    counts = right - left
+    rows = np.repeat(np.arange(x.size), counts)
+    firsts = np.cumsum(counts) - counts
+    return rows, np.arange(rows.size) - np.repeat(firsts - left, counts)
+
+
+def _close_pairs(
+    orbit: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Indices i of the pairs of grid columns (a[i], b[i]) whose orbits stay
+    closer than epsilon at every iterate, max_t |orbit[t, a] - orbit[t, b]|
+    < epsilon. Rows are read last to first, since the iterates spread
+    neighbors apart, and each keeps only the pairs still close; the scan
+    stops once none is."""
+    close = np.arange(a.size)
+    for row in orbit[::-1]:
+        if close.size == 0:
+            break
+        gap = row.take(a)
+        gap -= row.take(b)
+        keep = np.flatnonzero(np.abs(gap, out=gap) < epsilon)
+        a, b, close = a.take(keep), b.take(keep), close.take(keep)
+    return close
 
 
 def _verify_separated(
@@ -318,18 +379,15 @@ def _verify_separated(
 ) -> bool:
     """Pairwise check of the admitted orbits, one index offset k at a time.
 
-    The pairs (i, i + k) of admitted points closer than epsilon in space are
-    compared under the iterated sup metric in one vectorized pass. Positions
-    are sorted, so once no pair at offset k is that close, none at a larger
-    offset is.
+    The pairs (i, i + k) of admitted points closer than epsilon in space go
+    through the same pair filter as the admission. Positions are sorted, so
+    once no pair at offset k is that close, none at a larger offset is.
     """
-    cols = orbit[:, indices]
     for k in range(1, positions.size):
         near = np.flatnonzero(positions[k:] - positions[:-k] < epsilon)
         if near.size == 0:
             break
-        dist = np.abs(cols[:, near + k] - cols[:, near]).max(axis=0)
-        if np.any(dist < epsilon):
+        if _close_pairs(orbit, indices[near + k], indices[near], epsilon).size:
             return False
     return True
 
@@ -351,8 +409,11 @@ def hyperbolicity_check(
     """Search for n with sup over a grid of (1/n) S_n(potential) < pressure.
 
     One-sided: success certifies the strict inequality at the witness depth;
-    failure up to n_max proves nothing and is reported as "unknown".
+    failure up to n_max, or a non-finite estimate, proves nothing and is
+    reported as "unknown".
     """
+    if not np.isfinite(pressure_estimate):
+        return HyperbolicityReport("unknown", None, 0.0)
     lo, hi = imap.domain
     grid = np.linspace(lo, hi, grid_size)
     sums = forward_orbit(imap, grid, n_max, potential)

@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import bisect
 import itertools
 
 import numpy as np
@@ -191,6 +192,31 @@ def preimage_words(imap, x0, n):
             words.append(word)
             points.append(x)
     return np.array(words, dtype=np.int64).reshape(len(words), n), np.array(points)
+
+
+def greedy_separated(xs, orbit, order, epsilon):
+    """One-candidate-at-a-time greedy packing: visit the grid points in
+    ``order`` and admit each whose orbit column is at least epsilon from
+    every admitted one under the iterated sup metric, checking only the
+    admitted points inside the closed window [x - epsilon, x + epsilon].
+    Returns the admitted grid indices in position order. The oracle for
+    the blocked admission of pressure.separated_pressure."""
+    adm_pos: list[float] = []
+    adm_idx: list[int] = []
+    for idx in order:
+        x = xs[idx]
+        left = bisect.bisect_left(adm_pos, x - epsilon)
+        right = bisect.bisect_right(adm_pos, x + epsilon)
+        ok = True
+        if right > left:
+            neigh = np.asarray(adm_idx[left:right])
+            dist = np.abs(orbit[:, neigh] - orbit[:, idx : idx + 1]).max(axis=0)
+            ok = bool(np.all(dist >= epsilon))
+        if ok:
+            ins = bisect.bisect_left(adm_pos, x)
+            adm_pos.insert(ins, x)
+            adm_idx.insert(ins, int(idx))
+    return np.asarray(adm_idx)
 
 
 def verify_separated(orbit, positions, indices, epsilon):

@@ -465,6 +465,32 @@ def test_certain_overflow_raises_before_building_the_level():
     assert peak < 2 * 16 * 2**depth, peak / (16 * 2**depth)
 
 
+def test_overflow_within_two_copies_raises_before_building_the_level():
+    # both doubling-map slices cover the whole depth-19 level, but only the
+    # parents near the image 1 of the shared breakpoint can merge, so with
+    # room for between one and two copies of it the next level (two
+    # copies) still overflows: the walk raises before allocating it
+    f, depth = full_linear_map(2), 19
+    budget = 2 ** (depth + 1) - 1 + 700_000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(BudgetError) as exc:
+            for _ in iter_preimage_levels(f, None, 0.3, depth + 1, budget):
+                pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (exc.value.feasible_depth, exc.value.budget) == (depth, budget)
+    # building depth 19 from depth 18 holds 1.5 times the depth-19 points
+    # and sums (12.6 MB); building depth 20 as well would hold 3 times them
+    assert peak < 2 * 16 * 2**depth, peak / (16 * 2**depth)
+
+
 def test_budget_error_reports_feasible_depth():
     f = tent_map()
     with pytest.raises(BudgetError) as exc:

@@ -1,7 +1,9 @@
 """Tree and separated-set pressure, classifiers, curve probe, construction."""
 
+import dataclasses
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from helpers import lockstep_curve_reports, verify_separated
+from helpers import greedy_separated, lockstep_curve_reports, verify_separated
 from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -26,6 +28,9 @@ from thermomap.potentials import (
 )
 from thermomap.pressure import (
     PressureReport,
+    SeparatedSetEstimate,
+    _admit,
+    _close_pairs,
     _level_lse,
     _verify_separated,
     appendix_construct,
@@ -362,6 +367,101 @@ def test_verify_separated_rejects_forced_equal_columns():
         assert not verify_separated(forced, est.points, indices, epsilon)
 
 
+@st.composite
+def admission_cases(draw):
+    """Ascending distinct positions on a 1/8 lattice, an orbit matrix of
+    multiples of 1/8 whose first row is the positions, a visiting order from
+    weights with ties, epsilon and a block size; the dyadic values make
+    exact ties at epsilon, in space and along orbits, common."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=True))
+    xs = np.sort(np.asarray(cells, dtype=float)) / 8
+    rows = draw(st.lists(
+        st.integers(0, 24), min_size=(n - 1) * xs.size, max_size=(n - 1) * xs.size
+    ))
+    orbit = np.vstack([xs, np.asarray(rows, dtype=float).reshape(n - 1, xs.size) / 8])
+    weights = draw(st.lists(st.integers(0, 3), min_size=xs.size, max_size=xs.size))
+    order = np.argsort(-np.asarray(weights, dtype=float), kind="stable")
+    epsilon = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    block = draw(st.sampled_from([1, 2, 3, 7, 128]))
+    return xs, orbit, order, epsilon, block
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=admission_cases())
+def test_blocked_admission_matches_one_at_a_time_oracle(case):
+    xs, orbit, order, epsilon, block = case
+    with mock.patch.object(pressure, "SEPARATED_BLOCK", block):
+        chosen = _admit(xs, orbit, order, epsilon)
+    assert np.array_equal(chosen, greedy_separated(xs, orbit, order, epsilon))
+
+
+TENT_BERNOULLI = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
+
+
+@pytest.mark.parametrize(
+    "imap, phi, n, epsilon, grid",
+    [
+        (tent_map(), TENT_BERNOULLI, 10, 0.01, 3000),
+        (golden_tent_map(), None, 10, 0.01, 3000),
+        (golden_tent_map(), None, 10, 0.3, 10_000),
+        (tent_map(), None, 10, 0.3, 10_000),
+        (logistic4_map(), None, 10, 0.3, 10_000),
+        (tent_map(), None, 10, 0.01, 10_000),
+        (golden_tent_map(), None, 10, 0.01, 10_000),
+        (tent_map(), None, 10, 0.05, 4000),
+        (tent_map(), None, 8, 0.01, 2000),
+        (tent_map(), CosineSeriesPotential((0.2,), offset=0.1), 1, 2.0, 100),
+    ],
+    ids=["tent-bernoulli-0.01-3000", "golden-0.01-3000", "golden-0.3-1e4",
+         "tent-0.3-1e4", "logistic4-0.3-1e4", "tent-0.01-1e4", "golden-0.01-1e4",
+         "tent-0.05-4000", "tent-n8-0.01-2000", "tent-cos-n1-2.0-100"],
+)
+def test_separated_estimate_equals_the_oracle_packing(imap, phi, n, epsilon, grid):
+    est = separated_pressure(imap, phi, n, epsilon, grid)
+    xs = np.linspace(*imap.domain, grid)
+    orbit = np.empty((n, grid))
+    for i, (cur, total) in enumerate(forward_orbit(imap, xs, n, phi)):
+        orbit[i] = cur
+    weights = np.zeros(grid) if total is None else total
+    chosen = greedy_separated(xs, orbit, np.argsort(-weights, kind="stable"), epsilon)
+    expected = SeparatedSetEstimate(
+        value=float(logsumexp(weights[chosen]) / n),
+        n=n,
+        epsilon=epsilon,
+        points=xs[chosen],
+        count=chosen.size,
+        grid_size=grid,
+        # the oracle admits a point only once it is epsilon-apart from every
+        # admitted point of its window, so its packing passes the check
+        verified=True,
+        saturated=bool(np.any(np.diff(chosen) == 1)),
+    )
+    for field in dataclasses.fields(SeparatedSetEstimate):
+        got, want = getattr(est, field.name), getattr(expected, field.name)
+        assert type(got) is type(want), field.name
+        assert np.array_equal(got, want), field.name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_filter_matches_sup_over_iterates(seed):
+    rng = np.random.default_rng(seed)
+    n, grid = int(rng.integers(1, 12)), 300
+    # lattice values for exact ties at epsilon, smooth ones otherwise
+    orbit = rng.integers(0, 16, (n, grid)) / 16 if seed % 2 else rng.random((n, grid))
+    a, b = rng.integers(0, grid, (2, 5000))
+    epsilon = float(rng.choice([0.0625, 0.25, 0.5, 0.9]))
+    expected = np.abs(orbit[:, a] - orbit[:, b]).max(axis=0) < epsilon
+    assert expected.any() and not expected.all()
+    assert np.array_equal(_close_pairs(orbit, a, b, epsilon), np.flatnonzero(expected))
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_separated_rejects_nonfinite_epsilon(epsilon):
+    with pytest.raises(DomainError):
+        separated_pressure(tent_map(), None, 4, epsilon, 100)
+
+
 def test_hyperbolicity_immediate_for_zero_potential():
     rep = hyperbolicity_check(tent_map(), None, LOG2)
     assert rep.verdict == "hyperbolic"
@@ -382,6 +482,13 @@ def test_hyperbolicity_unknown_at_equality():
     rep = hyperbolicity_check(tent_map(), ConstantPotential(LOG2), LOG2, n_max=10)
     assert rep.verdict == "unknown"
     assert rep.witness_depth is None
+
+
+def test_hyperbolicity_unknown_for_nonfinite_estimate():
+    # a grid max below +inf is no certificate
+    for estimate in (np.inf, -np.inf, np.nan):
+        rep = hyperbolicity_check(tent_map(), None, estimate)
+        assert (rep.verdict, rep.witness_depth, rep.margin) == ("unknown", None, 0.0)
 
 
 def test_bounded_range_check():
