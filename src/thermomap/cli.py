@@ -18,7 +18,10 @@ entropy) or ``not_converged`` (conformal, equilibrium, correlations,
 audit-all); a raised failure writes nothing. `correlations` writes the
 signed C_n of `transfer.correlation` per lag, each lag from the first one
 at its observable's resolution floor on with status ``below_resolution``,
-which exits 0.
+which exits 0. A nonpositive entropy for a potential certified hyperbolic
+exits 2: `equilibrium` and `audit-all` check it against the nu they write,
+on mu's atoms, and `correlations`, which writes no nu, on mu's projection
+onto h's grid.
 """
 
 from __future__ import annotations
@@ -464,16 +467,15 @@ def cmd_conformal(exp: Experiment):
 
 
 def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
+    """The eigenpair normalized against mu and the hyperbolicity check; each
+    command runs `equilibrium_state` on the measure it needs."""
     eigen = power_iteration(
         exp.imap, exp.potential, grid_size=exp.grid, tol=exp.tol, mu=mu
     )
     hyper = hyperbolicity_check(
         exp.imap, exp.potential, tree.estimate, grid_size=exp.grid
     )
-    state = equilibrium_state(
-        exp.potential, mu, eigen, hyperbolic=hyper.verdict == "hyperbolic"
-    )
-    return eigen, hyper, state
+    return eigen, hyper
 
 
 def _equilibrium_row(tree, limit, eigen, hyper, state) -> dict:
@@ -495,7 +497,8 @@ def _equilibrium_row(tree, limit, eigen, hyper, state) -> dict:
 def cmd_equilibrium(exp: Experiment):
     p = exp.take(PARAMS["equilibrium"])
     _, limit, tree = _conformal_pipeline(exp, p)
-    eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
+    eigen, hyper = _equilibrium_pipeline(exp, tree, limit.measure)
+    state = equilibrium_state(exp.potential, limit.measure, eigen, hyper.verdict == "hyperbolic")
     return [
         ("mu.csv", limit.measure),
         ("nu.csv", state.nu),
@@ -506,12 +509,15 @@ def cmd_equilibrium(exp: Experiment):
 def cmd_correlations(exp: Experiment):
     p = exp.take(PARAMS["correlations"])
     _, limit, tree = _conformal_pipeline(exp, p)
-    eigen, hyper, state = _equilibrium_pipeline(exp, tree, limit.measure)
-    status = _equilibrium_row(tree, limit, eigen, hyper, state)["status"]
+    mu = limit.measure
+    eigen, hyper = _equilibrium_pipeline(exp, tree, mu)
+    # correlations.csv reads no nu: the entropy guard runs on mu's grid projection
+    grid = eigen.h.grid
+    on_grid = AtomicMeasure.normalized(grid, mu.hat_weights(grid), mu.domain)
+    equilibrium_state(exp.potential, on_grid, eigen, hyper.verdict == "hyperbolic")
+    status = "ok" if limit.converged and eigen.converged else "not_converged"
     fns = p["observables"]
-    batch = correlation(
-        exp.imap, fns, fns, limit.measure, exp.potential, eigen, n_max=p["lags"]
-    )
+    batch = correlation(exp.imap, fns, fns, mu, exp.potential, eigen, n_max=p["lags"])
     rows = []
     for idx, rep in enumerate(batch.reports):
         for n, c, below in zip(rep.ns, rep.c_values, rep.below_resolution):
@@ -623,7 +629,8 @@ def cmd_audit_all(exp: Experiment):
     )
     atoms = atom_audit(mu, (512,))
     support = float(np.min(mu.bin_masses(64)))
-    eigen, hyper, state = _equilibrium_pipeline(exp, tree, mu)
+    eigen, hyper = _equilibrium_pipeline(exp, tree, mu)
+    state = equilibrium_state(exp.potential, mu, eigen, hyper.verdict == "hyperbolic")
 
     lo, hi = exp.imap.domain
     suite = [

@@ -377,18 +377,27 @@ def _close_pairs(
 def _verify_separated(
     orbit: np.ndarray, positions: np.ndarray, indices: np.ndarray, epsilon: float
 ) -> bool:
-    """Pairwise check of the admitted orbits, one index offset k at a time.
+    """Pairwise check of the admitted orbits over the index offsets k.
 
     The pairs (i, i + k) of admitted points closer than epsilon in space go
-    through the same pair filter as the admission. Positions are sorted, so
-    once no pair at offset k is that close, none at a larger offset is.
+    through the same pair filter as the admission, consecutive offsets
+    together until they hold about as many pairs as there are points, so
+    memory stays O(count). Positions are sorted, so once no pair at offset k
+    is that close, none at a larger offset is.
     """
-    for k in range(1, positions.size):
+    pairs, held = [], 0
+    for k in range(1, positions.size + 1):
         near = np.flatnonzero(positions[k:] - positions[:-k] < epsilon)
-        if near.size == 0:
-            break
-        if _close_pairs(orbit, indices[near + k], indices[near], epsilon).size:
+        pairs.append((indices[near + k], indices[near]))
+        held += near.size
+        if near.size and held < positions.size:
+            continue
+        a, b = (np.concatenate(side) for side in zip(*pairs))
+        if _close_pairs(orbit, a, b, epsilon).size:
             return False
+        if near.size == 0:
+            return True
+        pairs, held = [], 0
     return True
 
 
@@ -469,7 +478,7 @@ def pressure_curve(
     if dt**2 == 0:
         raise DomainError("the t step squared underflows to 0")
     if n_max < 1:
-        raise DomainError("need 1 <= n_min <= n_max")
+        raise DomainError("need n_max >= 1")
     _reject_breakpoint(imap, x0)
 
     def phi_chi(x: np.ndarray) -> np.ndarray:

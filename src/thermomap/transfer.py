@@ -212,12 +212,19 @@ def equilibrium_state(
     eigen: EigenReport,
     hyperbolic: bool = False,
 ) -> EquilibriumState:
-    """Tilt the conformal measure by the eigenfunction and report entropy.
+    """Tilt an atomic measure by the eigenfunction and report entropy.
 
     Entropy is pressure minus the potential mean against nu. When the
     potential has a verified hyperbolicity certificate this must be
     strictly positive; a nonpositive value then indicates a broken
     eigenpair or measure and is raised as an audit failure.
+
+    mu is any atomic measure: the conformal measure itself gives nu on its
+    atoms, and its projection onto h's grid, AtomicMeasure.normalized(grid,
+    mu.hat_weights(grid), mu.domain), gives the O(G) entropy guard, with
+    int phi dnu = sum_j w_j h_j phi(g_j) / sum_j w_j h_j over the G nodes.
+    The two entropies differ by O(G^-2) for a smooth potential and by O(1/G)
+    at a jump of it, which the grid smears over one cell.
     """
     # mu's atoms are already sorted and distinct: nu keeps them as they are
     weights = mu.masses * eigen.h(mu.points)

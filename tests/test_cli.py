@@ -625,7 +625,7 @@ class TestExitThree:
         assert "hyperbolicity check failed" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["equilibrium", "audit-all"])
+    @pytest.mark.parametrize("command", ["equilibrium", "correlations", "audit-all"])
     def test_nonpositive_certified_entropy_raises_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys, command
     ):
@@ -789,6 +789,32 @@ class TestCorrelationsCommand:
         assert header == ["observable", "n", "c_n", "rho", "r_squared", "status"]
         assert len(rows) == 6
         assert [int(r[1]) for r in rows] == [1, 2, 3, 4, 5, 6]
+
+    def test_builds_no_nu_on_mus_atoms(self, tmp_path, monkeypatch):
+        # correlations.csv reads no nu: the entropy guard gets mu's projection
+        # onto h's grid, never mu's own atoms
+        sizes, measures = [], []
+        real_state, real_limit = cli.equilibrium_state, cli.weak_limit
+
+        def state(potential, measure, *args, **kwargs):
+            sizes.append(measure.size)
+            return real_state(potential, measure, *args, **kwargs)
+
+        def limit(*args, **kwargs):
+            result = real_limit(*args, **kwargs)
+            measures.append(result.measure)
+            return result
+
+        monkeypatch.setattr(cli, "equilibrium_state", state)
+        monkeypatch.setattr(cli, "weak_limit", limit)
+        path = write_config(
+            tmp_path, potential=BERNOULLI,
+            command_params={"n_max": 10, "tree_depth": 10, "lags": 6},
+        )
+        assert main(["correlations", str(path), "--grid", "128"]) == 0
+        (mu,) = measures
+        assert mu.size > 128
+        assert sizes and all(size <= 128 for size in sizes)
 
     def test_bad_second_observable_stops_before_any_work(
         self, tmp_path, capsys, monkeypatch

@@ -650,11 +650,16 @@ def test_pressure_curve_budget_error_matches_tree_pressure(phi):
     assert str(got.value) == str(want.value)
 
 
-def test_pressure_curve_rejects_breakpoint_base_before_walking(monkeypatch):
+@pytest.mark.parametrize("kwargs, match", [
+    ({"x0": 0.5}, "breakpoint"),
+    # pressure_curve has no n_min, so the message names n_max alone
+    ({"n_max": 0}, "^need n_max >= 1$"),
+], ids=["breakpoint-base", "n_max-0"])
+def test_pressure_curve_rejects_before_walking(monkeypatch, kwargs, match):
     walks = _counting_walks(monkeypatch)
     f = tent_map()
-    with pytest.raises(DomainError, match="breakpoint"):
-        pressure_curve(f, None, ConstantPotential(1.0), np.linspace(-1, 1, 5), x0=0.5)
+    with pytest.raises(DomainError, match=match):
+        pressure_curve(f, None, ConstantPotential(1.0), np.linspace(-1, 1, 5), **kwargs)
     assert walks == []
 
 
