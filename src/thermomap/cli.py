@@ -95,10 +95,11 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Write `header` and `rows` as CSV; numbers get 17 significant digits.
 
     A 2-D float ndarray with one column per header field is streamed to the
-    file CSV_CHUNK_ROWS rows at a time through `g17.format_rows`, which
-    computes each cell's 17 digits exactly in vectorized double-double
-    arithmetic and sends zeros, non-finite cells and possible rounding ties
-    to Python's own ``"%.17g"``; every cell is byte-identical to ``_fmt``.
+    file CSV_CHUNK_ROWS rows at a time through `g17.format_rows`: exact
+    vectorized double-double digits, Python's ``"%.17g"`` for zeros,
+    non-finite cells and possible rounding ties, and a 32-byte frame per
+    cell (56 bytes if the chunk holds a cell of 10 <= |x| < 1e17); every
+    cell is byte-identical to ``_fmt``.
     Memory is bounded by the chunk, not the table. Any other iterable of
     rows is formatted cell by cell; string cells pass through unchanged.
     """

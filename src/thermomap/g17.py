@@ -19,19 +19,26 @@ rounded D of 10**17 or more (a wrong log10 guess, or a round-up to the
 next power of ten). No such cell is ever formatted from D.
 
 Layout. Each cell fills a fixed frame of NUL-padded fields, and deleting
-the NULs leaves its text:
+the NULs leaves its text. A chunk with no cell of 10 <= |x| < 1e17 takes
+the 32-byte frame; any other chunk takes the 56-byte frame, which adds an
+integer field and a point between the head and the fraction:
 
-    prefix    8  sign, then "0." and leading zeros when 1e-4 <= |x| < 1
-    lead      4  the first digit
+    head      8  sign, "0." and leading zeros when 1e-4 <= |x| < 1, the
+                 first digit, and "." when a nonzero digit follows it
     integer  16  digits 1-16 left of the point, when 10 <= |x| < 1e17
-    point     4  "." when a nonzero digit follows
+    point     4  "." when a nonzero digit follows them
+    pad       4
     fraction 16  the remaining digits, trailing zeros dropped
     suffix    8  the exponent of scientific notation, then the separator
 
+The head depends on X only through its class: one of four counts of
+leading zeros, plain, or integer (whose point comes after the integer
+field); its table holds 2 signs x 6 classes x 10 digits x point or not.
 Digits come four at a time from a 10,000-entry table of 4-byte strings;
 its second half has the trailing zeros blanked, for the last nonzero group
 of the fraction and the zero groups after it. The tables are built on the
-first call, so importing this module costs nothing.
+first call, so importing this module costs nothing. Every %.17g text,
+separator included, fits in 25 bytes, so fallback cells fit either frame.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ import numpy as np
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of finite nonzero float64
 _NX = _X_MAX - _X_MIN + 1
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
-_FRAME = 56  # bytes per cell: the six fields above
 _QUAD = 10000  # values of a group of four digits
 
 
@@ -56,8 +62,8 @@ def _packed(texts, width: int) -> np.ndarray:
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """Per decimal exponent: scaled powers of ten and the fixed fields;
-    per 4-digit group: its characters. Indexed by X - _X_MIN."""
+    """Per decimal exponent X - _X_MIN: scaled powers of ten, suffixes and
+    head rows (at + _NX for a minus sign); per digit group or head: text."""
     xs = range(_X_MIN, _X_MAX + 1)
     hi, lo, shift = [], [], []
     for x in xs:
@@ -78,26 +84,30 @@ def _tables() -> SimpleNamespace:
     quad = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], 1)
     quad = (quad + ord("0")).astype(np.uint8)
     kept = np.cumsum(quad[:, ::-1] != ord("0"), axis=1)[:, ::-1] > 0
-    prefix, suffix, integer, point = [], [], [], []
+    suffix, integer, cls, head = [], [], [], []
     for x in xs:
         fixed = -4 <= x < 17
-        prefix.append(b"0." + b"0" * (-x - 1) if fixed and x < 0 else b"")
         exponent = b"" if fixed else b"e%+03d" % x
         suffix += [exponent + b",", exponent + b"\n"]
         integer.append(b"\xff" * x if fixed and x > 0 else b"")
-        point.append(b"" if fixed and x < 0 else b"\0\0\0.")
+        # head class 0-3: that many leading zeros; 4: plain; 5: integer
+        cls.append(-x - 1 if fixed and x < 0 else 5 if fixed and x > 0 else 4)
+    for sign in (b"", b"-"):
+        for c in range(6):
+            for d in b"0123456789":
+                lead = (b"0." + b"0" * c if c < 4 else b"") + bytes([d])
+                head += [sign + lead, sign + lead + b"." * (c == 4)]
     return SimpleNamespace(
-        hi=hi,
         hi_hi=hi_hi,
         hi_lo=hi - hi_hi,
         lo=np.array(lo),
         shift=np.array(shift, np.int32),
         quad=np.concatenate([quad, quad * kept]).view(np.uint32).ravel(),
-        lead=_packed([b"\0\0\0%d" % d for d in range(10)], 4).view(np.uint32).ravel(),
-        prefix=_packed(prefix + [b"-" + p for p in prefix], 8).view(np.uint64).ravel(),
+        head=_packed(head, 8).view(np.uint64).ravel(),
+        head_row=20 * np.array(cls + [c + 6 for c in cls]),
         suffix=_packed(suffix, 8).view(np.uint64).ravel(),
         integer=_packed(integer, 16).view(np.uint32).T.copy(),
-        point=_packed(point, 4).view(np.uint32).ravel(),
+        point=np.frombuffer(b"\0\0\0.", np.uint32)[0],
     )
 
 
@@ -114,7 +124,7 @@ def significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m_hi = m * _DEKKER - (m * _DEKKER - m)
     m_lo = m - m_hi
     h_hi, h_lo = t.hi_hi[k], t.hi_lo[k]
-    p = m * t.hi[k]
+    p = m * (h_hi + h_lo)  # h_hi + h_lo is hi exactly
     err = ((m_hi * h_hi - p) + m_hi * h_lo + m_lo * h_hi) + m_lo * h_lo
     err += m * t.lo[k]
     e += t.shift[k]
@@ -136,41 +146,45 @@ def format_rows(table: np.ndarray) -> bytes:
     t = _tables()
     with np.errstate(invalid="ignore"):  # a float32 signaling nan stays nan
         x = np.ascontiguousarray(table, dtype=np.float64).ravel()
-    last = np.arange(x.size) % table.shape[1] == table.shape[1] - 1
     k, D, exact = significands(x)
-    first, tail = np.divmod(D, 10**16)
+    first = D // 10**16  # np.divmod has no fast path for an int64 scalar
+    tail = D - first * 10**16
     first[~exact] = 1  # any digit: these rows are replaced below
-    upper, lower = np.divmod(tail, 10**8)
-    groups = [*np.divmod(upper, _QUAD), *np.divmod(lower, _QUAD)]
+    upper = tail // 10**8
+    lower = tail - upper * 10**8
+    g0, g2 = upper // _QUAD, lower // _QUAD
+    groups = [g0, upper - g0 * _QUAD, g2, lower - g2 * _QUAD]
+    big = np.flatnonzero((k > -_X_MIN) & (k <= 16 - _X_MIN))
 
-    # uint32 words of the frame: prefix 0-1, lead 2, integer 3-6, point 7,
-    # fraction 8-11, suffix 12-13
-    frame = np.zeros((x.size, _FRAME), np.uint8)
+    # uint32 words: head 0-1, then in the wide frame integer 2-5 and point 6;
+    # fraction f..f+3, suffix f+4..f+5
+    f = 8 if big.size else 2
+    width = 4 * f + 24
+    frame = np.zeros((x.size, width), np.uint8)
     words = frame.view(np.uint32)
-    frame.view(np.uint64)[:, 0] = t.prefix[k + np.signbit(x) * _NX]
-    words[:, 2] = t.lead[first]
+    head = t.head_row[k + _NX * np.signbit(x)] + 2 * first + (tail != 0)
+    frame.view(np.uint64)[:, 0] = t.head[head]
     strip = np.full(x.size, _QUAD)  # offset of the zero-blanked half of quad
     for i in (3, 2, 1, 0):
-        words[:, 8 + i] = t.quad[groups[i] + strip]
+        words[:, f + i] = t.quad[groups[i] + strip]
         strip *= groups[i] == 0
-    words[:, 7] = t.point[k] * (tail != 0)
     # 10 <= |x| < 1e17: move digits 1..X from the fraction to the integer
-    big = np.flatnonzero((k > -_X_MIN) & (k <= 16 - _X_MIN))
     kb = k[big]
-    fraction = np.zeros(big.size, np.uint32)
     for i in range(4):
         mask = t.integer[i][kb]
-        words[big, 3 + i] = t.quad[groups[i][big]] & mask
-        words[big, 8 + i] &= ~mask
-        fraction |= words[big, 8 + i]
-    words[big, 7] = t.point[kb] * (fraction != 0)
-    frame.view(np.uint64)[:, 6] = t.suffix[2 * k + last]
+        words[big, 2 + i] = t.quad[groups[i][big]] & mask
+        words[big, f + i] &= ~mask
+    words[big, 6] = t.point * words[big, f:f + 4].any(1)
+    sep = 2 * k
+    sep.reshape(table.shape)[:, -1] += 1
+    frame.view(np.uint64)[:, f // 2 + 2] = t.suffix[sep]
 
     bad = np.flatnonzero(~exact)
     if bad.size:
-        seps = np.where(last[bad], "\n", ",").tolist()
+        last = bad % table.shape[1] == table.shape[1] - 1
+        seps = np.where(last, "\n", ",").tolist()
         text = "".join(
-            f"{v:.17g}{s}".ljust(_FRAME, "\0") for v, s in zip(x[bad].tolist(), seps)
+            f"{v:.17g}{s}".ljust(width, "\0") for v, s in zip(x[bad].tolist(), seps)
         )
-        frame[bad] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _FRAME)
+        frame[bad] = np.frombuffer(text.encode(), np.uint8).reshape(bad.size, -1)
     return frame.tobytes().translate(None, b"\0")

@@ -157,6 +157,14 @@ def per_cell_reference(header, table) -> bytes:
     ).encode()
 
 
+def measure_like(rng, shape) -> np.ndarray:
+    """Log-uniform |x| in [1e-12, 10) with random signs: no cell with
+    10 <= |x| < 1e17, so every chunk takes g17's narrow 32-byte frame."""
+    table = 10.0 ** rng.uniform(-12, 1, shape) * rng.choice([-1.0, 1.0], shape)
+    assert (np.abs(table) < 10).all()
+    return table
+
+
 class TestFloatTableStreaming:
     """The chunked all-float path of write_csv (the vectorized digits of
     thermomap.g17) against the per-cell reference, its memory bound, and the
@@ -237,6 +245,43 @@ class TestFloatTableStreaming:
         table = rng.standard_normal((2 * CSV_CHUNK_ROWS + 7, 2)) * 1e3
         # in both columns: mid first chunk, across the chunk boundary, and
         # mid second chunk
+        for r in (CSV_CHUNK_ROWS // 2, CSV_CHUNK_ROWS - 6, 3 * CSV_CHUNK_ROWS // 2):
+            table[r:r + special.size, 0] = special
+            table[r:r + special.size, 1] = special[::-1]
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), table)
+        assert path.read_bytes() == per_cell_reference(("a", "b"), table)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n_rows=st.sampled_from([CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1]),
+        n_cols=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_measure_like_tables_match_reference(self, tmp_path, n_rows, n_cols, seed):
+        table = measure_like(np.random.default_rng(seed), (n_rows, n_cols))
+        header = [f"c{j}" for j in range(n_cols)]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, table)
+        assert path.read_bytes() == per_cell_reference(header, table)
+
+    def test_narrow_chunk_then_wide_chunk(self, tmp_path):
+        # the second chunk's one 12.5 gives it the 56-byte frame
+        table = measure_like(np.random.default_rng(12), (2 * CSV_CHUNK_ROWS, 2))
+        table[CSV_CHUNK_ROWS + 5, 1] = 12.5
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), table)
+        assert path.read_bytes() == per_cell_reference(("a", "b"), table)
+
+    def test_fallback_cells_spliced_into_narrow_chunks(self, tmp_path):
+        # fallback cells keep the narrow frame: only cells formatted from
+        # their digits can widen a chunk
+        special = np.array(self.FALLBACK + self.EXTREME)
+        table = measure_like(np.random.default_rng(7), (2 * CSV_CHUNK_ROWS + 7, 2))
         for r in (CSV_CHUNK_ROWS // 2, CSV_CHUNK_ROWS - 6, 3 * CSV_CHUNK_ROWS // 2):
             table[r:r + special.size, 0] = special
             table[r:r + special.size, 1] = special[::-1]
