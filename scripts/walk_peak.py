@@ -9,7 +9,10 @@ number of float64 arrays the size of the deepest level, and as bytes per
 deepest node. The doubling and logistic4 walks go to --depth; the golden
 tent grows like its golden-ratio rate, so it goes to the depth where its
 deepest level is about as large as 2^depth. The tree_pressure rows are the
-figure behind maps.DEFAULT_NODE_BUDGET's memory estimate.
+figure behind maps.DEFAULT_NODE_BUDGET's memory estimate. The last row is
+weak_limit on the doubling map with the cosine potential, from level sums
+that retain its window, built before tracing starts: the window holds
+about two deepest levels, so each window-sized array counts as two.
 
 Usage: python3 scripts/walk_peak.py [--depth 20] [--out out/]
 """
@@ -17,6 +20,7 @@ Usage: python3 scripts/walk_peak.py [--depth 20] [--out out/]
 import argparse
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +32,12 @@ from thermomap import (
     level_sums,
     logistic4_map,
     pressure_curve,
+    transition_parameter,
     tree_pressure,
+    weak_limit,
 )
 from thermomap.cli import write_csv
+from thermomap.conformal import window_start
 
 X0 = 0.31
 
@@ -51,8 +58,8 @@ def main():
     ap.add_argument("--depth", type=int, default=20)
     ap.add_argument("--out", type=Path, default=Path("out"))
     args = ap.parse_args()
-    if args.depth < 1:
-        ap.error("--depth must be at least 1")
+    if args.depth < 4:
+        ap.error("--depth must be at least 4")
     args.out.mkdir(parents=True, exist_ok=True)
 
     cosine = CosineSeriesPotential((0.3, -0.2))
@@ -63,24 +70,35 @@ def main():
     ts = np.linspace(-1.0, 1.0, 21)
     doubling = full_linear_map(2)
 
+    # each case makes its run when its turn comes, so no input outlives it
     def tree(imap, potential, depth):
         return lambda: tree_pressure(imap, potential, X0, depth)
 
+    def curve():
+        return lambda: pressure_curve(doubling, cosine, chi, ts, X0, args.depth)
+
+    def limit():
+        sums = level_sums(doubling, cosine, X0, args.depth,
+                          retain_from=window_start(args.depth))
+        c = transition_parameter(sums).c
+        return lambda: weak_limit(sums, c)
+
     cases = [
-        ("doubling_cosine", doubling, args.depth, tree(doubling, cosine, args.depth)),
+        ("doubling_cosine", doubling, args.depth,
+         partial(tree, doubling, cosine, args.depth)),
         ("golden_tent", golden_tent_map(), golden_depth,
-         tree(golden_tent_map(), None, golden_depth)),
+         partial(tree, golden_tent_map(), None, golden_depth)),
         ("logistic4_cosine", logistic4_map(), args.depth,
-         tree(logistic4_map(), cosine, args.depth)),
-        ("curve_doubling_cosine", doubling, args.depth,
-         lambda: pressure_curve(doubling, cosine, chi, ts, X0, args.depth)),
+         partial(tree, logistic4_map(), cosine, args.depth)),
+        ("curve_doubling_cosine", doubling, args.depth, curve),
+        ("weak_limit_doubling_cosine", doubling, args.depth, limit),
     ]
     rows = []
-    for name, imap, depth, run in cases:
+    for name, imap, depth, make_run in cases:
         deepest = int(level_sums(imap, None, X0, depth).counts[-1])
-        peak = peak_bytes(run)
+        peak = peak_bytes(make_run())
         rows.append((name, depth, deepest, peak / (8 * deepest), peak / deepest))
-        print(f"{name:21s} depth {depth:2d}  deepest {deepest:9d}  "
+        print(f"{name:26s} depth {depth:2d}  deepest {deepest:9d}  "
               f"peak {peak / (8 * deepest):.2f} arrays, "
               f"{peak / deepest:.1f} B per node")
     path = args.out / "walk_peak.csv"

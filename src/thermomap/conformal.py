@@ -21,7 +21,7 @@ from .errors import DomainError
 # harness test checks that its tracer wraps this module's copy too
 from .maps import IntervalMap, iter_preimage_levels  # noqa: F401
 from .potentials import Potential
-from .pressure import LevelSums
+from .pressure import LevelSums, _level_lse
 
 MASS_TOL = 1e-12
 
@@ -59,7 +59,7 @@ class AtomicMeasure:
         # checked first: nan fails no order, sign or sum comparison below
         if not (np.isfinite(self.points).all() and np.isfinite(self.masses).all()):
             raise DomainError("points and masses must be finite")
-        if np.any(np.diff(self.points) < 0):
+        if np.any(self.points[1:] < self.points[:-1]):
             raise DomainError("points must be ascending")
         if np.any(self.masses < 0):
             raise DomainError("masses must be nonnegative")
@@ -73,13 +73,25 @@ class AtomicMeasure:
         masses: np.ndarray,
         domain: Optional[tuple[float, float]] = None,
     ) -> "AtomicMeasure":
+        """The measure with these masses at these points, scaled to total 1.
+
+        The points are put in ascending order by a stable sort, so equal
+        points keep their input order, and each run of exact duplicates
+        becomes one atom whose mass is the sum of theirs, added in that
+        order. The masses are then divided by their total. ``domain``
+        defaults to the span from the least point to the greatest. Raises
+        DomainError when the total mass is not positive.
+        """
         points = np.asarray(points, dtype=float)
         masses = np.asarray(masses, dtype=float)
         order = np.argsort(points, kind="stable")
-        points, masses = points[order], masses[order]
-        if points.size > 1:
+        points = points[order]
+        masses = masses[order]
+        del order  # freed before __post_init__'s checks add to the peak
+        tie = points[1:] == points[:-1]
+        if tie.any():
             # merge exact duplicates so index arithmetic on atoms is unambiguous
-            new_group = np.concatenate([[True], np.diff(points) > 0])
+            new_group = np.concatenate([[True], ~tie])
             idx = np.cumsum(new_group) - 1
             merged = np.zeros(int(idx[-1]) + 1)
             np.add.at(merged, idx, masses)
@@ -87,9 +99,10 @@ class AtomicMeasure:
         total = float(masses.sum())
         if total <= 0:
             raise DomainError("cannot normalize a measure with zero total mass")
+        masses /= total  # the sorted copy is this call's own
         if domain is None:
             domain = (float(points[0]), float(points[-1]))
-        return cls(points, masses / total, domain)
+        return cls(points, masses, domain)
 
     @property
     def size(self) -> int:
@@ -291,7 +304,7 @@ def weak_limit(
         [birk - n * s_final + lb for birk, n, lb in zip(kept_birk, depths, log_b)]
     )
     points = np.concatenate(kept_pts)
-    logw_all -= logsumexp(logw_all)
+    logw_all -= _level_lse(logw_all)  # scipy's logsumexp, on one temporary
     masses = np.exp(logw_all, out=logw_all)  # in place: one window-sized array less
     measure = AtomicMeasure.normalized(points, masses, sums.domain)
     return WeakLimitResult(

@@ -228,7 +228,11 @@ def equilibrium_state(
     """
     # mu's atoms are already sorted and distinct: nu keeps them as they are
     weights = mu.masses * eigen.h(mu.points)
-    nu = AtomicMeasure(mu.points, weights / weights.sum(), mu.domain)
+    total = float(weights.sum())
+    if total <= 0:
+        raise AuditError("eigenfunction has nonpositive mass against mu")
+    weights /= total
+    nu = AtomicMeasure(mu.points, weights, mu.domain)
     if potential is not None:
         phi_mean = nu.integrate(potential)
     else:

@@ -57,6 +57,30 @@ def tent_bernoulli_atoms(p, depth):
     )
 
 
+def reference_normalized(points, masses, domain=None):
+    """Sort by a stable argsort, merge exact duplicates with a cumulative
+    group index and np.add.at on every input, and divide by the total.
+    The oracle for AtomicMeasure.normalized, which merges only when a tie
+    is present and divides its own sorted copy in place."""
+    points = np.asarray(points, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    order = np.argsort(points, kind="stable")
+    points, masses = points[order], masses[order]
+    if points.size > 1:
+        # merge exact duplicates so index arithmetic on atoms is unambiguous
+        new_group = np.concatenate([[True], np.diff(points) > 0])
+        idx = np.cumsum(new_group) - 1
+        merged = np.zeros(int(idx[-1]) + 1)
+        np.add.at(merged, idx, masses)
+        points, masses = points[new_group], merged
+    total = float(masses.sum())
+    if total <= 0:
+        raise DomainError("cannot normalize a measure with zero total mass")
+    if domain is None:
+        domain = (float(points[0]), float(points[-1]))
+    return AtomicMeasure(points, masses / total, domain)
+
+
 def draw_piecewise_holder(rng, alpha, positions):
     """Random steps plus random |x - c|^alpha bumps plus a linear tilt."""
     v = np.zeros(positions.size)

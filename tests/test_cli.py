@@ -688,6 +688,26 @@ class TestExitThree:
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("command", ["equilibrium", "correlations", "audit-all"])
+    def test_eigenfunction_without_mass_on_mu_is_an_audit_failure(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # h = 0 leaves nu no mass: exit 2, not a config error (exit 64)
+        real = cli.power_iteration
+
+        def vanishing(*args, **kwargs):
+            eigen = real(*args, **kwargs)
+            return dataclasses.replace(eigen, h=eigen.h.with_values(0.0 * eigen.h.values))
+
+        monkeypatch.setattr(cli, "power_iteration", vanishing)
+        path = write_config(
+            tmp_path, potential=BERNOULLI,
+            command_params={"n_max": 10, "tree_depth": 10},
+        )
+        assert main([command, str(path)]) == 2
+        assert "nonpositive mass against mu" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["equilibrium", "correlations", "audit-all"])
     def test_unconverged_weak_limit_is_flagged(self, tmp_path, monkeypatch, command):
         real = cli.weak_limit
         monkeypatch.setattr(cli, "weak_limit", lambda *args, **kwargs: (

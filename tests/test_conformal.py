@@ -7,6 +7,8 @@ Fibonacci numbers, whose logarithms are affine in n up to an exponentially
 small correction, pinning the fitted slope.
 """
 
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from helpers import reference_normalized
 from thermomap.conformal import (
     AtomicMeasure,
     atom_audit,
@@ -140,6 +143,97 @@ class TestAtomicMeasure:
         lo, hi = min(a, b), max(a, b)
         brute = mu.masses[(mu.points >= lo) & (mu.points <= hi)].sum()
         assert mu.mass_interval(a, b) == pytest.approx(brute, abs=1e-12)
+
+
+# a few values drawn often, so that ties within and across runs are common
+TIE_POOL = (0.0, -0.0, 0.125, 1.0 / 3.0, 0.5, 1.0)
+point_values = st.one_of(
+    st.sampled_from(TIE_POOL), st.floats(-1.0, 2.0, allow_nan=False)
+)
+mass_values = st.floats(0.0, 8.0)
+
+
+@st.composite
+def weighted_points(draw, points):
+    pts = np.asarray(draw(points), dtype=float)
+    masses = draw(st.lists(mass_values, min_size=pts.size, max_size=pts.size))
+    return pts, np.asarray(masses, dtype=float)
+
+
+ascending_runs = st.lists(
+    st.lists(point_values, min_size=1, max_size=8).map(sorted),
+    min_size=1, max_size=5,
+).map(lambda runs: [x for run in runs for x in run])
+copies_of_one_point = st.tuples(point_values, st.integers(2, 4)).map(
+    lambda pc: [pc[0]] * pc[1]
+)
+
+
+def assert_normalized_matches_reference(points, masses, domain=None):
+    before = points.copy(), masses.copy()
+    try:
+        want = reference_normalized(points, masses, domain)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            AtomicMeasure.normalized(points, masses, domain)
+        return
+    got = AtomicMeasure.normalized(points, masses, domain)
+    assert got.points.dtype == got.masses.dtype == want.masses.dtype == np.float64
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.masses.size == want.masses.size
+    assert np.all(got.masses == want.masses)
+    assert got.domain == want.domain
+    # the in-place division touches the sorted copy only
+    assert before[0].tobytes() == points.tobytes()
+    assert before[1].tobytes() == masses.tobytes()
+
+
+class TestNormalizedMatchesReference:
+    """AtomicMeasure.normalized against the sort-and-merge it replaced,
+    bit for bit: points, masses, domain and dtype, or the same error."""
+
+    @given(weighted_points(ascending_runs))
+    @settings(max_examples=200, deadline=None)
+    def test_ascending_runs_with_ties(self, atoms):
+        assert_normalized_matches_reference(*atoms)
+
+    @given(weighted_points(copies_of_one_point))
+    @settings(max_examples=60, deadline=None)
+    def test_copies_of_one_point(self, atoms):
+        assert_normalized_matches_reference(*atoms)
+
+    @given(weighted_points(st.lists(point_values, min_size=1, max_size=40)))
+    @settings(max_examples=200, deadline=None)
+    def test_unsorted(self, atoms):
+        assert_normalized_matches_reference(*atoms)
+
+    @given(point_values, st.floats(1e-300, 8.0))
+    @settings(max_examples=30, deadline=None)
+    def test_single_atom(self, x, m):
+        assert_normalized_matches_reference(np.array([x]), np.array([m]))
+
+    def test_window_of_ascending_levels(self):
+        # the shape weak_limit hands over: ascending levels back to back,
+        # each sharing points with the others, with an explicit domain
+        rng = np.random.default_rng(5)
+        levels = [np.sort(rng.choice(TIE_POOL + tuple(rng.uniform(0, 1, 50)), n))
+                  for n in (40, 80, 160)]
+        points = np.concatenate(levels)
+        masses = rng.exponential(size=points.size)
+        assert_normalized_matches_reference(points, masses, (0.0, 1.0))
+
+    @pytest.mark.parametrize("points", [[0.3], [0.1, 0.7, 0.1], [0.5, 0.2]])
+    def test_zero_mass_raises(self, points):
+        points = np.asarray(points)
+        assert_normalized_matches_reference(points, np.zeros(points.size))
+        with pytest.raises(DomainError, match="zero total mass"):
+            AtomicMeasure.normalized(points, np.zeros(points.size))
+
+    def test_nan_point_is_not_merged_into_its_neighbour(self):
+        # nan sorts last and equals nothing, so it stays an atom of its own
+        # and the measure is rejected instead of folding it into 0.2
+        with pytest.raises(DomainError, match="finite"):
+            AtomicMeasure.normalized(np.array([np.nan, 0.2]), np.array([0.5, 0.5]))
 
 
 def random_measure(rng, size, lo=0.0, hi=1.0):
@@ -408,6 +502,44 @@ class TestWeakLimit:
         merged = np.bincount(inverse, weights=np.exp(logw - logsumexp(logw)))
         np.testing.assert_allclose(res.measure.masses, merged / merged.sum(),
                                    rtol=1e-15, atol=0)
+
+    def test_measure_is_the_reference_sort_merge_of_the_window(self):
+        # the window's log-sum-exp and normalization give the masses that
+        # scipy's logsumexp and the reference sort-and-merge give, bit for bit
+        f, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
+        sums = window_sums(f, phi, 12)
+        res = weak_limit(sums, transition_parameter(sums).c)
+        s = float(res.s_values[-1])
+        depths = range(res.window[0], res.window[1] + 1)
+        logw = np.concatenate([birk - n * s for n, birk in zip(depths, sums.birkhoff)])
+        want = reference_normalized(
+            np.concatenate(sums.points), np.exp(logw - logsumexp(logw)), sums.domain
+        )
+        assert res.measure.points.tobytes() == want.points.tobytes()
+        assert res.measure.masses.tobytes() == want.masses.tobytes()
+
+    def test_peak_memory_is_a_few_window_arrays(self):
+        # from the masses to the returned measure, weak_limit holds the
+        # window's points and masses, the sort order and their sorted copies:
+        # about 5 float64 arrays the size of the window (8.26 when every
+        # step made its own copy)
+        f, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
+        sums = window_sums(f, phi, 16)
+        c = transition_parameter(sums).c
+        atoms = sum(pts.size for pts in sums.points)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = weak_limit(sums, c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.measure.size == atoms
+        assert peak < 6 * 8 * atoms, peak / (8 * atoms)
 
 
 class TestConformalityAudit:

@@ -408,6 +408,19 @@ class TestEquilibriumState:
         assert eq.entropy < 0
 
 
+    def test_eigenfunction_vanishing_on_mu_raises_audit_error(self):
+        # h is 0 on [0, 1/2] and mu lives there, so nu has no mass to
+        # normalize: an eigenpair failure, not a malformed measure
+        grid = np.linspace(0.0, 1.0, 65)
+        h = GridFunction(grid, np.clip(grid - 0.5, 0.0, None))
+        rep = transfer.EigenReport(
+            eigenvalue=2.0, log_eigenvalue=LOG2, h=h, residual=0.0,
+            iterations=1, converged=True, lambda_history=np.array([2.0]),
+        )
+        mu = uniform_atoms(64, (0.0, 0.5))
+        with pytest.raises(AuditError, match="nonpositive mass against mu"):
+            equilibrium_state(None, mu, rep)
+
 class TestAdjointInvariance:
     def test_constant_function_exact(self):
         dev = adjoint_invariance_audit(
