@@ -2,9 +2,11 @@
 """Exit code and sha256 of every file the CLI writes, over a grid of runs.
 
 Runs every command through `thermomap.cli.main` on each map (doubling,
-logistic4, the tent on [0, 2]) with each potential (none, the Bernoulli
-branch potential -1 on the right branch, the cosine series 0.3 cos - 0.2
-cos 2), then every command on the doubling map with the cosine potential
+logistic4, the tent on [0, 2], and the tent on [0, 20], whose measure files
+put about half their points in the 10 <= |x| < 1e17 band that g17 formats
+with Python's %.17g) with each potential (none, the Bernoulli branch
+potential -1 on the right branch, the cosine series 0.3 cos - 0.2 cos 2),
+then every command on the doubling map with the cosine potential
 under `--budget 300` and under `--tol 1e-300 --grid 64`, then `norms` on
 each map with alpha 1 and p 3, so the norm audit recomputes the variation
 at p = 1/alpha that its report was not built for. Each run writes
@@ -40,6 +42,11 @@ MAPS = {
         {"kind": "pw_linear", "breakpoints": [0.0, 1.0, 2.0],
          "slopes": [2.0, -2.0], "intercepts": [0.0, 4.0]},
         (0.0, 2.0),
+    ),
+    "tent020": (
+        {"kind": "pw_linear", "breakpoints": [0.0, 10.0, 20.0],
+         "slopes": [2.0, -2.0], "intercepts": [0.0, 40.0]},
+        (0.0, 20.0),
     ),
 }
 

@@ -96,10 +96,10 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
 
     A 2-D float ndarray with one column per header field is streamed to the
     file CSV_CHUNK_ROWS rows at a time through `g17.format_rows`: exact
-    vectorized double-double digits, Python's ``"%.17g"`` for zeros,
-    non-finite cells and possible rounding ties, and a 32-byte frame per
-    cell (56 bytes if the chunk holds a cell of 10 <= |x| < 1e17); every
-    cell is byte-identical to ``_fmt``.
+    vectorized double-double digits in a 32-byte frame per cell, and
+    Python's ``"%.17g"`` for zeros, non-finite cells, possible rounding
+    ties and cells of 10 <= |x| < 1e17; every cell is byte-identical to
+    ``_fmt``.
     Memory is bounded by the chunk, not the table. Any other iterable of
     rows is formatted cell by cell; string cells pass through unchanged.
     """
@@ -256,16 +256,29 @@ CONFIG = {
 }
 
 
+def _load_json(raw: str):
+    """``json.loads(raw)`` and {id of each object in it: (its offset, it)}."""
+    starts, decoder = {}, json.JSONDecoder()
+
+    def parse_object(s_and_end, *args):
+        obj, end = json.decoder.JSONObject(s_and_end, *args)
+        starts[id(obj)] = (s_and_end[1] - 1, obj)  # held, so no id is reused
+        return obj, end
+
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    return decoder.decode(raw), starts
+
+
 class Experiment:
     """Validated configuration plus global flag overrides."""
 
     def __init__(self, config_path: str, args):
-        raw = Path(config_path).read_text(encoding="utf-8")
+        self.raw = Path(config_path).read_text(encoding="utf-8")
         try:
-            data = json.loads(raw)
+            data, self.starts = _load_json(self.raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{config_path}:{exc.lineno}: {exc.msg}") from exc
-        self.raw = raw
         self.path = config_path
         top = self.read(data, CONFIG, "")
         self.imap = self.build(top["map"], "map", MAPS)
@@ -290,8 +303,8 @@ class Experiment:
         _OBJECT(self, label, obj)
         for key in obj:
             if key not in schema:
-                lines = enumerate(self.raw.splitlines(), start=1)
-                line = next((i for i, text in lines if f'"{key}"' in text), None)
+                at = self.raw.find(f'"{key}"', self.starts.get(id(obj), (0,))[0])
+                line = self.raw.count("\n", 0, at) + 1 if at >= 0 else None
                 raise ConfigError(
                     f"{self.path}{f':{line}' if line else ''}: unknown key {key!r} "
                     f"in {label} (allowed: {sorted(schema)})"
@@ -634,18 +647,19 @@ def cmd_audit_all(exp: Experiment):
     state = equilibrium_state(exp.potential, mu, eigen, hyper.verdict == "hyperbolic")
 
     lo, hi = exp.imap.domain
-    suite = [
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lambda x: np.asarray(x, dtype=float),
-        lambda x: np.asarray(x, dtype=float) ** 2,
-        lambda x: np.cos(np.pi * (np.asarray(x, dtype=float) - lo) / (hi - lo)),
-        lambda x: np.sin(2 * np.pi * (np.asarray(x, dtype=float) - lo) / (hi - lo)),
-        lambda x: np.exp(np.asarray(x, dtype=float) - lo),
-        smoothed_indicator(lo + 0.1 * (hi - lo), lo + 0.3 * (hi - lo)),
-        smoothed_indicator(lo + 0.5 * (hi - lo), lo + 0.9 * (hi - lo)),
-        lambda x: np.abs(np.asarray(x, dtype=float) - lo - 0.37 * (hi - lo)),
-        lambda x: (np.asarray(x, dtype=float) >= lo + (hi - lo) / 3.0).astype(float),
-    ]
+    probes = (  # of u = (x - lo) / (hi - lo): a rescaled domain audits alike
+        np.ones_like,
+        lambda u: u,
+        lambda u: u ** 2,
+        lambda u: np.cos(np.pi * u),
+        lambda u: np.sin(2 * np.pi * u),
+        np.exp,
+        smoothed_indicator(0.1, 0.3),
+        smoothed_indicator(0.5, 0.9),
+        lambda u: np.abs(u - 0.37),
+        lambda u: (u >= 1 / 3.0).astype(float),
+    )
+    suite = [lambda x, f=f: f((np.asarray(x, dtype=float) - lo) / (hi - lo)) for f in probes]
     dev = adjoint_invariance_audit(
         exp.imap,
         exp.potential,

@@ -16,29 +16,26 @@ Fallback. A cell goes to Python's own formatting when its digits are not
 certain: zero, nan and +-inf; a fraction within 1e-9 of one half (a
 possible tie, which %.17g breaks to even); a floor below 10**16 or a
 rounded D of 10**17 or more (a wrong log10 guess, or a round-up to the
-next power of ten). No such cell is ever formatted from D.
+next power of ten). No such cell is ever formatted from D. `format_rows`
+also sends there every cell of 10 <= |x| < 1e17, whose integer part the
+frame below has no field for.
 
-Layout. Each cell fills a fixed frame of NUL-padded fields, and deleting
-the NULs leaves its text. A chunk with no cell of 10 <= |x| < 1e17 takes
-the 32-byte frame; any other chunk takes the 56-byte frame, which adds an
-integer field and a point between the head and the fraction:
+Layout. Each cell fills a 32-byte frame of NUL-padded fields, and deleting
+the NULs leaves its text:
 
     head      8  sign, "0." and leading zeros when 1e-4 <= |x| < 1, the
                  first digit, and "." when a nonzero digit follows it
-    integer  16  digits 1-16 left of the point, when 10 <= |x| < 1e17
-    point     4  "." when a nonzero digit follows them
-    pad       4
     fraction 16  the remaining digits, trailing zeros dropped
     suffix    8  the exponent of scientific notation, then the separator
 
 The head depends on X only through its class: one of four counts of
-leading zeros, plain, or integer (whose point comes after the integer
-field); its table holds 2 signs x 6 classes x 10 digits x point or not.
-Digits come four at a time from a 10,000-entry table of 4-byte strings;
-its second half has the trailing zeros blanked, for the last nonzero group
-of the fraction and the zero groups after it. The tables are built on the
-first call, so importing this module costs nothing. Every %.17g text,
-separator included, fits in 25 bytes, so fallback cells fit either frame.
+leading zeros, or plain; its table holds 2 signs x 5 classes x 10 digits x
+point or not. Digits come four at a time from a 10,000-entry table of
+4-byte strings; its second half has the trailing zeros blanked, for the
+last nonzero group of the fraction and the zero groups after it. The tables
+are built on the first call, so importing this module costs nothing. Every
+%.17g text, separator included, fits in 25 bytes, so fallback cells fit
+the frame.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ _X_MIN, _X_MAX = -324, 308  # decimal exponents of finite nonzero float64
 _NX = _X_MAX - _X_MIN + 1
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 _QUAD = 10000  # values of a group of four digits
+_WIDTH = 32  # bytes per cell: head 8, fraction 16, suffix 8
 
 
 def _packed(texts, width: int) -> np.ndarray:
@@ -84,16 +82,15 @@ def _tables() -> SimpleNamespace:
     quad = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], 1)
     quad = (quad + ord("0")).astype(np.uint8)
     kept = np.cumsum(quad[:, ::-1] != ord("0"), axis=1)[:, ::-1] > 0
-    suffix, integer, cls, head = [], [], [], []
+    suffix, cls, head = [], [], []
     for x in xs:
         fixed = -4 <= x < 17
         exponent = b"" if fixed else b"e%+03d" % x
         suffix += [exponent + b",", exponent + b"\n"]
-        integer.append(b"\xff" * x if fixed and x > 0 else b"")
-        # head class 0-3: that many leading zeros; 4: plain; 5: integer
-        cls.append(-x - 1 if fixed and x < 0 else 5 if fixed and x > 0 else 4)
+        # head class 0-3: that many leading zeros; 4: plain
+        cls.append(-x - 1 if fixed and x < 0 else 4)
     for sign in (b"", b"-"):
-        for c in range(6):
+        for c in range(5):
             for d in b"0123456789":
                 lead = (b"0." + b"0" * c if c < 4 else b"") + bytes([d])
                 head += [sign + lead, sign + lead + b"." * (c == 4)]
@@ -104,17 +101,15 @@ def _tables() -> SimpleNamespace:
         shift=np.array(shift, np.int32),
         quad=np.concatenate([quad, quad * kept]).view(np.uint32).ravel(),
         head=_packed(head, 8).view(np.uint64).ravel(),
-        head_row=20 * np.array(cls + [c + 6 for c in cls]),
+        head_row=20 * np.array(cls + [c + 5 for c in cls]),
         suffix=_packed(suffix, 8).view(np.uint64).ravel(),
-        integer=_packed(integer, 16).view(np.uint32).T.copy(),
-        point=np.frombuffer(b"\0\0\0.", np.uint32)[0],
     )
 
 
 def significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(k, D, exact) for a 1-D float64 array: k = X - _X_MIN indexes the
     decimal exponent X, D is the 17-digit significand of |x| as int64, and
-    `exact` is False where the cell must fall back to Python's formatting."""
+    `exact` is False where D is not certain (see Fallback above)."""
     t = _tables()
     ax = np.abs(x)
     exact = np.isfinite(ax) & (ax > 0)
@@ -147,6 +142,7 @@ def format_rows(table: np.ndarray) -> bytes:
     with np.errstate(invalid="ignore"):  # a float32 signaling nan stays nan
         x = np.ascontiguousarray(table, dtype=np.float64).ravel()
     k, D, exact = significands(x)
+    exact &= (k <= -_X_MIN) | (k > 16 - _X_MIN)  # 10 <= |x| < 1e17 falls back
     first = D // 10**16  # np.divmod has no fast path for an int64 scalar
     tail = D - first * 10**16
     first[~exact] = 1  # any digit: these rows are replaced below
@@ -154,37 +150,26 @@ def format_rows(table: np.ndarray) -> bytes:
     lower = tail - upper * 10**8
     g0, g2 = upper // _QUAD, lower // _QUAD
     groups = [g0, upper - g0 * _QUAD, g2, lower - g2 * _QUAD]
-    big = np.flatnonzero((k > -_X_MIN) & (k <= 16 - _X_MIN))
 
-    # uint32 words: head 0-1, then in the wide frame integer 2-5 and point 6;
-    # fraction f..f+3, suffix f+4..f+5
-    f = 8 if big.size else 2
-    width = 4 * f + 24
-    frame = np.zeros((x.size, width), np.uint8)
+    # uint32 words: head 0-1, fraction 2-5, suffix 6-7
+    frame = np.zeros((x.size, _WIDTH), np.uint8)
     words = frame.view(np.uint32)
     head = t.head_row[k + _NX * np.signbit(x)] + 2 * first + (tail != 0)
     frame.view(np.uint64)[:, 0] = t.head[head]
     strip = np.full(x.size, _QUAD)  # offset of the zero-blanked half of quad
     for i in (3, 2, 1, 0):
-        words[:, f + i] = t.quad[groups[i] + strip]
+        words[:, 2 + i] = t.quad[groups[i] + strip]
         strip *= groups[i] == 0
-    # 10 <= |x| < 1e17: move digits 1..X from the fraction to the integer
-    kb = k[big]
-    for i in range(4):
-        mask = t.integer[i][kb]
-        words[big, 2 + i] = t.quad[groups[i][big]] & mask
-        words[big, f + i] &= ~mask
-    words[big, 6] = t.point * words[big, f:f + 4].any(1)
     sep = 2 * k
     sep.reshape(table.shape)[:, -1] += 1
-    frame.view(np.uint64)[:, f // 2 + 2] = t.suffix[sep]
+    frame.view(np.uint64)[:, 3] = t.suffix[sep]
 
     bad = np.flatnonzero(~exact)
     if bad.size:
         last = bad % table.shape[1] == table.shape[1] - 1
         seps = np.where(last, "\n", ",").tolist()
         text = "".join(
-            f"{v:.17g}{s}".ljust(width, "\0") for v, s in zip(x[bad].tolist(), seps)
+            f"{v:.17g}{s}".ljust(_WIDTH, "\0") for v, s in zip(x[bad].tolist(), seps)
         )
         frame[bad] = np.frombuffer(text.encode(), np.uint8).reshape(bad.size, -1)
     return frame.tobytes().translate(None, b"\0")

@@ -148,6 +148,8 @@ SPECIAL_FLOATS = [
     5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
     1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
 ]
+# Each side of both edges of 10 <= |x| < 1e17, the band g17 sends to %.17g.
+BAND_EDGES = [9.999999999999998, 10.0, 12.5, 1e16, 99999999999999984.0, 1e17]
 
 
 def per_cell_reference(header, table) -> bytes:
@@ -159,7 +161,7 @@ def per_cell_reference(header, table) -> bytes:
 
 def measure_like(rng, shape) -> np.ndarray:
     """Log-uniform |x| in [1e-12, 10) with random signs: no cell with
-    10 <= |x| < 1e17, so every chunk takes g17's narrow 32-byte frame."""
+    10 <= |x| < 1e17, so only g17's digit checks send cells to %.17g."""
     table = 10.0 ** rng.uniform(-12, 1, shape) * rng.choice([-1.0, 1.0], shape)
     assert (np.abs(table) < 10).all()
     return table
@@ -184,7 +186,7 @@ class TestFloatTableStreaming:
         planted=st.lists(
             st.tuples(
                 st.integers(0, 3 * (CSV_CHUNK_ROWS + 1) - 1),
-                st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                st.one_of(st.sampled_from(SPECIAL_FLOATS + BAND_EDGES), st.floats()),
             ),
             max_size=24,
         ),
@@ -237,10 +239,11 @@ class TestFloatTableStreaming:
     EXTREME = [5e-324, -5e-324, 1.7976931348623157e308, 1e-300, -1e-300]
 
     def test_fallback_cells_spliced_in_order(self, tmp_path):
-        special = np.array(self.FALLBACK + self.EXTREME)
+        # band cells reach %.17g through format_rows, whatever their digits
+        special = np.array(self.FALLBACK + self.EXTREME + BAND_EDGES)
         _, _, exact = significands(special)
         assert not exact[: len(self.FALLBACK)].any()
-        assert exact[len(self.FALLBACK):].all()
+        assert exact[len(self.FALLBACK):-len(BAND_EDGES)].all()
         rng = np.random.default_rng(7)
         table = rng.standard_normal((2 * CSV_CHUNK_ROWS + 7, 2)) * 1e3
         # in both columns: mid first chunk, across the chunk boundary, and
@@ -270,7 +273,8 @@ class TestFloatTableStreaming:
         assert path.read_bytes() == per_cell_reference(header, table)
 
     def test_narrow_chunk_then_wide_chunk(self, tmp_path):
-        # the second chunk's one 12.5 gives it the 56-byte frame
+        # the second chunk's one 12.5, a cell with an integer part, falls
+        # back to %.17g within the 32-byte frame
         table = measure_like(np.random.default_rng(12), (2 * CSV_CHUNK_ROWS, 2))
         table[CSV_CHUNK_ROWS + 5, 1] = 12.5
         path = tmp_path / "t.csv"
@@ -278,9 +282,8 @@ class TestFloatTableStreaming:
         assert path.read_bytes() == per_cell_reference(("a", "b"), table)
 
     def test_fallback_cells_spliced_into_narrow_chunks(self, tmp_path):
-        # fallback cells keep the narrow frame: only cells formatted from
-        # their digits can widen a chunk
-        special = np.array(self.FALLBACK + self.EXTREME)
+        # fallback cells, band cells among them, among measure-like cells
+        special = np.array(self.FALLBACK + self.EXTREME + BAND_EDGES)
         table = measure_like(np.random.default_rng(7), (2 * CSV_CHUNK_ROWS + 7, 2))
         for r in (CSV_CHUNK_ROWS // 2, CSV_CHUNK_ROWS - 6, 3 * CSV_CHUNK_ROWS // 2):
             table[r:r + special.size, 0] = special
@@ -319,15 +322,17 @@ class TestFloatTableStreaming:
     def test_measure_round_trip_above_one_chunk(self, tmp_path_factory, seed):
         rng = np.random.default_rng(seed)
         n = 2 * CSV_CHUNK_ROWS + 7
-        points = np.unique(rng.random(n))
-        weights = rng.random(points.size) + 1e-3
-        m = AtomicMeasure(points=points, masses=weights / weights.sum(),
-                          domain=(0.0, 1.0))
-        path = tmp_path_factory.mktemp("m") / "m.csv"
-        write_measure(path, m)
-        back = read_measure(path)
-        np.testing.assert_array_equal(back.points, m.points)
-        np.testing.assert_array_equal(back.masses, m.masses)
+        # on [0, 20] about half the points have an integer part
+        for hi in (1.0, 20.0):
+            points = np.unique(hi * rng.random(n))
+            weights = rng.random(points.size) + 1e-3
+            m = AtomicMeasure(points=points, masses=weights / weights.sum(),
+                              domain=(0.0, hi))
+            path = tmp_path_factory.mktemp("m") / "m.csv"
+            write_measure(path, m)
+            back = read_measure(path)
+            np.testing.assert_array_equal(back.points, m.points)
+            np.testing.assert_array_equal(back.masses, m.masses)
 
 
 class TestConfigValidation:
@@ -337,6 +342,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "extra_stuff" in err
         assert f"{path}:" in err  # anchored to a line in the file
+
+    def test_unknown_key_anchored_within_its_own_object(self, tmp_path, capsys):
+        # n_max is a valid key of command_params, lines above the bad one
+        path = write_config(tmp_path, command_params={
+            "n_max": 6, "lags": 5, "observables": [{"lo": 0.0, "hi": 0.5, "n_max": 4}],
+        })
+        lines = path.read_text().splitlines()
+        _, line = [i for i, text in enumerate(lines, start=1) if '"n_max"' in text]
+        assert main(["correlations", str(path)]) == 64
+        assert f"{path}:{line}: unknown key 'n_max' in command_params.observables[0]" \
+            in capsys.readouterr().err
 
     def test_unknown_map_key_exits_64(self, tmp_path, capsys):
         path = write_config(
@@ -757,6 +773,13 @@ TENT_0_2 = {
     "intercepts": [0.0, 4.0],
 }
 COSINE = {"kind": "cosine_series", "coefficients": [0.3, -0.2]}
+# The same tent scaled to [0, 20].
+TENT_0_20 = {
+    "kind": "pw_linear",
+    "breakpoints": [0.0, 10.0, 20.0],
+    "slopes": [2.0, -2.0],
+    "intercepts": [0.0, 40.0],
+}
 
 
 class TestCosineOnMapDomain:
@@ -790,6 +813,23 @@ class TestCosineOnMapDomain:
             imap, None, cosine, np.linspace(-1.0, 1.0, 5), x0=0.6, n_max=6
         )
         assert [float(r[1]) for r in rows] == list(curve.estimates)
+
+    def test_audit_all_probes_follow_map_domain(self, tmp_path):
+        # the adjoint probes read (x - lo) / (hi - lo), so the tent on
+        # [0, 20] audits exactly as the doubling map's tent on [0, 1]
+        audits = {}
+        for name, imap, x0 in (
+            ("unit", {"kind": "full_linear", "branches": 2}, 0.3),
+            ("wide", TENT_0_20, 6.0),
+        ):
+            path = write_config(
+                tmp_path, name=f"{name}.json", map=imap,
+                command_params={"x0": x0, "n_max": 10, "tree_depth": 10},
+                output_dir=str(tmp_path / name),
+            )
+            assert main(["audit-all", str(path), "--grid", "256"]) == 0
+            audits[name] = (tmp_path / name / "audit.csv").read_bytes()
+        assert audits["wide"] == audits["unit"]
 
 
 class TestConformalCommand:
