@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -78,7 +79,10 @@ from .transfer import (
 )
 
 DEFAULT_GRID = 4096
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12  # --tol, power iteration's only: the weak limit's is fixed
+WEAK_LIMIT_TOL = 1e-6
+AUDIT_INTERVALS = 20  # audit-all's conformality test intervals
+AUDIT_BOUND = 1e-2  # audit-all's bound on the conformality and adjoint defects
 
 
 # Rows per formatting step of an all-float table (see write_csv).
@@ -257,17 +261,18 @@ CONFIG = {
 
 
 def _load_json(raw: str):
-    """``json.loads(raw)`` and {id of each object in it: (its offset, it)}."""
-    starts, decoder = {}, json.JSONDecoder()
+    """``json.loads(raw)`` and {id of each object in it: (its start offset,
+    its end offset, it)}."""
+    spans, decoder = {}, json.JSONDecoder()
 
     def parse_object(s_and_end, *args):
         obj, end = json.decoder.JSONObject(s_and_end, *args)
-        starts[id(obj)] = (s_and_end[1] - 1, obj)  # held, so no id is reused
+        spans[id(obj)] = (s_and_end[1] - 1, end, obj)  # held, so no id is reused
         return obj, end
 
     decoder.parse_object = parse_object
     decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    return decoder.decode(raw), starts
+    return decoder.decode(raw), spans
 
 
 class Experiment:
@@ -276,7 +281,7 @@ class Experiment:
     def __init__(self, config_path: str, args):
         self.raw = Path(config_path).read_text(encoding="utf-8")
         try:
-            data, self.starts = _load_json(self.raw)
+            data, self.spans = _load_json(self.raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{config_path}:{exc.lineno}: {exc.msg}") from exc
         self.path = config_path
@@ -295,6 +300,17 @@ class Experiment:
     def fail(self, key: str, what: str):
         raise ConfigError(f"{self.path}: {key} must be {what}")
 
+    def line_of(self, obj, key: str) -> Optional[int]:
+        """The line of `key` in the config object `obj`, not counting the
+        objects nested in it; None when the text does not show it."""
+        start, end, _ = self.spans.get(id(obj), (0, len(self.raw), obj))
+        nested = [(s, e) for s, e, _ in self.spans.values() if start < s < end]
+        name = re.compile(re.escape(json.dumps(key, ensure_ascii=False)) + r"\s*:")
+        for match in name.finditer(self.raw, start, end):
+            if not any(s < match.start() < e for s, e in nested):
+                return self.raw.count("\n", 0, match.start()) + 1
+        return None
+
     def read(self, obj, schema: dict, where: str) -> dict:
         """The values of the config object `obj` at key path `where` ("" at
         the top level): an unknown key is rejected at its line, a missing one
@@ -303,8 +319,7 @@ class Experiment:
         _OBJECT(self, label, obj)
         for key in obj:
             if key not in schema:
-                at = self.raw.find(f'"{key}"', self.starts.get(id(obj), (0,))[0])
-                line = self.raw.count("\n", 0, at) + 1 if at >= 0 else None
+                line = self.line_of(obj, key)
                 raise ConfigError(
                     f"{self.path}{f':{line}' if line else ''}: unknown key {key!r} "
                     f"in {label} (allowed: {sorted(schema)})"
@@ -353,8 +368,14 @@ def _observables(exp: Experiment, key: str, specs) -> list[Callable]:
     return [smoothed_indicator(*map(float, f.values())) for f in fields]
 
 
-_CONFORMAL = {"x0": (0.3, _REAL), "n_max": (14, _INT), "bins": (64, _COUNT), "theta": (0.0, _REAL)}
-_PRESSURE = {"x0": (0.3, _REAL), "n_min": (1, _INT), "n_max": (12, _INT)}
+def _x0(exp: Experiment, key: str, value) -> float:
+    """The base point; by default 0.3 of the way across the map's domain."""
+    lo, hi = exp.imap.domain
+    return lo + 0.3 * (hi - lo) if value is None else _REAL(exp, key, value)
+
+
+_CONFORMAL = {"x0": (None, _x0), "n_max": (14, _INT)}
+_PRESSURE = {"x0": (None, _x0), "n_max": (12, _INT)}
 
 # command -> its command_params schema
 PARAMS = {
@@ -376,7 +397,7 @@ PARAMS = {
         "p": (None, _or_null(_number(low=1))),
     },
     "curve": {
-        "x0": (0.3, _REAL),
+        "x0": (None, _x0),
         "n_max": (8, _INT),
         "t_lo": (-1.0, _REAL),
         "t_hi": (1.0, _REAL),
@@ -385,13 +406,7 @@ PARAMS = {
             spec, key, POTENTIALS, exp.imap.domain)),
     },
     "appendix": {"gap": (float(np.log(4.0)), _REAL), "x0": (0.3, _REAL), "n_max": (11, _INT)},
-    "audit-all": {
-        **_CONFORMAL,
-        "tree_depth": (12, _INT),
-        "intervals": (20, _COUNT),
-        "conformality_bound": (1e-2, _REAL),
-        "adjoint_bound": (1e-2, _REAL),
-    },
+    "audit-all": {**_CONFORMAL, "tree_depth": (12, _INT)},
 }
 
 
@@ -420,7 +435,6 @@ def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
         exp.potential if weighted else None,
         p["x0"],
         p["n_max"],
-        n_min=p["n_min"],
         budget=exp.budget,
         partial_on_budget=True,
     )
@@ -443,13 +457,7 @@ def _conformal_pipeline(exp: Experiment, p: dict):
     )
     head = sums.upto(n_max)
     trans = transition_parameter(head)
-    limit = weak_limit(
-        head,
-        trans.c,
-        bins=p["bins"],
-        tol=max(exp.tol, 1e-6),
-        theta=p["theta"],
-    )
+    limit = weak_limit(head, trans.c, tol=WEAK_LIMIT_TOL)
     tree = None if tree_depth is None else pressure_report(sums, tree_depth)
     return trans, limit, tree
 
@@ -639,7 +647,7 @@ def cmd_audit_all(exp: Experiment):
         exp.imap,
         exp.potential,
         trans.c,
-        _single_branch_intervals(exp.imap, p["intervals"]),
+        _single_branch_intervals(exp.imap, AUDIT_INTERVALS),
     )
     atoms = atom_audit(mu, (512,))
     support = float(np.min(mu.bin_masses(64)))
@@ -670,11 +678,11 @@ def cmd_audit_all(exp: Experiment):
     )
 
     audits = [
-        ("conformality_max_delta", conf.max_delta, p["conformality_bound"]),
+        ("conformality_max_delta", conf.max_delta, AUDIT_BOUND),
         ("full_support_min_64bin", -support, 0.0),
         ("eigen_vs_tree", abs(eigen.log_eigenvalue - tree.estimate),
          max(2.0 * tree.fluctuation, 1e-2)),
-        ("adjoint_max_deviation", dev, p["adjoint_bound"]),
+        ("adjoint_max_deviation", dev, AUDIT_BOUND),
         # reported, not bounded: a nan bound passes its value
         ("atom_max_bin_mass_512", float(atoms.max_bin_masses[-1]), float("nan")),
     ]
@@ -724,7 +732,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--grid", type=int, default=DEFAULT_GRID,
                         help="transfer-operator grid size")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="iteration tolerance")
+                        help="power-iteration tolerance")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads (affects speed only, never results)")
     args = parser.parse_args(argv)

@@ -26,8 +26,10 @@ from .pressure import LevelSums, _level_lse
 MASS_TOL = 1e-12
 
 # weak_limit: s_j = c + SCHEDULE_START * 2**-j, j <= MAX_STEPS, until Cauchy and
-# s - c <= ETA_FLOOR, over the deepest min(WINDOW_MAX, n_max // 2) levels
+# s - c <= ETA_FLOOR, over the deepest min(WINDOW_MAX, n_max // 2) levels,
+# with snapshots in BINS equal-width cells
 SCHEDULE_START = 0.5
+BINS = 64
 ETA_FLOOR = 0.05
 MAX_STEPS = 16
 WINDOW_MAX = 11
@@ -229,7 +231,6 @@ class WeakLimitResult:
 
     measure: AtomicMeasure
     binned: np.ndarray
-    bins: int
     stability: float
     converged: bool
     s_values: np.ndarray
@@ -242,13 +243,7 @@ def window_start(n_max: int) -> int:
     return max(1, n_max - min(WINDOW_MAX, n_max // 2) + 1)
 
 
-def weak_limit(
-    sums: LevelSums,
-    c: float,
-    bins: int = 64,
-    tol: float = 1e-3,
-    theta: float = 0.0,
-) -> WeakLimitResult:
+def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
     """Drive s down toward c and return the stabilized deep-tree measure.
 
     A truncated series at fixed n_max = sums.depth cannot follow s all the
@@ -257,12 +252,10 @@ def weak_limit(
     surrogate used here mixes only the levels from window_start(n_max) on,
     which `sums` must retain, reweighted per s by their aggregate masses,
     and declares convergence when consecutive binned snapshots are Cauchy
-    at `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots at each
-    s are cheap (per-level histograms are fixed), so the schedule runs
-    entirely on the retained level data. Depth n is weighted n**theta.
+    at `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots in BINS
+    cells at each s are cheap (per-level histograms are fixed), so the
+    schedule runs entirely on the retained level data.
     """
-    if theta < 0:
-        raise DomainError("theta must be nonnegative")
     n_max = sums.depth
     if n_max < 4:
         raise DomainError("need n_max >= 4")
@@ -274,14 +267,13 @@ def weak_limit(
     kept_birk = sums.birkhoff[first:]
     depths = np.arange(n_lo, n_max + 1)
     a_window = sums.a_values[n_lo - 1:]
-    hist_matrix = np.asarray([  # (W, bins), each row sums to 1
-        np.histogram(pts, bins=bins, range=sums.domain, weights=np.exp(birk - a))[0]
+    hist_matrix = np.asarray([  # (W, BINS), each row sums to 1
+        np.histogram(pts, bins=BINS, range=sums.domain, weights=np.exp(birk - a))[0]
         for pts, birk, a in zip(kept_pts, kept_birk, a_window)
     ])
-    log_b = theta * np.log(depths.astype(float))
 
     def binned_at(s: float) -> np.ndarray:
-        logw = log_b + a_window - depths * s
+        logw = a_window - depths * s
         return np.exp(logw - logsumexp(logw)) @ hist_matrix
 
     s_values = []
@@ -300,9 +292,7 @@ def weak_limit(
                 break
         prev = cur
     s_final = s_values[-1]
-    logw_all = np.concatenate(
-        [birk - n * s_final + lb for birk, n, lb in zip(kept_birk, depths, log_b)]
-    )
+    logw_all = np.concatenate([birk - n * s_final for birk, n in zip(kept_birk, depths)])
     points = np.concatenate(kept_pts)
     logw_all -= _level_lse(logw_all)  # scipy's logsumexp, on one temporary
     masses = np.exp(logw_all, out=logw_all)  # in place: one window-sized array less
@@ -310,7 +300,6 @@ def weak_limit(
     return WeakLimitResult(
         measure=measure,
         binned=prev,
-        bins=bins,
         stability=stability,
         converged=converged,
         s_values=np.asarray(s_values),

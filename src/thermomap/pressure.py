@@ -183,18 +183,16 @@ def level_sums(
     )
 
 
-def pressure_report(sums: LevelSums, n_max: int, n_min: int = 1) -> PressureReport:
-    """Pressure estimates p_n = a_n / n for n_min <= n <= n_max; a walk the
-    budget stopped is reported incomplete, or raises if it ends below n_min."""
-    if n_max < n_min or n_min < 1:
-        raise DomainError("need 1 <= n_min <= n_max")
+def pressure_report(sums: LevelSums, n_max: int) -> PressureReport:
+    """Pressure estimates p_n = a_n / n for 1 <= n <= n_max; a walk the
+    budget stopped is reported incomplete, or raises if no level fits."""
+    if n_max < 1:
+        raise DomainError("need n_max >= 1")
     sums = sums.upto(n_max)
-    if not sums.complete and sums.feasible_depth < n_min:
+    if not sums.complete and sums.feasible_depth < 1:
         raise sums.budget_error
     depths = np.arange(1, sums.depth + 1)
-    p_all = sums.a_values / depths
-    keep = depths >= n_min
-    depths, a_arr, p_vals = depths[keep], sums.a_values[keep], p_all[keep]
+    p_vals = sums.a_values / depths
     estimate = float(np.mean(p_vals[-3:]))
     fluctuation = float(np.max(np.abs(p_vals[-5:] - estimate)))
     return PressureReport(
@@ -202,7 +200,7 @@ def pressure_report(sums: LevelSums, n_max: int, n_min: int = 1) -> PressureRepo
         fluctuation=fluctuation,
         depths=depths,
         p_values=p_vals,
-        a_values=a_arr,
+        a_values=sums.a_values,
         x0=sums.x0,
         requested_depth=n_max,
         complete=sums.complete,
@@ -215,7 +213,6 @@ def tree_pressure(
     potential: Optional[Potential],
     x0: float,
     n_max: int,
-    n_min: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
     partial_on_budget: bool = False,
 ) -> PressureReport:
@@ -226,12 +223,12 @@ def tree_pressure(
     partial_on_budget the report covers the depths that fit in the budget
     and is flagged incomplete instead of raising.
     """
-    if n_max < n_min or n_min < 1:
-        raise DomainError("need 1 <= n_min <= n_max")
+    if n_max < 1:
+        raise DomainError("need n_max >= 1")
     sums = level_sums(
         imap, potential, x0, n_max, budget, partial_on_budget=partial_on_budget
     )
-    return pressure_report(sums, n_max, n_min)
+    return pressure_report(sums, n_max)
 
 
 @dataclass(frozen=True)
@@ -415,11 +412,12 @@ def hyperbolicity_check(
     n_max: int = 20,
     grid_size: int = 4096,
 ) -> HyperbolicityReport:
-    """Search for n with sup over a grid of (1/n) S_n(potential) < pressure.
-
-    One-sided: success certifies the strict inequality at the witness depth;
-    failure up to n_max, or a non-finite estimate, proves nothing and is
-    reported as "unknown".
+    """The first n <= n_max at which the max of (1/n) S_n(potential) over
+    grid_size evenly spaced points is below pressure_estimate: the witness
+    depth of a "hyperbolic" verdict, with margin estimate - max. The grid
+    max is a lower bound on the sup and the estimate a point value, so a
+    potential peaked between grid nodes can get a false witness and margin.
+    No such n, or a non-finite estimate, reads "unknown".
     """
     if not np.isfinite(pressure_estimate):
         return HyperbolicityReport("unknown", None, 0.0)

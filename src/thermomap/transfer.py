@@ -26,6 +26,7 @@ from .potentials import Potential
 
 MIN_GRID = 16
 CORRELATION_FLOOR = 1e-13
+MAX_ITER = 500  # power_iteration's step cap
 
 
 @dataclass(frozen=True)
@@ -146,14 +147,13 @@ def power_iteration(
     potential: Optional[Potential],
     grid_size: int = 4096,
     tol: float = 1e-12,
-    max_iter: int = 500,
     mu: Optional[AtomicMeasure] = None,
 ) -> EigenReport:
     """Sup-normalized power iteration for the leading eigenpair.
 
     The eigenvalue is the asymptotic sup-norm growth factor; iteration
     stops when consecutive factors agree within tol and the eigen-residual
-    is below 10 tol, or after max_iter >= 1 steps. A run of k steps applies
+    is below 10 tol, or after MAX_ITER steps. A run of k steps applies
     the operator k + 1 times: each image gives both the previous step's
     residual and the next iterate. The eigenfunction is rescaled to
     integrate to 1 against mu (uniform midpoint atoms when omitted): one
@@ -162,8 +162,6 @@ def power_iteration(
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1")
     if mu is None:
         mu = uniform_atoms(grid_size, imap.domain)
     psi = GridFunction.constant(1.0, grid_size, imap.domain)
@@ -171,7 +169,7 @@ def power_iteration(
     lam_prev = np.inf
     converged = False
     lambdas = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         lam = float(np.max(np.abs(image.values)))
         if lam <= 0:
             raise ConvergenceError("operator annihilated the iterate")
@@ -214,10 +212,10 @@ def equilibrium_state(
 ) -> EquilibriumState:
     """Tilt an atomic measure by the eigenfunction and report entropy.
 
-    Entropy is pressure minus the potential mean against nu. When the
-    potential has a verified hyperbolicity certificate this must be
-    strictly positive; a nonpositive value then indicates a broken
-    eigenpair or measure and is raised as an audit failure.
+    Entropy is pressure minus the potential mean against nu. For a
+    hyperbolic potential this must be strictly positive; with `hyperbolic`
+    set, a nonpositive value indicates a broken eigenpair or measure and is
+    raised as an audit failure.
 
     mu is any atomic measure: the conformal measure itself gives nu on its
     atoms, and its projection onto h's grid, AtomicMeasure.normalized(grid,

@@ -23,7 +23,7 @@ def bern_limit():
     phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     sums = level_sums(imap, phi, 0.3, 16, retain_from=window_start(16))
     trans = transition_parameter(sums)
-    limit = weak_limit(sums, trans.c, bins=64, tol=1e-6)
+    limit = weak_limit(sums, trans.c, tol=1e-6)
     return imap, phi, trans, limit
 
 
@@ -33,7 +33,7 @@ def logistic_limit():
     imap = logistic4_map()
     sums = level_sums(imap, None, 0.3, 16, retain_from=window_start(16))
     trans = transition_parameter(sums)
-    limit = weak_limit(sums, trans.c, bins=64, tol=1e-6)
+    limit = weak_limit(sums, trans.c, tol=1e-6)
     return imap, trans, limit
 
 

@@ -79,7 +79,7 @@ def test_branch_weight_factorization():
     for c1, c2 in ((0.0, -1.0), (0.5, -0.25)):
         phi = BranchConstantPotential((0.0, 0.5, 1.0), (c1, c2))
         target = float(np.logaddexp(c1, c2))
-        rep = tree_pressure(TENT, phi, 0.3, 15, n_min=1)
+        rep = tree_pressure(TENT, phi, 0.3, 15)
         worst = max(worst, float(np.max(np.abs(rep.p_values - target))))
     ok = worst <= 1e-10
     record_acceptance(

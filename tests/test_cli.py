@@ -353,6 +353,34 @@ class TestConfigValidation:
         assert main(["correlations", str(path)]) == 64
         assert f"{path}:{line}: unknown key 'n_max' in command_params.observables[0]" \
             in capsys.readouterr().err
+        # a top-level key that the map object, lines above, also has, and
+        # that a string value in between spells
+        path = write_config(tmp_path, name="kind.json", output_dir="kind", kind="pressure")
+        lines = path.read_text().splitlines()
+        *before, line = [i for i, text in enumerate(lines, start=1) if '"kind"' in text]
+        assert len(before) == 2
+        assert main(["pressure", str(path)]) == 64
+        assert f"{path}:{line}: unknown key 'kind' in config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("pressure", "n_min"), ("entropy", "n_min"), ("conformal", "bins"),
+        ("conformal", "theta"), ("equilibrium", "bins"), ("correlations", "theta"),
+        ("audit-all", "intervals"), ("audit-all", "conformality_bound"),
+        ("audit-all", "adjoint_bound"),
+    ])
+    def test_fixed_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch,
+                                             command, key):
+        # the weak limit's bins and depth weights, the reports' first depth and
+        # audit-all's intervals and bounds are constants, not settings
+        def walked(*args, **kwargs):
+            raise AssertionError("the tree walk ran")
+
+        monkeypatch.setattr(cli, "level_sums", walked)
+        monkeypatch.setattr(cli, "tree_pressure", walked)
+        path = write_config(tmp_path, command_params={key: 1})
+        assert main([command, str(path)]) == 64
+        assert f"unknown key {key!r} in command_params" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_unknown_map_key_exits_64(self, tmp_path, capsys):
         path = write_config(
@@ -443,22 +471,16 @@ class TestConfigValidation:
             ("pressure", {"x0": False}),
             ("pressure", {"x0": float("nan")}),
             ("pressure", {"n_max": 10**400}),
-            ("conformal", {"theta": None}),
+            ("norms", {"scale": None}),
             ("norms", {"alpha": "0.5"}),
             ("norms", {"scale": float("inf")}),
             ("curve", {"t_count": 9.0, "chi": BERNOULLI}),
             ("curve", {"t_count": -1, "chi": BERNOULLI}),
             ("curve", {"t_count": 4, "chi": BERNOULLI}),
-            ("conformal", {"bins": 0}),
-            ("conformal", {"bins": -4}),
-            ("audit-all", {"intervals": 0}),
-            ("audit-all", {"intervals": -3}),
         ],
         ids=["int-string", "int-fraction", "int-bool", "float-string",
              "float-bool", "float-nan", "int-huge", "float-null", "alpha-string",
-             "scale-inf", "t_count-float", "t_count-negative", "t_count-four",
-             "bins-zero", "bins-negative",
-             "intervals-zero", "intervals-negative"],
+             "scale-inf", "t_count-float", "t_count-negative", "t_count-four"],
     )
     def test_bad_param_exits_64_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, params
@@ -817,19 +839,43 @@ class TestCosineOnMapDomain:
     def test_audit_all_probes_follow_map_domain(self, tmp_path):
         # the adjoint probes read (x - lo) / (hi - lo), so the tent on
         # [0, 20] audits exactly as the doubling map's tent on [0, 1]
+        # (so does the default x0, 0.3 of the way across the domain)
         audits = {}
         for name, imap, x0 in (
             ("unit", {"kind": "full_linear", "branches": 2}, 0.3),
             ("wide", TENT_0_20, 6.0),
+            ("wide-default", TENT_0_20, None),
         ):
+            params = {"n_max": 10, "tree_depth": 10}
             path = write_config(
                 tmp_path, name=f"{name}.json", map=imap,
-                command_params={"x0": x0, "n_max": 10, "tree_depth": 10},
+                command_params=params if x0 is None else {"x0": x0, **params},
                 output_dir=str(tmp_path / name),
             )
             assert main(["audit-all", str(path), "--grid", "256"]) == 0
             audits[name] = (tmp_path / name / "audit.csv").read_bytes()
         assert audits["wide"] == audits["unit"]
+        assert audits["wide-default"] == audits["unit"]
+
+    @pytest.mark.parametrize("command", [
+        "pressure", "entropy", "conformal", "equilibrium", "correlations", "curve",
+        "audit-all",
+    ])
+    def test_default_x0_is_three_tenths_across_the_domain(self, tmp_path, command):
+        params = {"n_max": 6, "tree_depth": 6, "lags": 5, "chi": COSINE}
+        params = {k: v for k, v in params.items() if k in cli.PARAMS[command]}
+        runs = {}
+        for name, x0 in (("default", None), ("explicit", 6.0)):
+            path = write_config(
+                tmp_path, name=f"{name}.json", map=TENT_0_20, potential=COSINE,
+                command_params=params if x0 is None else {"x0": x0, **params},
+                output_dir=str(tmp_path / name),
+            )
+            code = main([command, str(path), "--grid", "64"])
+            files = sorted((tmp_path / name).iterdir())
+            runs[name] = code, [(f.name, f.read_bytes()) for f in files]
+        assert runs["default"] == runs["explicit"]
+        assert runs["default"][1]
 
 
 class TestConformalCommand:
@@ -837,7 +883,7 @@ class TestConformalCommand:
         path = write_config(
             tmp_path,
             potential=BERNOULLI,
-            command_params={"n_max": 12, "bins": 64},
+            command_params={"n_max": 12},
         )
         assert main(["conformal", str(path)]) == 0
         out = tmp_path / "out"

@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 
 from helpers import reference_normalized
 from thermomap.conformal import (
+    BINS,
     AtomicMeasure,
     atom_audit,
     conformality_audit,
@@ -334,54 +335,6 @@ class TestHatWeights:
             point_mass(0.5).hat_weights(grid)
 
 
-def brute_mix(sums, s, theta):
-    """Every retained preimage x of depth n weighted n**theta exp(S_n phi(x)
-    - n s), normalized: the measure weak_limit mixes at parameter s."""
-    depths = range(sums.retain_from, sums.depth + 1)
-    weights = [
-        n**theta * np.exp(birk - n * s) for n, birk in zip(depths, sums.birkhoff)
-    ]
-    return AtomicMeasure.normalized(
-        np.concatenate(sums.points), np.concatenate(weights), sums.domain
-    )
-
-
-class TestWeakLimitTheta:
-    """Depth weights b_n = n**theta in weak_limit's mix."""
-
-    @pytest.fixture(scope="class")
-    def sums(self):
-        # a non-constant potential, so the levels of the window carry
-        # different measures and their weights matter
-        return window_sums(tent_map(), CosineSeriesPotential((0.3, -0.2)), 14)
-
-    @pytest.fixture(scope="class")
-    def c(self, sums):
-        return transition_parameter(sums).c
-
-    def test_flat_default(self, sums, c):
-        flat = weak_limit(sums, c, theta=0.0)
-        default = weak_limit(sums, c)
-        np.testing.assert_array_equal(flat.measure.points, default.measure.points)
-        np.testing.assert_array_equal(flat.measure.masses, default.measure.masses)
-        np.testing.assert_array_equal(flat.binned, default.binned)
-        np.testing.assert_array_equal(flat.s_values, default.s_values)
-
-    def test_polynomial(self, sums, c):
-        res = weak_limit(sums, c, theta=2.0)
-        s_final = float(res.s_values[-1])
-        want = brute_mix(sums, s_final, 2.0)
-        np.testing.assert_array_equal(res.measure.points, want.points)
-        np.testing.assert_allclose(res.measure.masses, want.masses, rtol=1e-9, atol=0)
-        # the n**2 weights are visible: the flat mix at the same s differs
-        flat = brute_mix(sums, s_final, 0.0)
-        assert np.max(np.abs(flat.masses - want.masses)) > 1e-3 * want.masses.max()
-
-    def test_rejects_negative(self, sums, c):
-        with pytest.raises(DomainError, match="theta"):
-            weak_limit(sums, c, theta=-1.0)
-
-
 class TestTransitionParameter:
     def test_tent_counting(self):
         seq = transition_parameter(level_sums(tent_map(), None, 0.3, 12))
@@ -458,7 +411,7 @@ class TestWeakLimit:
     def test_binned_snapshot_matches_measure(self, bernoulli_limit):
         np.testing.assert_allclose(
             bernoulli_limit.binned,
-            bernoulli_limit.measure.bin_masses(bernoulli_limit.bins),
+            bernoulli_limit.measure.bin_masses(BINS),
             atol=1e-12,
         )
 

@@ -106,11 +106,9 @@ def test_tree_pressure_partial_budget():
     assert rep.estimate == pytest.approx(LOG2, abs=1e-10)
 
 
-def test_tree_pressure_partial_budget_below_n_min_raises():
-    with pytest.raises(BudgetError, match="feasible max depth is 8"):
-        tree_pressure(
-            tent_map(), None, 0.3, 24, n_min=9, budget=1000, partial_on_budget=True
-        )
+def test_tree_pressure_partial_budget_without_a_level_raises():
+    with pytest.raises(BudgetError, match="feasible max depth is 0"):
+        tree_pressure(tent_map(), None, 0.3, 24, budget=2, partial_on_budget=True)
 
 
 class TestLevelSums:
@@ -137,9 +135,9 @@ class TestLevelSums:
     def test_report_of_one_walk_matches_streaming_estimator(self):
         phi = CosineSeriesPotential((0.3, -0.2))
         sums = level_sums(tent_map(), phi, 0.3, 12, retain_from=7)
-        for n_max, n_min in ((12, 1), (9, 1), (9, 4)):
-            got = pressure_report(sums, n_max, n_min)
-            ref = tree_pressure(tent_map(), phi, 0.3, n_max, n_min=n_min)
+        for n_max in (12, 9):
+            got = pressure_report(sums, n_max)
+            ref = tree_pressure(tent_map(), phi, 0.3, n_max)
             assert got.estimate == ref.estimate
             assert got.fluctuation == ref.fluctuation
             np.testing.assert_array_equal(got.p_values, ref.p_values)

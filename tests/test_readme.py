@@ -1,7 +1,7 @@
 """README's Library example runs against the current API, its file formats
 name every file a command writes with its header, and its config reference
 names every key of the config schema tables, with each command parameter's
-numeric default.
+numeric default, and no command parameter that the schema lacks.
 
 The block is executed as written, so a renamed function, a removed option
 or a changed call form that the README still shows fails here.
@@ -132,3 +132,16 @@ def test_every_config_key_is_documented():
     text = bullet(ref["`command_params` per command"], "correlations")
     for key in OBSERVABLE:
         assert f"`{key}`" in text, f"observables: {key}"
+
+
+def test_every_documented_command_param_is_a_key():
+    """The reverse check: each name in backticks in a command's bullet is a
+    key of its schema, an OBSERVABLE key in the correlations bullet, or a
+    command name, so a key taken out of PARAMS cannot stay documented."""
+    ref = config_reference()["`command_params` per command"]
+    for command, schema in PARAMS.items():
+        text = bullet(ref, command)
+        allowed = {*schema, *RUNNERS, *(OBSERVABLE if command == "correlations" else ())}
+        names = {n for n in re.findall(r"`([^`]*)`", text)
+                 if re.fullmatch(r"[A-Za-z_][\w-]*", n)}
+        assert names <= allowed, f"{command}: {sorted(names - allowed)}"
