@@ -195,7 +195,7 @@ def _number(integer: bool = False, low=None, strict: bool = False):
     return check
 
 
-_REAL, _INT, _COUNT = _number(), _number(integer=True), _number(integer=True, low=1)
+_REAL, _COUNT, _POSITIVE = _number(), _number(integer=True, low=1), _number(low=0, strict=True)
 
 
 def _reals(size: Optional[int] = None):
@@ -352,7 +352,7 @@ class Experiment:
 OBSERVABLE = {
     "lo": (REQUIRED, _REAL),
     "hi": (REQUIRED, _REAL),
-    "width": (0.05, _number(low=0, strict=True)),
+    "width": (0.05, _POSITIVE),
 }
 
 
@@ -374,39 +374,43 @@ def _x0(exp: Experiment, key: str, value) -> float:
     return lo + 0.3 * (hi - lo) if value is None else _REAL(exp, key, value)
 
 
-_CONFORMAL = {"x0": (None, _x0), "n_max": (14, _INT)}
-_PRESSURE = {"x0": (None, _x0), "n_max": (12, _INT)}
+# the bounds the library enforces: a tree walk needs n_max >= 1 and the
+# weak limit n_max >= 4, checked here so the error names the key
+_CONFORMAL = {"x0": (None, _x0), "n_max": (14, _number(integer=True, low=4))}
+_PRESSURE = {"x0": (None, _x0), "n_max": (12, _COUNT)}
 
 # command -> its command_params schema
 PARAMS = {
     "pressure": _PRESSURE,
     "entropy": _PRESSURE,
     "conformal": _CONFORMAL,
-    "equilibrium": {**_CONFORMAL, "tree_depth": (12, _INT)},
+    "equilibrium": {**_CONFORMAL, "tree_depth": (12, _COUNT)},
     "correlations": {
         **_CONFORMAL,
-        "tree_depth": (12, _INT),
+        "tree_depth": (12, _COUNT),
         "lags": (12, _number(integer=True, low=5)),
         "observables": (None, _observables),
     },
     "norms": {
-        "alpha": (0.5, _number(low=0, strict=True)),
-        "scale": (0.5, _REAL),
+        "alpha": (0.5, _POSITIVE),
+        "scale": (0.5, _POSITIVE),
         "draws": (20, _COUNT),
         "atoms": (48, _COUNT),
         "p": (None, _or_null(_number(low=1))),
     },
     "curve": {
         "x0": (None, _x0),
-        "n_max": (8, _INT),
+        "n_max": (8, _COUNT),
         "t_lo": (-1.0, _REAL),
         "t_hi": (1.0, _REAL),
         "t_count": (21, _number(integer=True, low=5)),
         "chi": (REQUIRED, lambda exp, key, spec: exp.build(
             spec, key, POTENTIALS, exp.imap.domain)),
     },
-    "appendix": {"gap": (float(np.log(4.0)), _REAL), "x0": (0.3, _REAL), "n_max": (11, _INT)},
-    "audit-all": {**_CONFORMAL, "tree_depth": (12, _INT)},
+    "appendix": {
+        "gap": (float(np.log(4.0)), _POSITIVE), "x0": (0.3, _REAL), "n_max": (11, _COUNT)
+    },
+    "audit-all": {**_CONFORMAL, "tree_depth": (12, _COUNT)},
 }
 
 

@@ -12,7 +12,7 @@ slack terms, reported rather than hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,11 +43,6 @@ class SampledFunction:
             raise DomainError("positions and values must be finite")
         if np.any(np.diff(self.positions) <= 0):
             raise DomainError("positions must be strictly increasing")
-
-    @classmethod
-    def from_callable(cls, fn: Callable, positions: np.ndarray) -> "SampledFunction":
-        positions = np.asarray(positions, dtype=float)
-        return cls(positions, np.asarray(fn(positions), dtype=float))
 
     def __call__(self, x):
         idx = np.searchsorted(self.positions, np.asarray(x), side="right") - 1

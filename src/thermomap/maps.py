@@ -73,11 +73,11 @@ class Branch:
         b = float(self.forward(np.asarray(self.hi)))
         return (a, b) if a <= b else (b, a)
 
-    def covers(self, y: np.ndarray, tol: float = TOL_COVER) -> np.ndarray:
-        """Mask of values lying in this branch's image (within tol)."""
+    def covers(self, y: np.ndarray) -> np.ndarray:
+        """Mask of values lying in this branch's image (within TOL_COVER)."""
         lo, hi = self.image()
         y = np.asarray(y, dtype=float)
-        return (y >= lo - tol) & (y <= hi + tol)
+        return (y >= lo - TOL_COVER) & (y <= hi + TOL_COVER)
 
     @property
     def increasing(self) -> bool:
@@ -190,16 +190,6 @@ class IntervalMap:
 
 # ---------------------------------------------------------------------------
 # standard constructions
-
-
-def tent_map() -> IntervalMap:
-    return IntervalMap(
-        (
-            Branch(0.0, 0.5, "linear", 2.0, 0.0),
-            Branch(0.5, 1.0, "linear", -2.0, 2.0),
-        ),
-        name="tent",
-    )
 
 
 def full_linear_map(k: int) -> IntervalMap:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import AuditError, DomainError
-from .maps import IntervalMap, birkhoff_sum, forward_orbit
+from .errors import DomainError
+from .maps import IntervalMap, birkhoff_sum
 
 
 class Potential(abc.ABC):
@@ -64,10 +63,6 @@ class BranchConstantPotential(Potential):
             raise DomainError("cell edges must outnumber values by exactly one")
         if not np.all(np.diff(self.cell_edges) > 0):
             raise DomainError("cell edges must be strictly increasing")
-
-    @classmethod
-    def from_map(cls, imap: IntervalMap, values: Sequence[float]) -> "BranchConstantPotential":
-        return cls(tuple(float(v) for v in imap.breakpoints), tuple(float(v) for v in values))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         edges = np.asarray(self.cell_edges)
@@ -151,7 +146,8 @@ class AveragedPotential(Potential):
 
     Cohomologous to the base potential: with u(x) = (1/N) sum_j (N-1-j)
     phi(f^j x) one has avg = phi + u o f - u, so Birkhoff sums of the two
-    potentials differ by u o f^n - u, bounded by coboundary_sup_bound().
+    potentials differ by u o f^n - u, bounded by (N - 1)(sup phi - inf phi)/2
+    for every n.
     """
 
     imap: IntervalMap
@@ -164,24 +160,6 @@ class AveragedPotential(Potential):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return birkhoff_sum(self.imap, self.base, x, self.window) / self.window
-
-    def transfer_term(self, x: np.ndarray) -> np.ndarray:
-        """The function u with avg = base + u o f - u."""
-        acc = 0.0
-        for j, (cur, _) in enumerate(forward_orbit(self.imap, x, self.window)):
-            acc = acc + (self.window - 1 - j) * np.asarray(self.base(cur), dtype=float)
-        acc = acc / self.window
-        return acc if np.ndim(x) else float(acc[0])
-
-    def coboundary_sup_bound(self) -> float:
-        """Uniform bound on |S_n(avg) - S_n(base)|, valid for every n.
-
-        Shifting the base potential by a constant shifts u by a constant,
-        which cancels in u o f^n - u, so the bound uses the oscillation:
-        (N - 1) (sup base - inf base) / 2.
-        """
-        lo, hi = potential_range(self.base, self.imap.domain)
-        return (self.window - 1) * (hi - lo) / 2.0
 
     @property
     def holder_exponent(self) -> float:
@@ -212,45 +190,3 @@ def potential_range(
         xs = np.concatenate([xs, cand])
     vals = np.asarray(potential(xs), dtype=float)
     return float(vals.min()), float(vals.max())
-
-
-@dataclass(frozen=True)
-class HolderAudit:
-    alpha: float
-    constant: float
-    max_ratio: float
-    holds: bool
-
-
-def audit_holder(
-    potential: Potential,
-    domain: tuple[float, float],
-    pairs: int = 4096,
-    seed: int = 0,
-    strict: bool = False,
-) -> HolderAudit:
-    """Sample point pairs at many scales and test the declared Holder bound.
-
-    An infinite declared constant holds vacuously. With strict=True a
-    violation raises AuditError instead of returning holds=False.
-    """
-    alpha = potential.holder_exponent
-    constant = potential.holder_constant
-    if not np.isfinite(constant):
-        return HolderAudit(alpha, constant, 0.0, True)
-    lo, hi = domain
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(lo, hi, size=pairs)
-    scales = 10.0 ** rng.uniform(-9, 0, size=pairs)
-    y = np.clip(x + scales * (hi - lo) * rng.choice([-1.0, 1.0], size=pairs), lo, hi)
-    keep = np.abs(x - y) > 0
-    x, y = x[keep], y[keep]
-    gaps = np.abs(np.asarray(potential(x)) - np.asarray(potential(y)))
-    denom = np.abs(x - y) ** alpha
-    max_ratio = float(np.max(gaps / denom)) if x.size else 0.0
-    holds = max_ratio <= constant * (1.0 + 1e-9) + 1e-12
-    if strict and not holds:
-        raise AuditError(
-            f"Holder bound violated: ratio {max_ratio} exceeds constant {constant}"
-        )
-    return HolderAudit(alpha, constant, max_ratio, holds)

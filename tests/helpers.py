@@ -2,18 +2,22 @@
 
 import bisect
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from thermomap.conformal import AtomicMeasure
-from thermomap.errors import BudgetError, DomainError
+from thermomap.errors import AuditError, BudgetError, DomainError
 from thermomap.keller import SampledFunction
 from thermomap.maps import (
     TOL_CONTINUITY,
     TOL_DEDUP,
     PreimageLevel,
+    forward_orbit,
+    full_linear_map,
     iter_preimage_levels,
 )
+from thermomap.potentials import potential_range
 from thermomap.pressure import LevelSums, _level_lse, pressure_report
 
 # acceptance-criterion results, keyed by criterion number; each entry is a
@@ -37,6 +41,11 @@ def acceptance_lines():
         word = "PASS" if ok else "FAIL"
         lines.append(f"criterion {criterion:2d}: {word} - {detail}")
     return lines
+
+
+def tent_map():
+    """The tent map, slope +-2 on [0, 1]: the sawtooth with two branches."""
+    return full_linear_map(2)
 
 
 def tent_bernoulli_atoms(p, depth):
@@ -293,3 +302,60 @@ def loop_holder_seminorm(positions, values, alpha):
         gaps = (x[i + 1 :] - x[i]) ** alpha
         best = max(best, float(np.max(np.abs(v[i + 1 :] - v[i]) / gaps)))
     return best
+
+
+def transfer_term(avg, x):
+    """The function u with avg = base + u o f - u for an AveragedPotential
+    avg of window N: u(x) = (1/N) sum_j (N-1-j) base(f^j x)."""
+    acc = 0.0
+    for j, (cur, _) in enumerate(forward_orbit(avg.imap, x, avg.window)):
+        acc = acc + (avg.window - 1 - j) * np.asarray(avg.base(cur), dtype=float)
+    acc = acc / avg.window
+    return acc if np.ndim(x) else float(acc[0])
+
+
+def coboundary_sup_bound(avg):
+    """Uniform bound on |S_n(avg) - S_n(base)|, valid for every n.
+
+    Shifting the base potential by a constant shifts u by a constant,
+    which cancels in u o f^n - u, so the bound uses the oscillation:
+    (N - 1) (sup base - inf base) / 2.
+    """
+    lo, hi = potential_range(avg.base, avg.imap.domain)
+    return (avg.window - 1) * (hi - lo) / 2.0
+
+
+@dataclass(frozen=True)
+class HolderAudit:
+    alpha: float
+    constant: float
+    max_ratio: float
+    holds: bool
+
+
+def audit_holder(potential, domain, pairs=4096, seed=0, strict=False):
+    """Sample point pairs at many scales and test the declared Holder bound.
+
+    An infinite declared constant holds vacuously. With strict=True a
+    violation raises AuditError instead of returning holds=False.
+    """
+    alpha = potential.holder_exponent
+    constant = potential.holder_constant
+    if not np.isfinite(constant):
+        return HolderAudit(alpha, constant, 0.0, True)
+    lo, hi = domain
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, hi, size=pairs)
+    scales = 10.0 ** rng.uniform(-9, 0, size=pairs)
+    y = np.clip(x + scales * (hi - lo) * rng.choice([-1.0, 1.0], size=pairs), lo, hi)
+    keep = np.abs(x - y) > 0
+    x, y = x[keep], y[keep]
+    gaps = np.abs(np.asarray(potential(x)) - np.asarray(potential(y)))
+    denom = np.abs(x - y) ** alpha
+    max_ratio = float(np.max(gaps / denom)) if x.size else 0.0
+    holds = max_ratio <= constant * (1.0 + 1e-9) + 1e-12
+    if strict and not holds:
+        raise AuditError(
+            f"Holder bound violated: ratio {max_ratio} exceeds constant {constant}"
+        )
+    return HolderAudit(alpha, constant, max_ratio, holds)

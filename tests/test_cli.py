@@ -498,6 +498,26 @@ class TestConfigValidation:
         assert f"command_params.{key}" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [(c, "n_max", 0) for c in ("pressure", "entropy", "curve", "appendix")]
+        + [(c, "n_max", 3) for c in ("conformal", "equilibrium", "correlations", "audit-all")]
+        + [(c, "tree_depth", 0) for c in ("equilibrium", "correlations", "audit-all")]
+        + [("norms", "scale", 0), ("norms", "scale", -1),
+           ("appendix", "gap", 0), ("appendix", "gap", -1)],
+        ids=str,
+    )
+    def test_out_of_range_param_exits_64_naming_the_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        """The bounds the library enforces are the schema's, so the error
+        names the key instead of coming from inside the pipeline."""
+        params = {key: value, **({"chi": BERNOULLI} if command == "curve" else {})}
+        path = write_config(tmp_path, command_params=params)
+        assert main([command, str(path)]) == 64
+        assert f"command_params.{key} must be" in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
     def test_float_param_takes_an_int(self, tmp_path):
         files = []
         for alpha in (1, 1.0):

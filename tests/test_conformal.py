@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from helpers import reference_normalized
+from helpers import reference_normalized, tent_map
 from thermomap.conformal import (
     BINS,
     AtomicMeasure,
@@ -29,7 +29,7 @@ from thermomap.conformal import (
     window_start,
 )
 from thermomap.errors import DomainError
-from thermomap.maps import full_linear_map, golden_tent_map, tent_map
+from thermomap.maps import full_linear_map, golden_tent_map
 from thermomap.potentials import BranchConstantPotential, CosineSeriesPotential
 from thermomap.pressure import level_sums
 from thermomap.transfer import GridFunction

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import branch_preimage, orbit, preimage_words, reference_preimage_levels
+from helpers import (
+    branch_preimage,
+    orbit,
+    preimage_words,
+    reference_preimage_levels,
+    tent_map,
+)
 from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -24,7 +30,6 @@ from thermomap.maps import (
     logistic4_map,
     markov_witness,
     pw_linear_map,
-    tent_map,
 )
 from thermomap.potentials import (
     AveragedPotential,

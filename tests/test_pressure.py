@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from helpers import greedy_separated, lockstep_curve_reports, verify_separated
+from helpers import greedy_separated, lockstep_curve_reports, tent_map, verify_separated
 from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -19,7 +19,6 @@ from thermomap.maps import (
     full_linear_map,
     golden_tent_map,
     logistic4_map,
-    tent_map,
 )
 from thermomap.potentials import (
     BranchConstantPotential,
@@ -68,7 +67,7 @@ def test_logistic_counting_entropy_is_log2():
 
 def test_branch_constant_pressure_factorizes_at_every_depth():
     f = tent_map()
-    phi = BranchConstantPotential.from_map(f, [0.0, -1.0])
+    phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     rep = tree_pressure(f, phi, 0.3, 15)
     assert np.allclose(rep.p_values, BERNOULLI_PRESSURE, atol=1e-10)
     assert rep.fluctuation <= 1e-12
@@ -271,7 +270,7 @@ def test_separated_cross_validation_at_matched_scale():
 
 def test_separated_weighted_matches_bernoulli_closed_form():
     f = tent_map()
-    phi = BranchConstantPotential.from_map(f, [0.0, -1.0])
+    phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     est = separated_pressure(f, phi, 10, 0.3, 10_000)
     assert abs(est.value - BERNOULLI_PRESSURE) <= 0.05
 
@@ -469,7 +468,7 @@ def test_hyperbolicity_immediate_for_zero_potential():
 
 def test_hyperbolicity_bernoulli_margin():
     f = tent_map()
-    phi = BranchConstantPotential.from_map(f, [0.0, -1.0])
+    phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     rep = hyperbolicity_check(f, phi, BERNOULLI_PRESSURE)
     assert rep.verdict == "hyperbolic"
     assert rep.witness_depth == 1
@@ -499,7 +498,7 @@ def test_bounded_range_check():
 
 def test_pressure_curve_matches_closed_form():
     f = tent_map()
-    chi = BranchConstantPotential.from_map(f, [0.0, -1.0])
+    chi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     ts = np.linspace(-1.0, 1.0, 21)
     curve = pressure_curve(f, None, chi, ts, n_max=6)
     exact = np.log(1.0 + np.exp(-ts))
@@ -529,7 +528,7 @@ def test_pressure_curve_fit_residual_is_free_of_t_scale():
     f = tent_map()
     residuals = []
     for t_max in (1e-100, 1.0, 1e40, 1e80):
-        chi = BranchConstantPotential.from_map(f, [0.0, -1e40 / t_max])
+        chi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1e40 / t_max))
         ts = np.linspace(-t_max, t_max, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -639,7 +638,7 @@ def test_pressure_curve_bit_equal_to_lockstep_walks(monkeypatch, case, chunk):
 @pytest.mark.parametrize("phi", [None, CosineSeriesPotential((0.3, -0.2))])
 def test_pressure_curve_budget_error_matches_tree_pressure(phi):
     f = tent_map()
-    chi = BranchConstantPotential.from_map(f, [0.0, -1.0])
+    chi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
     with pytest.raises(BudgetError) as want:
         tree_pressure(f, phi, 0.3, 10, budget=200)
     with pytest.raises(BudgetError) as got:
@@ -761,7 +760,7 @@ def test_appendix_rejects_depth_below_one_before_walking():
 )
 def test_branch_constant_factorization_property(v):
     f = full_linear_map(3)
-    phi = BranchConstantPotential.from_map(f, list(v))
+    phi = BranchConstantPotential((0.0, 1 / 3, 2 / 3, 1.0), tuple(v))
     rep = tree_pressure(f, phi, 0.29, 6)
     oracle = np.log(np.sum(np.exp(np.asarray(v))))
     assert np.allclose(rep.p_values, oracle, atol=1e-10)

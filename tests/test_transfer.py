@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tent_bernoulli_atoms
+from helpers import tent_bernoulli_atoms, tent_map
 from thermomap import transfer
 from thermomap.conformal import (
     AtomicMeasure,
@@ -33,7 +33,6 @@ from thermomap.maps import (
     full_linear_map,
     golden_tent_map,
     logistic4_map,
-    tent_map,
 )
 from thermomap.potentials import (
     AveragedPotential,
