@@ -1,8 +1,9 @@
 """Command-line front end: config ingestion, orchestration, persistence.
 
-Commands take a JSON config describing the map, the potential, and
-command-specific parameters, run the corresponding pipeline, and return
-their CSV artifacts as rows keyed by column; `main` alone writes the
+A JSON config describes the map, the potential and the command's
+parameters. Each command is one COMMANDS entry: the schema `main` reads
+its ``command_params`` against, and the pipeline it hands them to, which
+returns its CSV artifacts as rows keyed by column; `main` alone writes the
 artifacts into the configured output directory and reads the exit code
 from their status cells. All floating-point output uses 17 significant
 digits so files round-trip bit-exactly; identical configs and seeds
@@ -178,17 +179,19 @@ def read_measure(path: Path) -> AtomicMeasure:
 REQUIRED = object()
 
 
-def _number(integer: bool = False, low=None, strict: bool = False):
+def _number(integer: bool = False, low=None, strict: bool = False, high=None):
     """Check for a JSON number, never a bool, finite as a float64: an integer
     when `integer`, else an integer or a real; at least `low` (above it when
-    `strict`)."""
+    `strict`) and at most `high`."""
     what = "an integer" if integer else "a finite number"
     what += "" if low is None else f" {'>' if strict else '>='} {low}"
+    what += "" if high is None else f" and <= {high}"
 
     def check(exp, key, value):
         if (type(value) not in ((int,) if integer else (int, float))
                 or not abs(value) <= sys.float_info.max
-                or low is not None and (value <= low if strict else value < low)):
+                or low is not None and (value <= low if strict else value < low)
+                or high is not None and value > high):
             exp.fail(key, what)
         return value
 
@@ -344,10 +347,6 @@ class Experiment:
         except DomainError as exc:  # a constraint between values, such as lengths
             raise ConfigError(f"{self.path}: {key}: {exc}") from exc
 
-    def take(self, schema: dict) -> dict:
-        """command_params read against a command's schema."""
-        return self.read(self.params, schema, "command_params")
-
 
 OBSERVABLE = {
     "lo": (REQUIRED, _REAL),
@@ -357,14 +356,17 @@ OBSERVABLE = {
 
 
 def _observables(exp: Experiment, key: str, specs) -> list[Callable]:
-    """Smoothed indicators, each read against OBSERVABLE; by default one on
-    the first third of the domain."""
+    """Smoothed indicators of [lo, hi], lo < hi, each read against
+    OBSERVABLE; by default one on the first third of the domain."""
     if specs is None:
         lo, hi = exp.imap.domain
         specs = [{"lo": lo, "hi": lo + (hi - lo) / 3.0}]
     if not isinstance(specs, list) or not specs:
         exp.fail(key, "a nonempty list")
-    fields = (exp.read(spec, OBSERVABLE, f"{key}[{i}]") for i, spec in enumerate(specs))
+    fields = [exp.read(spec, OBSERVABLE, f"{key}[{i}]") for i, spec in enumerate(specs)]
+    for i, f in enumerate(fields):
+        if not f["lo"] < f["hi"]:
+            exp.fail(f"{key}[{i}]", "an indicator with lo < hi")
     return [smoothed_indicator(*map(float, f.values())) for f in fields]
 
 
@@ -378,47 +380,15 @@ def _x0(exp: Experiment, key: str, value) -> float:
 # weak limit n_max >= 4, checked here so the error names the key
 _CONFORMAL = {"x0": (None, _x0), "n_max": (14, _number(integer=True, low=4))}
 _PRESSURE = {"x0": (None, _x0), "n_max": (12, _COUNT)}
-
-# command -> its command_params schema
-PARAMS = {
-    "pressure": _PRESSURE,
-    "entropy": _PRESSURE,
-    "conformal": _CONFORMAL,
-    "equilibrium": {**_CONFORMAL, "tree_depth": (12, _COUNT)},
-    "correlations": {
-        **_CONFORMAL,
-        "tree_depth": (12, _COUNT),
-        "lags": (12, _number(integer=True, low=5)),
-        "observables": (None, _observables),
-    },
-    "norms": {
-        "alpha": (0.5, _POSITIVE),
-        "scale": (0.5, _POSITIVE),
-        "draws": (20, _COUNT),
-        "atoms": (48, _COUNT),
-        "p": (None, _or_null(_number(low=1))),
-    },
-    "curve": {
-        "x0": (None, _x0),
-        "n_max": (8, _COUNT),
-        "t_lo": (-1.0, _REAL),
-        "t_hi": (1.0, _REAL),
-        "t_count": (21, _number(integer=True, low=5)),
-        "chi": (REQUIRED, lambda exp, key, spec: exp.build(
-            spec, key, POTENTIALS, exp.imap.domain)),
-    },
-    "appendix": {
-        "gap": (float(np.log(4.0)), _POSITIVE), "x0": (0.3, _REAL), "n_max": (11, _COUNT)
-    },
-    "audit-all": {**_CONFORMAL, "tree_depth": (12, _COUNT)},
-}
+_EIGEN = {**_CONFORMAL, "tree_depth": (12, _COUNT)}
 
 
 # ---------------------------------------------------------------------------
-# command pipelines: each returns its files, a list of (name, rows) for main
-# to write. A measure file's rows are its AtomicMeasure; any other file's rows
-# are dicts column -> cell, so the keys of its first row are its header. The
-# exit code is the worst of the status cells (EXIT_CODES).
+# command pipelines: each takes the experiment and its command_params, read
+# against the command's schema in COMMANDS, and returns its files, a list of
+# (name, rows) for main to write. A measure file's rows are its AtomicMeasure;
+# any other file's rows are dicts column -> cell, so the keys of its first row
+# are its header. The exit code is the worst of the status cells (EXIT_CODES).
 
 
 def _pressure_rows(report) -> list[dict]:
@@ -430,18 +400,11 @@ def _pressure_rows(report) -> list[dict]:
     ]
 
 
-def cmd_tree_pressure(exp: Experiment, *, filename: str, weighted: bool):
+def cmd_tree_pressure(exp: Experiment, p: dict, *, filename: str, weighted: bool):
     """`pressure` (weighted by the configured potential) and `entropy` (no
     potential): tree_pressure per depth, as `filename`."""
-    p = exp.take(PARAMS["pressure"])
-    report = tree_pressure(
-        exp.imap,
-        exp.potential if weighted else None,
-        p["x0"],
-        p["n_max"],
-        budget=exp.budget,
-        partial_on_budget=True,
-    )
+    report = tree_pressure(exp.imap, exp.potential if weighted else None, p["x0"],
+                           p["n_max"], budget=exp.budget, partial_on_budget=True)
     return [(filename, _pressure_rows(report))]
 
 
@@ -482,8 +445,7 @@ def _conformal_row(trans, limit) -> dict:
     }
 
 
-def cmd_conformal(exp: Experiment):
-    p = exp.take(PARAMS["conformal"])
+def cmd_conformal(exp: Experiment, p: dict):
     trans, limit, _ = _conformal_pipeline(exp, p)
     return [
         ("measure.csv", limit.measure),
@@ -492,16 +454,18 @@ def cmd_conformal(exp: Experiment):
     ]
 
 
-def _equilibrium_pipeline(exp: Experiment, tree, mu: AtomicMeasure):
-    """The eigenpair normalized against mu and the hyperbolicity check; each
-    command runs `equilibrium_state` on the measure it needs."""
+def _equilibrium_pipeline(exp: Experiment, p: dict):
+    """`_conformal_pipeline`'s results, then the eigenpair normalized
+    against its measure mu and the hyperbolicity check; each command runs
+    `equilibrium_state` on the measure it needs."""
+    trans, limit, tree = _conformal_pipeline(exp, p)
     eigen = power_iteration(
-        exp.imap, exp.potential, grid_size=exp.grid, tol=exp.tol, mu=mu
+        exp.imap, exp.potential, grid_size=exp.grid, tol=exp.tol, mu=limit.measure
     )
     hyper = hyperbolicity_check(
         exp.imap, exp.potential, tree.estimate, grid_size=exp.grid
     )
-    return eigen, hyper
+    return trans, limit, tree, eigen, hyper
 
 
 def _equilibrium_row(tree, limit, eigen, hyper, state) -> dict:
@@ -520,10 +484,8 @@ def _equilibrium_row(tree, limit, eigen, hyper, state) -> dict:
     }
 
 
-def cmd_equilibrium(exp: Experiment):
-    p = exp.take(PARAMS["equilibrium"])
-    _, limit, tree = _conformal_pipeline(exp, p)
-    eigen, hyper = _equilibrium_pipeline(exp, tree, limit.measure)
+def cmd_equilibrium(exp: Experiment, p: dict):
+    _, limit, tree, eigen, hyper = _equilibrium_pipeline(exp, p)
     state = equilibrium_state(exp.potential, limit.measure, eigen, hyper.verdict == "hyperbolic")
     return [
         ("mu.csv", limit.measure),
@@ -532,11 +494,9 @@ def cmd_equilibrium(exp: Experiment):
     ]
 
 
-def cmd_correlations(exp: Experiment):
-    p = exp.take(PARAMS["correlations"])
-    _, limit, tree = _conformal_pipeline(exp, p)
+def cmd_correlations(exp: Experiment, p: dict):
+    _, limit, _, eigen, hyper = _equilibrium_pipeline(exp, p)
     mu = limit.measure
-    eigen, hyper = _equilibrium_pipeline(exp, tree, mu)
     # correlations.csv reads no nu: the entropy guard runs on mu's grid projection
     grid = eigen.h.grid
     on_grid = AtomicMeasure.normalized(grid, mu.hat_weights(grid), mu.domain)
@@ -555,8 +515,7 @@ def cmd_correlations(exp: Experiment):
     return [("correlations.csv", rows)]
 
 
-def cmd_norms(exp: Experiment):
-    p = exp.take(PARAMS["norms"])
+def cmd_norms(exp: Experiment, p: dict):
     rng = np.random.default_rng(exp.seed)
     m = uniform_atoms(p["atoms"], exp.imap.domain)
     rows = []
@@ -589,18 +548,10 @@ def cmd_norms(exp: Experiment):
     return [("norms.csv", rows)]
 
 
-def cmd_curve(exp: Experiment):
-    p = exp.take(PARAMS["curve"])
+def cmd_curve(exp: Experiment, p: dict):
     ts = np.linspace(p["t_lo"], p["t_hi"], p["t_count"])
-    curve = pressure_curve(
-        exp.imap,
-        exp.potential,
-        p["chi"],
-        ts,
-        x0=p["x0"],
-        n_max=p["n_max"],
-        budget=exp.budget,
-    )
+    curve = pressure_curve(exp.imap, exp.potential, p["chi"], ts,
+                           x0=p["x0"], n_max=p["n_max"], budget=exp.budget)
     rows = [
         {"t": t, "P_hat": est, "dP_central": d1, "d2P_central": d2,
          "fit_residual": curve.fit_residual}
@@ -611,8 +562,7 @@ def cmd_curve(exp: Experiment):
     return [("curve.csv", rows)]
 
 
-def cmd_appendix(exp: Experiment):
-    p = exp.take(PARAMS["appendix"])
+def cmd_appendix(exp: Experiment, p: dict):
     rep = appendix_construct(p["gap"], x0=p["x0"], n_max=p["n_max"], budget=exp.budget)
     return [("appendix.csv", [{
         "gap": rep.gap,
@@ -642,9 +592,8 @@ def _single_branch_intervals(imap: IntervalMap, count: int):
     return out[:count]
 
 
-def cmd_audit_all(exp: Experiment):
-    p = exp.take(PARAMS["audit-all"])
-    trans, limit, tree = _conformal_pipeline(exp, p)
+def cmd_audit_all(exp: Experiment, p: dict):
+    trans, limit, tree, eigen, hyper = _equilibrium_pipeline(exp, p)
     mu = limit.measure
     conf = conformality_audit(
         mu,
@@ -655,7 +604,6 @@ def cmd_audit_all(exp: Experiment):
     )
     atoms = atom_audit(mu, (512,))
     support = float(np.min(mu.bin_masses(64)))
-    eigen, hyper = _equilibrium_pipeline(exp, tree, mu)
     state = equilibrium_state(exp.potential, mu, eigen, hyper.verdict == "hyperbolic")
 
     lo, hi = exp.imap.domain
@@ -711,16 +659,38 @@ EXIT_CODES = {
     "ok": 0, "below_resolution": 0, "audit_failed": 2, "budget": 3, "not_converged": 3,
 }
 
-RUNNERS: dict[str, Callable[[Experiment], list]] = {
-    "pressure": partial(cmd_tree_pressure, filename="pressure.csv", weighted=True),
-    "entropy": partial(cmd_tree_pressure, filename="entropy.csv", weighted=False),
-    "conformal": cmd_conformal,
-    "equilibrium": cmd_equilibrium,
-    "correlations": cmd_correlations,
-    "norms": cmd_norms,
-    "curve": cmd_curve,
-    "appendix": cmd_appendix,
-    "audit-all": cmd_audit_all,
+# command -> (its command_params schema, its pipeline); main reads
+# command_params against the schema and hands the values to the pipeline
+COMMANDS: dict[str, tuple[dict, Callable[[Experiment, dict], list]]] = {
+    "pressure": (_PRESSURE, partial(cmd_tree_pressure, filename="pressure.csv", weighted=True)),
+    "entropy": (_PRESSURE, partial(cmd_tree_pressure, filename="entropy.csv", weighted=False)),
+    "conformal": (_CONFORMAL, cmd_conformal),
+    "equilibrium": (_EIGEN, cmd_equilibrium),
+    "correlations": ({
+        **_EIGEN,
+        "lags": (12, _number(integer=True, low=5)),
+        "observables": (None, _observables),
+    }, cmd_correlations),
+    "norms": ({
+        "alpha": (0.5, _number(low=0, strict=True, high=1)),
+        "scale": (0.5, _POSITIVE),
+        "draws": (20, _COUNT),
+        "atoms": (48, _COUNT),
+        "p": (None, _or_null(_number(low=1))),
+    }, cmd_norms),
+    "curve": ({
+        "x0": (None, _x0),
+        "n_max": (8, _COUNT),
+        "t_lo": (-1.0, _REAL),
+        "t_hi": (1.0, _REAL),
+        "t_count": (21, _number(integer=True, low=5)),
+        "chi": (REQUIRED, lambda exp, key, spec: exp.build(
+            spec, key, POTENTIALS, exp.imap.domain)),
+    }, cmd_curve),
+    "appendix": ({
+        "gap": (float(np.log(4.0)), _POSITIVE), "x0": (0.3, _REAL), "n_max": (11, _COUNT)
+    }, cmd_appendix),
+    "audit-all": (_EIGEN, cmd_audit_all),
 }
 
 
@@ -729,7 +699,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="thermomap",
         description="Thermodynamic-formalism experiments on interval maps",
     )
-    parser.add_argument("command", choices=RUNNERS)
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="preimage-tree node budget")
@@ -748,10 +718,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{parser.prog}: invalid --budget/--grid/--tol", file=sys.stderr)
         return 64
 
+    schema, run = COMMANDS[args.command]
     try:
         exp = Experiment(args.config, args)
         exp.outdir.mkdir(parents=True, exist_ok=True)
-        files = RUNNERS[args.command](exp)
+        files = run(exp, exp.read(exp.params, schema, "command_params"))
     except (ConfigError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64

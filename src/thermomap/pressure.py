@@ -223,8 +223,6 @@ def tree_pressure(
     partial_on_budget the report covers the depths that fit in the budget
     and is flagged incomplete instead of raising.
     """
-    if n_max < 1:
-        raise DomainError("need n_max >= 1")
     sums = level_sums(
         imap, potential, x0, n_max, budget, partial_on_budget=partial_on_budget
     )

@@ -503,16 +503,19 @@ class TestConfigValidation:
         [(c, "n_max", 0) for c in ("pressure", "entropy", "curve", "appendix")]
         + [(c, "n_max", 3) for c in ("conformal", "equilibrium", "correlations", "audit-all")]
         + [(c, "tree_depth", 0) for c in ("equilibrium", "correlations", "audit-all")]
-        + [("norms", "scale", 0), ("norms", "scale", -1),
-           ("appendix", "gap", 0), ("appendix", "gap", -1)],
+        + [("norms", "scale", 0), ("norms", "scale", -1), ("norms", "alpha", 1.5),
+           ("appendix", "gap", 0), ("appendix", "gap", -1),
+           ("correlations", "observables[0]", [{"lo": 0.6, "hi": 0.2}])],
         ids=str,
     )
     def test_out_of_range_param_exits_64_naming_the_key(
         self, tmp_path, capsys, command, key, value
     ):
         """The bounds the library enforces are the schema's, so the error
-        names the key instead of coming from inside the pipeline."""
-        params = {key: value, **({"chi": BERNOULLI} if command == "curve" else {})}
+        names the key instead of coming from inside the pipeline; an indexed
+        key sets the list it indexes."""
+        params = {key.split("[")[0]: value,
+                  **({"chi": BERNOULLI} if command == "curve" else {})}
         path = write_config(tmp_path, command_params=params)
         assert main([command, str(path)]) == 64
         assert f"command_params.{key} must be" in capsys.readouterr().err
@@ -883,7 +886,7 @@ class TestCosineOnMapDomain:
     ])
     def test_default_x0_is_three_tenths_across_the_domain(self, tmp_path, command):
         params = {"n_max": 6, "tree_depth": 6, "lags": 5, "chi": COSINE}
-        params = {k: v for k, v in params.items() if k in cli.PARAMS[command]}
+        params = {k: v for k, v in params.items() if k in cli.COMMANDS[command][0]}
         runs = {}
         for name, x0 in (("default", None), ("explicit", 6.0)):
             path = write_config(

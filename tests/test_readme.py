@@ -1,7 +1,8 @@
 """README's Library example runs against the current API, its file formats
 name every file a command writes with its header, and its config reference
 names every key of the config schema tables, with each command parameter's
-numeric default, and no command parameter that the schema lacks.
+numeric default, and no command parameter that the schema lacks. Each
+command, run at a small size, reads every key of its schema.
 
 The block is executed as written, so a renamed function, a removed option
 or a changed call form that the README still shows fails here.
@@ -10,18 +11,18 @@ or a changed call form that the README still shows fails here.
 import argparse
 import json
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from thermomap.cli import (
+    COMMANDS,
     CONFIG,
     DEFAULT_BUDGET,
     MAPS,
     OBSERVABLE,
-    PARAMS,
     POTENTIALS,
-    RUNNERS,
     Experiment,
 )
 from thermomap.conformal import AtomicMeasure
@@ -62,6 +63,22 @@ SMALL_PARAMS = {
 }
 
 
+def run_small(tmp_path, command: str, params=dict):
+    """`command`'s files at SMALL_PARAMS on the doubling map with the
+    Bernoulli potential; its read command_params go through `params`."""
+    config = tmp_path / f"{command}.json"
+    config.write_text(json.dumps({
+        "map": {"kind": "full_linear", "branches": 2},
+        "potential": {"kind": "branch_pw_constant",
+                      "segments": [0.0, 0.5, 1.0], "values": [0.0, -1.0]},
+        "command_params": SMALL_PARAMS[command],
+    }))
+    flags = argparse.Namespace(budget=DEFAULT_BUDGET, grid=256, tol=1e-10)
+    exp = Experiment(str(config), flags)
+    schema, run = COMMANDS[command]
+    return run(exp, params(exp.read(exp.params, schema, "command_params")))
+
+
 def file_formats_section() -> list:
     """README's File formats bullets, each joined into one line."""
     text = (ROOT / "README.md").read_text()
@@ -75,18 +92,9 @@ def test_every_command_file_is_documented(tmp_path):
     and that bullet shows the file's header: `point,mass` for a measure,
     else the keys of its first row."""
     documented = file_formats_section()
-    assert sorted(SMALL_PARAMS) == sorted(RUNNERS)
-    flags = argparse.Namespace(budget=DEFAULT_BUDGET, grid=256, tol=1e-10)
-    for command, params in SMALL_PARAMS.items():
-        config = tmp_path / f"{command}.json"
-        config.write_text(json.dumps({
-            "map": {"kind": "full_linear", "branches": 2},
-            "potential": {"kind": "branch_pw_constant",
-                          "segments": [0.0, 0.5, 1.0], "values": [0.0, -1.0]},
-            "command_params": params,
-        }))
-        files = RUNNERS[command](Experiment(str(config), flags))
-        for name, rows in files:
+    assert sorted(SMALL_PARAMS) == sorted(COMMANDS)
+    for command in SMALL_PARAMS:
+        for name, rows in run_small(tmp_path, command):
             header = "point,mass" if isinstance(rows, AtomicMeasure) else ",".join(rows[0])
             assert f"`{header}`" in bullet(documented, name), f"{command}: {name}"
 
@@ -122,8 +130,7 @@ def test_every_config_key_is_documented():
             text = bullet(ref[intro], kind)
             for key in schema:
                 assert f"`{key}`" in text, f"{intro}: {kind}.{key}"
-    assert sorted(PARAMS) == sorted(RUNNERS)
-    for command, schema in PARAMS.items():
+    for command, (schema, _) in COMMANDS.items():
         text = bullet(ref["`command_params` per command"], command)
         for key, (default, _) in schema.items():
             numeric = type(default) in (int, float)
@@ -137,11 +144,36 @@ def test_every_config_key_is_documented():
 def test_every_documented_command_param_is_a_key():
     """The reverse check: each name in backticks in a command's bullet is a
     key of its schema, an OBSERVABLE key in the correlations bullet, or a
-    command name, so a key taken out of PARAMS cannot stay documented."""
+    command name, so a key taken out of a schema cannot stay documented."""
     ref = config_reference()["`command_params` per command"]
-    for command, schema in PARAMS.items():
+    for command, (schema, _) in COMMANDS.items():
         text = bullet(ref, command)
-        allowed = {*schema, *RUNNERS, *(OBSERVABLE if command == "correlations" else ())}
+        allowed = {*schema, *COMMANDS, *(OBSERVABLE if command == "correlations" else ())}
         names = {n for n in re.findall(r"`([^`]*)`", text)
                  if re.fullmatch(r"[A-Za-z_][\w-]*", n)}
         assert names <= allowed, f"{command}: {sorted(names - allowed)}"
+
+
+class ReadKeys(dict):
+    """command_params that add each key a pipeline reads to `read`."""
+
+    def __init__(self, values, read: set):
+        super().__init__(values)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_command_param_is_read(tmp_path):
+    """No command_params key is parsed and then ignored: each command's
+    pipeline reads every key of its schema."""
+    for command, (schema, _) in COMMANDS.items():
+        read = set()
+        run_small(tmp_path, command, partial(ReadKeys, read=read))
+        assert set(schema) <= read, f"{command}: {sorted(set(schema) - read)}"
