@@ -5,8 +5,8 @@ subintervals of its domain. Branches are linear or one of the two monotone
 halves of the degree-4 logistic family, which keeps inverse branches
 closed-form and numerically stable. The preimage walk enumerates f^{-n}(x0)
 level by level, each level ascending, together with backward Birkhoff sums
-of a potential, holding one level at a time, under an explicit node budget
-that fails loudly instead of thrashing memory.
+of a potential, holding at most one level and its parent's sums, under an
+explicit node budget that fails loudly instead of thrashing memory.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ TOL_CONTINUITY = 1e-9
 TOL_COVER = 1e-12
 TOL_DEDUP = 1e-12
 # cumulative nodes of one preimage walk; a streaming tree_pressure peaks near
-# 25 B per node of its deepest level (scripts/walk_peak.py at depth 20: 3.13
+# 20 B per node of its deepest level (scripts/walk_peak.py at depth 20: 2.50
 # float64 arrays of that size on the doubling map with a cosine potential,
-# 3.24 on the golden tent, 3.13 on logistic4 with a cosine potential), so a
-# doubling-map walk stopped here (8.4M deepest nodes) needs about 0.21 GB
+# 2.62 on the golden tent, 2.50 on logistic4 with a cosine potential), so a
+# doubling-map walk stopped here (8.4M deepest nodes) needs about 0.17 GB
 DEFAULT_NODE_BUDGET = 20_000_000
 POTENTIAL_CHUNK = 16384  # level points per potential call in the preimage walk
 
@@ -360,8 +360,12 @@ def iter_preimage_levels(
     head, so a level whose slice lengths less the count of those parents
     (two searchsorted calls on the head's image) exceed the budget raises
     before it is built. Branch domains that overlap by less than TOL_DEDUP
-    can leave two blocks out of order, and such a level is sorted. Only the
-    current level is held. The potential is added POTENTIAL_CHUNK points at
+    can leave two blocks out of order, and such a level is sorted. A level
+    is built in two passes: the points pass writes every block's points and
+    settles its merges, and the exact count is checked; then the parent
+    points are dropped, and the sums pass copies each block's parent sums
+    less the merged ones. So the walk holds at most the parent's sums and
+    the new level. The potential is added POTENTIAL_CHUNK points at
     a time, so it must act pointwise; one returning k rows, shape (k, n)
     for n points (learnt from a call on no points), gives k sums per point,
     each as its row alone.
@@ -400,17 +404,18 @@ def iter_preimage_levels(
         )
         if used + total - merges > budget:
             raise BudgetError(depth - 1, n_max, budget)
+        # points pass: each block's offset, parent slice, direction and
+        # merged entries are kept for the sums pass
         new_pts = np.empty(total)
-        new_birk = np.empty(rows + (total,))
+        blocks = []
         size = 0
         unsorted = False
         dropped = np.empty(0, dtype=np.intp)  # parents merged out of the last block
         for b, (br, (start, stop)) in enumerate(zip(branches, spans)):
             n = stop - start
-            block, sums = new_pts[size:size + n], new_birk[..., size:size + n]
+            block = new_pts[size:size + n]
             step = 1 if increasing[b] else -1
             br.inverse(pts[start:stop], out=block[::step])
-            sums[..., ::step] = birk[..., start:stop]
             # only the block's head, within 2e-12 of the previous branch's
             # end, can hold preimages that merge with that branch's
             m = 0 if b == 0 else int(np.searchsorted(
@@ -422,20 +427,30 @@ def iter_preimage_levels(
             left = branches[b - 1].inverse(pts[parent])
             dup = shared & (np.abs(block[:m] - left) <= TOL_DEDUP)
             dropped = parent[dup]
-            if dropped.size:
-                n -= dropped.size
-                block[:n] = np.delete(block, np.flatnonzero(dup))
-                sums[..., :n] = np.delete(sums, np.flatnonzero(dup), axis=-1)
+            merged = np.flatnonzero(dup)
+            if merged.size:
+                n -= merged.size
+                block[:n] = np.delete(block, merged)
             if n and size:
                 unsorted |= bool(new_pts[size - 1] > new_pts[size])
+            blocks.append((size, n, start, stop, step, merged))
             size += n
         if used + size > budget:
             raise BudgetError(depth - 1, n_max, budget)
         used += size
-        pts, birk = new_pts[:size], new_birk[..., :size]
+        pts = new_pts[:size]  # the parent points die here
         if unsorted:
             order = np.argsort(pts, kind="stable")
-            pts, birk = pts[order], birk[..., order]
+            pts = pts[order]
+        # sums pass: each block copies its parents' sums, less the merged ones
+        new_birk = np.empty(rows + (size,))
+        for at, n, start, stop, step, merged in blocks:
+            sums = birk[..., start:stop][..., ::step]
+            if merged.size:
+                sums = np.delete(sums, merged, axis=-1)
+            new_birk[..., at:at + n] = sums
+        del sums  # the last view of the parent sums
+        birk = new_birk[..., order] if unsorted else new_birk
         if potential is not None:
             for at in range(0, size, POTENTIAL_CHUNK):
                 part = slice(at, at + POTENTIAL_CHUNK)

@@ -109,21 +109,22 @@ class LevelSums:
         )
 
 
-def _level_lse(a: np.ndarray) -> float:
+def _level_lse(a: np.ndarray, overwrite: bool = False) -> float:
     """log sum exp(a) of a 1-d float64 array, bit-equal to scipy's logsumexp.
 
     The max-separated sum of Blanchard, Higham & Higham, "Accurately
     computing the log-sum-exp and softmax functions" (IMA J. Numer. Anal.
     41, 2021), with the float operations of scipy 1.17.1's ``_logsumexp``
-    run on one level-sized temporary: the m entries at the max are dropped
-    from the shifted sum s and added back as log(m), giving
-    log1p(s / m) + log(m) + max. A non-finite max (inf or nan entries, or
-    every entry -inf) goes to scipy itself.
+    run on one level-sized temporary, or on ``a`` itself with overwrite,
+    which leaves it unspecified: the m entries at the max are dropped from
+    the shifted sum s and added back as log(m), giving log1p(s / m) +
+    log(m) + max. A non-finite max (inf or nan entries, or every entry
+    -inf) goes to scipy itself, and then ``a`` is left as it was.
     """
     a_max = np.max(a)
     if not np.isfinite(a_max):
         return float(logsumexp(a))
-    tmp = a - a_max
+    tmp = np.subtract(a, a_max, out=a if overwrite else None)
     top = tmp == 0.0
     m = np.count_nonzero(top)
     np.exp(tmp, out=tmp)
@@ -145,8 +146,11 @@ def level_sums(
 ) -> LevelSums:
     """Walk the preimage tree of x0 once to depth n_max, keeping the
     max-shifted log-sum-exp a_n of every level and the points and Birkhoff
-    sums of levels retain_from..retain_to (default n_max). With
-    partial_on_budget the levels that fit the budget are returned."""
+    sums of levels retain_from..retain_to (default n_max). Each level dies
+    once the walk has built the next from it, and level n_max, unless
+    retained, is reduced in place, since nothing reads it afterwards, so the
+    walk peaks at the build of its deepest level. With partial_on_budget the
+    levels that fit the budget are returned."""
     _reject_breakpoint(imap, x0)
     retain_from = n_max + 1 if retain_from is None else max(1, retain_from)
     retain_to = n_max if retain_to is None else retain_to
@@ -159,9 +163,11 @@ def level_sums(
         for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
             if level.depth == 0:
                 continue
-            a_values.append(_level_lse(level.birkhoff))
+            retain = retain_from <= level.depth <= retain_to
+            last = level.depth == n_max and not retain
+            a_values.append(_level_lse(level.birkhoff, overwrite=last))
             counts.append(level.points.size)
-            if retain_from <= level.depth <= retain_to:
+            if retain:
                 points.append(level.points)
                 birkhoff.append(level.birkhoff)
             # unless retained, this level's arrays die once the walk has
@@ -486,9 +492,14 @@ def pressure_curve(
         if level.depth == 0:
             continue
         phi_sums, chi_sums = level.birkhoff
+        row = np.empty_like(chi_sums)  # each t's sums, reduced in place
         for i, t in enumerate(ts):
-            a_values[i, level.depth - 1] = _level_lse(phi_sums + t * chi_sums)
+            np.multiply(t, chi_sums, out=row)
+            row += phi_sums
+            a_values[i, level.depth - 1] = _level_lse(row, overwrite=True)
         counts.append(level.points.size)
+        # this level's arrays die once the walk has built the next from them
+        del level, phi_sums, chi_sums, row
     counts = np.asarray(counts, dtype=np.int64)
     reports = [
         pressure_report(LevelSums(float(x0), imap.domain, a, counts, n_max + 1), n_max)

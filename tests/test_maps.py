@@ -496,6 +496,40 @@ def test_overflow_within_two_copies_raises_before_building_the_level():
     assert peak < 2 * 16 * 2**depth, peak / (16 * 2**depth)
 
 
+def test_overcounted_merge_raises_before_allocating_the_child_sums():
+    # the tent's depth-15 level holds a point 5e-12 below 1: inside the
+    # image of the right branch's head, so the early count takes it for a
+    # merge, but its two preimages lie 5e-12 apart and stay. With room for
+    # all but one of the depth-16 nodes the early count passes and the
+    # exact count raises, after the points pass and before the sums pass
+    f, depth = tent_map(), 15
+    y = np.array([1.0 - 5e-12])
+    for _ in range(depth):
+        y = f(y)
+    x0 = float(y[0])
+    assert 1.0 - list(iter_preimage_levels(f, None, x0, depth))[-1].points[-1] < 7e-12
+    budget = 2 ** (depth + 2) - 2
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(BudgetError) as exc:
+            for _ in iter_preimage_levels(f, None, x0, depth + 1, budget):
+                pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (exc.value.feasible_depth, exc.value.budget) == (depth, budget)
+    # the depth-15 points and sums and the depth-16 points make 2 arrays of
+    # the depth-16 size, and the depth-16 sums would make 3; an early raise
+    # would leave the depth-15 build's 1.25 as the peak
+    arrays = peak / (8 * 2 ** (depth + 1))
+    assert 1.75 < arrays < 2.5, arrays
+
+
 def test_budget_error_reports_feasible_depth():
     f = tent_map()
     with pytest.raises(BudgetError) as exc:

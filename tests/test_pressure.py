@@ -190,6 +190,34 @@ def test_level_lse_bit_equal_to_scipy(name):
     got, want = _level_lse(a), float(logsumexp(a))
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
     assert np.array_equal(a, before, equal_nan=True)
+    in_place = _level_lse(a.copy(), overwrite=True)
+    assert np.float64(in_place).tobytes() == np.float64(want).tobytes()
+
+
+_LSE_ENTRIES = st.one_of(
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.sampled_from([0.0, -0.0, 3.5, -np.inf]),
+    st.sampled_from([np.inf, np.nan]),
+)
+
+
+@settings(max_examples=300)
+@given(a=st.one_of(
+    st.lists(_LSE_ENTRIES, min_size=1, max_size=300).map(np.array),
+    st.integers(min_value=1, max_value=40).map(lambda n: np.full(n, -np.inf)),
+))
+def test_in_place_level_lse_bit_equal_to_the_copying_call_and_scipy(a):
+    # ties at the max come from the sampled values and -inf entries from
+    # the sampled -inf; inf, nan or every entry -inf send the max to scipy,
+    # which leaves the array as it was
+    want = np.float64(logsumexp(a)).tobytes()
+    before = a.copy()
+    assert np.float64(_level_lse(a)).tobytes() == want
+    assert np.array_equal(a, before, equal_nan=True)
+    got = np.float64(_level_lse(a, overwrite=True)).tobytes()
+    assert got == want
+    if not np.isfinite(np.max(before)):
+        assert np.array_equal(a, before, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -221,6 +249,72 @@ def test_tree_pressure_peak_memory_is_a_few_deepest_levels(
         if not tracing:
             tracemalloc.stop()
     assert peak <= levels * 8 * deepest, peak / (8 * deepest)
+
+
+def _peak_arrays(run, deepest):
+    """Traced peak of run() above what was live before, in float64 arrays
+    of `deepest` entries."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * deepest)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "imap, phi, x0, n, levels",
+    [
+        (full_linear_map(2), BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)),
+         0.31, 18, 2.6),
+        (golden_tent_map(), None, 0.3, 26, 2.75),
+        (full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 0.31, 18, 2.6),
+    ],
+    ids=["doubling-bernoulli", "golden-tent", "doubling-cosine"],
+)
+def test_tree_pressure_peaks_at_the_deepest_build(imap, phi, x0, n, levels):
+    # the walk builds a level's points, drops its parent's, and only then
+    # allocates the level's sums: the parent's sums and the deepest points
+    # and sums, 2.5 arrays on a full map (2.62 where levels grow by the
+    # golden ratio), while the unretained deepest level is reduced in place.
+    # The potential's temporaries of POTENTIAL_CHUNK points come on top of
+    # the deepest level alone, so the cosine runs deep enough for them to
+    # stay under half an array
+    deepest = int(level_sums(imap, None, x0, n).counts[-1])
+    arrays = _peak_arrays(lambda: tree_pressure(imap, phi, x0, n), deepest)
+    assert arrays <= levels, arrays
+
+
+def test_pressure_curve_peaks_at_the_deepest_build():
+    # the build holds the parent's two rows of sums (1 array) and the
+    # deepest points and sums (3); the reduction holds the deepest level
+    # and one row that every t overwrites and reduces in place
+    f, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
+    chi, ts = CosineSeriesPotential((0.0, 0.0, 1.0)), np.linspace(-1.0, 1.0, 21)
+    arrays = _peak_arrays(
+        lambda: pressure_curve(f, phi, chi, ts, 0.31, 18), 2**18
+    )
+    assert arrays <= 4.25, arrays
+
+
+def test_retained_levels_survive_the_in_place_reduction():
+    # the deepest level is reduced in place only when it is not retained
+    phi = CosineSeriesPotential((0.3, -0.2))
+    walk = list(maps.iter_preimage_levels(tent_map(), phi, 0.3, 9))
+    for retain_from in (1, 7, 9):
+        sums = level_sums(tent_map(), phi, 0.3, 9, retain_from=retain_from,
+                          retain_to=9)
+        assert len(sums.points) == 10 - retain_from
+        for lv, pts, birk in zip(walk[retain_from:], sums.points, sums.birkhoff):
+            assert pts.tobytes() == lv.points.tobytes()
+            assert birk.tobytes() == lv.birkhoff.tobytes()
+        want = [_level_lse(lv.birkhoff) for lv in walk[1:]]
+        assert sums.a_values.tobytes() == np.array(want).tobytes()
 
 
 def test_separated_singleton_when_epsilon_exceeds_diameter():
