@@ -28,7 +28,7 @@ from thermomap import (
     weak_limit,
 )
 from thermomap.cli import write_csv
-from thermomap.conformal import window_start
+from thermomap.conformal import window
 
 
 def main():
@@ -43,8 +43,7 @@ def main():
     p_left = 1.0 / (1.0 + np.exp(-1.0))
 
     # one walk of the preimage tree feeds all three tree estimators
-    sums = level_sums(imap, phi, 0.3, args.depth,
-                      retain_from=window_start(args.depth))
+    sums = level_sums(imap, phi, 0.3, args.depth, retain=window(args.depth))
     tree = pressure_report(sums, min(args.depth, 14))
     print(f"tree pressure      : {tree.estimate:.10f} "
           f"(exact {np.log(1 + np.exp(-1.0)):.10f})")

@@ -37,7 +37,7 @@ from thermomap import (
     weak_limit,
 )
 from thermomap.cli import write_csv
-from thermomap.conformal import window_start
+from thermomap.conformal import window
 
 X0 = 0.31
 
@@ -78,8 +78,7 @@ def main():
         return lambda: pressure_curve(doubling, cosine, chi, ts, X0, args.depth)
 
     def limit():
-        sums = level_sums(doubling, cosine, X0, args.depth,
-                          retain_from=window_start(args.depth))
+        sums = level_sums(doubling, cosine, X0, args.depth, retain=window(args.depth))
         c = transition_parameter(sums).c
         return lambda: weak_limit(sums, c)
 

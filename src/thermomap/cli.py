@@ -12,17 +12,17 @@ which is accepted for interface stability but never changes results
 (orchestration is single-threaded by design).
 
 Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
-64 malformed or unreadable configuration or output directory (message
-naming the key path; an unknown key is anchored to its line). On exit 3
-a flagged result is still written, with status ``budget`` (pressure,
-entropy) or ``not_converged`` (conformal, equilibrium, correlations,
-audit-all); a raised failure writes nothing. `correlations` writes the
-signed C_n of `transfer.correlation` per lag, each lag from the first one
-at its observable's resolution floor on with status ``below_resolution``,
-which exits 0. A nonpositive entropy for a potential certified hyperbolic
-exits 2: `equilibrium` and `audit-all` check it against the nu they write,
-on mu's atoms, and `correlations`, which writes no nu, on mu's projection
-onto h's grid.
+64 malformed command line, or malformed or unreadable configuration or
+output directory (message naming the key path; an unknown key is anchored
+to its line). On exit 3 a flagged result is still written, with status
+``budget`` (pressure, entropy) or ``not_converged`` (conformal,
+equilibrium, correlations, audit-all); a raised failure writes nothing.
+`correlations` writes the signed C_n of `transfer.correlation` per lag,
+each lag from the first one at its observable's resolution floor on with
+status ``below_resolution``, which exits 0. A nonpositive entropy for a
+potential certified hyperbolic exits 2: `equilibrium` and `audit-all`
+check it against the nu they write, on mu's atoms, and `correlations`,
+which writes no nu, on mu's projection onto h's grid.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .conformal import (
     transition_parameter,
     uniform_atoms,
     weak_limit,
-    window_start,
+    window,
 )
 from .errors import (
     AuditError,
@@ -69,6 +69,7 @@ from .pressure import (
     level_sums,
     pressure_curve,
     pressure_report,
+    reject_base_point,
     tree_pressure,
 )
 from .transfer import (
@@ -371,9 +372,14 @@ def _observables(exp: Experiment, key: str, specs) -> list[Callable]:
 
 
 def _x0(exp: Experiment, key: str, value) -> float:
-    """The base point; by default 0.3 of the way across the map's domain."""
+    """A base point the tree walks accept; by default 0.3 across the map's domain."""
     lo, hi = exp.imap.domain
-    return lo + 0.3 * (hi - lo) if value is None else _REAL(exp, key, value)
+    x0 = lo + 0.3 * (hi - lo) if value is None else _REAL(exp, key, value)
+    try:
+        reject_base_point(exp.imap, x0)
+    except DomainError as exc:
+        exp.fail(key, f"a base point the tree walks accept ({exc})")
+    return x0
 
 
 # the bounds the library enforces: a tree walk needs n_max >= 1 and the
@@ -410,18 +416,12 @@ def cmd_tree_pressure(exp: Experiment, p: dict, *, filename: str, weighted: bool
 
 def _conformal_pipeline(exp: Experiment, p: dict):
     """Transition parameter, weak limit and tree pressure report (None
-    without `tree_depth`) from one preimage walk to max(n_max, tree_depth);
-    its retained levels die with this frame, before any power iteration."""
+    without `tree_depth`) from one preimage walk to max(n_max, tree_depth)
+    that retains the levels of depths window(n_max), the weak limit's;
+    they die with this frame, before any power iteration."""
     n_max, tree_depth = p["n_max"], p.get("tree_depth")
-    sums = level_sums(
-        exp.imap,
-        exp.potential,
-        p["x0"],
-        max(n_max, tree_depth or 0),
-        exp.budget,
-        retain_from=window_start(n_max),
-        retain_to=n_max,
-    )
+    sums = level_sums(exp.imap, exp.potential, p["x0"], max(n_max, tree_depth or 0),
+                      exp.budget, retain=window(n_max))
     head = sums.upto(n_max)
     trans = transition_parameter(head)
     limit = weak_limit(head, trans.c, tol=WEAK_LIMIT_TOL)
@@ -694,8 +694,14 @@ COMMANDS: dict[str, tuple[dict, Callable[[Experiment, dict], list]]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 64 like any bad input, not argparse's 2
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"command line: {message}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermomap",
         description="Thermodynamic-formalism experiments on interval maps",
     )
@@ -709,17 +715,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="power-iteration tolerance")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads (affects speed only, never results)")
-    args = parser.parse_args(argv)
-
-    if args.threads < 1:
-        print(f"{parser.prog}: --threads must be >= 1", file=sys.stderr)
-        return 64
-    if args.budget < 1 or args.grid < 16 or not args.tol > 0:
-        print(f"{parser.prog}: invalid --budget/--grid/--tol", file=sys.stderr)
-        return 64
-
-    schema, run = COMMANDS[args.command]
     try:
+        args = parser.parse_args(argv)
+        if (args.threads < 1 or args.budget < 1 or args.grid < 16
+                or not 0 < args.tol <= sys.float_info.max):
+            parser.error("--threads and --budget must be >= 1, --grid >= 16, --tol finite > 0")
+        schema, run = COMMANDS[args.command]
         exp = Experiment(args.config, args)
         exp.outdir.mkdir(parents=True, exist_ok=True)
         files = run(exp, exp.read(exp.params, schema, "command_params"))

@@ -238,9 +238,10 @@ class WeakLimitResult:
     eta_final: float
 
 
-def window_start(n_max: int) -> int:
-    """First depth of weak_limit's window for level sums of depth n_max."""
-    return max(1, n_max - min(WINDOW_MAX, n_max // 2) + 1)
+def window(n_max: int) -> range:
+    """The depths weak_limit mixes for level sums of depth n_max: the
+    deepest min(WINDOW_MAX, n_max // 2)."""
+    return range(n_max - min(WINDOW_MAX, n_max // 2) + 1, n_max + 1)
 
 
 def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
@@ -249,27 +250,25 @@ def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
     A truncated series at fixed n_max = sums.depth cannot follow s all the
     way to c: the true limit pushes its mass to ever deeper levels, so the
     shallow slices of any fixed truncation eventually misrepresent it. The
-    surrogate used here mixes only the levels from window_start(n_max) on,
-    which `sums` must retain, reweighted per s by their aggregate masses,
-    and declares convergence when consecutive binned snapshots are Cauchy
-    at `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots in BINS
+    surrogate used here mixes only the levels of depths window(n_max), which
+    `sums` must retain, reweighted per s by their aggregate masses, and
+    declares convergence when consecutive binned snapshots are Cauchy at
+    `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots in BINS
     cells at each s are cheap (per-level histograms are fixed), so the
     schedule runs entirely on the retained level data.
     """
     n_max = sums.depth
     if n_max < 4:
         raise DomainError("need n_max >= 4")
-    n_lo = window_start(n_max)
-    first = n_lo - sums.retain_from
-    if first < 0 or len(sums.points) < n_max - sums.retain_from + 1:
-        raise DomainError(f"level sums must retain depths {n_lo}..{n_max}")
-    kept_pts = sums.points[first:]
-    kept_birk = sums.birkhoff[first:]
-    depths = np.arange(n_lo, n_max + 1)
-    a_window = sums.a_values[n_lo - 1:]
+    span = window(n_max)
+    kept = [lv for lv in sums.levels if lv.depth in span]
+    if len(kept) < len(span):
+        raise DomainError(f"level sums must retain depths {span[0]}..{span[-1]}")
+    depths = np.asarray(span)
+    a_window = sums.a_values[span[0] - 1:]
     hist_matrix = np.asarray([  # (W, BINS), each row sums to 1
-        np.histogram(pts, bins=BINS, range=sums.domain, weights=np.exp(birk - a))[0]
-        for pts, birk, a in zip(kept_pts, kept_birk, a_window)
+        np.histogram(lv.points, BINS, sums.domain, weights=np.exp(lv.birkhoff - a))[0]
+        for lv, a in zip(kept, a_window)
     ])
 
     def binned_at(s: float) -> np.ndarray:
@@ -292,8 +291,8 @@ def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
                 break
         prev = cur
     s_final = s_values[-1]
-    logw_all = np.concatenate([birk - n * s_final for birk, n in zip(kept_birk, depths)])
-    points = np.concatenate(kept_pts)
+    logw_all = np.concatenate([lv.birkhoff - lv.depth * s_final for lv in kept])
+    points = np.concatenate([lv.points for lv in kept])
     logw_all -= _level_lse(logw_all)  # scipy's logsumexp, on one temporary
     masses = np.exp(logw_all, out=logw_all)  # in place: one window-sized array less
     measure = AtomicMeasure.normalized(points, masses, sums.domain)
@@ -303,7 +302,7 @@ def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
         stability=stability,
         converged=converged,
         s_values=np.asarray(s_values),
-        window=(int(n_lo), int(n_max)),
+        window=(span[0], span[-1]),
         eta_final=float(s_final - c),
     )
 

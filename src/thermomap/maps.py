@@ -338,6 +338,13 @@ class PreimageLevel:
     birkhoff: np.ndarray
 
 
+def check_in_domain(imap: IntervalMap, x0: float) -> None:
+    """Raise DomainError unless x0 lies in the domain, within TOL_CONTINUITY."""
+    lo, hi = imap.domain
+    if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
+        raise DomainError(f"base point {x0} outside domain [{lo}, {hi}]")
+
+
 def iter_preimage_levels(
     imap: IntervalMap,
     potential: Optional[Callable[[np.ndarray], np.ndarray]],
@@ -370,9 +377,8 @@ def iter_preimage_levels(
     for n points (learnt from a call on no points), gives k sums per point,
     each as its row alone.
     """
+    check_in_domain(imap, x0)
     lo, hi = imap.domain
-    if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
-        raise DomainError(f"base point {x0} outside domain [{lo}, {hi}]")
     branches = imap.branches
     images = [br.image() for br in branches]
     increasing = [br.increasing for br in branches]

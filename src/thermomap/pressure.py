@@ -24,6 +24,8 @@ from .errors import BudgetError, DomainError
 from .maps import (
     DEFAULT_NODE_BUDGET,
     IntervalMap,
+    PreimageLevel,
+    check_in_domain,
     forward_orbit,
     iter_preimage_levels,
     pw_linear_map,
@@ -55,29 +57,30 @@ class PressureReport:
     feasible_depth: Optional[int] = None
 
 
-def _reject_breakpoint(imap: IntervalMap, x0: float) -> None:
+def reject_base_point(imap: IntervalMap, x0: float) -> None:
+    """Raise DomainError for a base point the tree walks refuse: one on a
+    breakpoint, whose branch word is ambiguous, or outside the domain."""
     gaps = np.abs(imap.breakpoints - x0)
     if np.min(gaps) <= BREAKPOINT_REJECT_TOL:
         raise DomainError(
             f"base point {x0} sits on a breakpoint; its branch word is ambiguous"
         )
+    check_in_domain(imap, x0)
 
 
 @dataclass(frozen=True)
 class LevelSums:
     """One walk of the preimage tree of x0: ``a_values[n - 1]`` is a_n = log
     sum over f^{-n}(x0) of exp(S_n phi) and ``counts[n - 1]`` the number of
-    preimages #f^{-n}(x0), n = 1..depth; ``points`` and ``birkhoff`` hold the
-    levels retain_from, retain_from + 1, ...; and ``budget_error`` is set
-    when the node budget stopped the walk early."""
+    preimages #f^{-n}(x0), n = 1..depth; ``levels`` holds the walk's retained
+    levels, ascending in depth; and ``budget_error`` is set when the node
+    budget stopped the walk early."""
 
     x0: float
     domain: tuple[float, float]
     a_values: np.ndarray
     counts: np.ndarray
-    retain_from: int
-    points: tuple[np.ndarray, ...] = ()
-    birkhoff: tuple[np.ndarray, ...] = ()
+    levels: tuple[PreimageLevel, ...] = ()
     budget_error: Optional[BudgetError] = None
 
     @property
@@ -98,13 +101,11 @@ class LevelSums:
             if n > self.depth and self.complete:
                 raise DomainError(f"level sums stop at depth {self.depth}")
             return self
-        keep = max(0, n - self.retain_from + 1)
         return replace(
             self,
             a_values=self.a_values[:n],
             counts=self.counts[:n],
-            points=self.points[:keep],
-            birkhoff=self.birkhoff[:keep],
+            levels=tuple(lv for lv in self.levels if lv.depth <= n),
             budget_error=None,
         )
 
@@ -119,11 +120,11 @@ def _level_lse(a: np.ndarray, overwrite: bool = False) -> float:
     which leaves it unspecified: the m entries at the max are dropped from
     the shifted sum s and added back as log(m), giving log1p(s / m) +
     log(m) + max. A non-finite max (inf or nan entries, or every entry
-    -inf) goes to scipy itself, and then ``a`` is left as it was.
+    -inf) is returned as it is, as by scipy, and ``a`` is left as it was.
     """
     a_max = np.max(a)
     if not np.isfinite(a_max):
-        return float(logsumexp(a))
+        return float(a_max)
     tmp = np.subtract(a, a_max, out=a if overwrite else None)
     top = tmp == 0.0
     m = np.count_nonzero(top)
@@ -140,36 +141,30 @@ def level_sums(
     x0: float,
     n_max: int,
     budget: int = DEFAULT_NODE_BUDGET,
-    retain_from: Optional[int] = None,
-    retain_to: Optional[int] = None,
+    retain: range = range(0),
     partial_on_budget: bool = False,
 ) -> LevelSums:
     """Walk the preimage tree of x0 once to depth n_max, keeping the
-    max-shifted log-sum-exp a_n of every level and the points and Birkhoff
-    sums of levels retain_from..retain_to (default n_max). Each level dies
-    once the walk has built the next from it, and level n_max, unless
-    retained, is reduced in place, since nothing reads it afterwards, so the
-    walk peaks at the build of its deepest level. With partial_on_budget the
-    levels that fit the budget are returned."""
-    _reject_breakpoint(imap, x0)
-    retain_from = n_max + 1 if retain_from is None else max(1, retain_from)
-    retain_to = n_max if retain_to is None else retain_to
+    max-shifted log-sum-exp a_n of every level and the levels of the depths
+    in `retain`. Each other level dies once the walk has built the next from
+    it, and level n_max, unless retained, is reduced in place, since nothing
+    reads it afterwards, so the walk peaks at the build of its deepest level.
+    With partial_on_budget the levels that fit the budget are returned."""
+    reject_base_point(imap, x0)
     a_values: list[float] = []
     counts: list[int] = []
-    points: list[np.ndarray] = []
-    birkhoff: list[np.ndarray] = []
+    levels: list[PreimageLevel] = []
     budget_error = None
     try:
         for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
             if level.depth == 0:
                 continue
-            retain = retain_from <= level.depth <= retain_to
-            last = level.depth == n_max and not retain
+            kept = level.depth in retain
+            last = level.depth == n_max and not kept
             a_values.append(_level_lse(level.birkhoff, overwrite=last))
             counts.append(level.points.size)
-            if retain:
-                points.append(level.points)
-                birkhoff.append(level.birkhoff)
+            if kept:
+                levels.append(level)
             # unless retained, this level's arrays die once the walk has
             # built the next level from them
             del level
@@ -182,9 +177,7 @@ def level_sums(
         domain=imap.domain,
         a_values=np.asarray(a_values),
         counts=np.asarray(counts, dtype=np.int64),
-        retain_from=retain_from,
-        points=tuple(points),
-        birkhoff=tuple(birkhoff),
+        levels=tuple(levels),
         budget_error=budget_error,
     )
 
@@ -481,7 +474,7 @@ def pressure_curve(
         raise DomainError("the t step squared underflows to 0")
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    _reject_breakpoint(imap, x0)
+    reject_base_point(imap, x0)
 
     def phi_chi(x: np.ndarray) -> np.ndarray:
         return np.stack((np.zeros(x.size) if phi is None else phi(x), chi(x)))
@@ -502,7 +495,7 @@ def pressure_curve(
         del level, phi_sums, chi_sums, row
     counts = np.asarray(counts, dtype=np.int64)
     reports = [
-        pressure_report(LevelSums(float(x0), imap.domain, a, counts, n_max + 1), n_max)
+        pressure_report(LevelSums(float(x0), imap.domain, a, counts), n_max)
         for a in a_values
     ]
     estimates = np.array([rep.estimate for rep in reports])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from thermomap.conformal import transition_parameter, weak_limit, window_start
+from thermomap.conformal import transition_parameter, weak_limit, window
 from thermomap.maps import full_linear_map, logistic4_map
 from thermomap.potentials import BranchConstantPotential
 from thermomap.pressure import level_sums
@@ -21,7 +21,7 @@ def bern_limit():
     """Converged weak limit for the doubling map with weights (1, e^-1)."""
     imap = full_linear_map(2)
     phi = BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0))
-    sums = level_sums(imap, phi, 0.3, 16, retain_from=window_start(16))
+    sums = level_sums(imap, phi, 0.3, 16, retain=window(16))
     trans = transition_parameter(sums)
     limit = weak_limit(sums, trans.c, tol=1e-6)
     return imap, phi, trans, limit
@@ -31,7 +31,7 @@ def bern_limit():
 def logistic_limit():
     """Converged weak limit for the full quadratic map, zero potential."""
     imap = logistic4_map()
-    sums = level_sums(imap, None, 0.3, 16, retain_from=window_start(16))
+    sums = level_sums(imap, None, 0.3, 16, retain=window(16))
     trans = transition_parameter(sums)
     limit = weak_limit(sums, trans.c, tol=1e-6)
     return imap, trans, limit

@@ -443,6 +443,26 @@ class TestConfigValidation:
         path = write_config(tmp_path)
         assert main(["pressure", str(path), "--threads", "0"]) == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus", "CONFIG"], ["pressure", "CONFIG", "--grid", "abc"], ["pressure"],
+         ["pressure", "CONFIG", "--tol", "inf"], ["pressure", "CONFIG", "--tol", "nan"]],
+        ids=["unknown-command", "grid-not-an-int", "no-config", "tol-inf", "tol-nan"],
+    )
+    def test_malformed_command_line_exits_64(self, tmp_path, capsys, argv):
+        # argparse's own usage errors exit 2, an audit failure's code
+        path = write_config(tmp_path)
+        assert main([str(path) if a == "CONFIG" else a for a in argv]) == 64
+        assert "usage: thermomap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0_and_a_huge_finite_tol_runs(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        path = write_config(tmp_path, command_params={"n_max": 4})
+        assert main(["pressure", str(path), "--tol", "1e308"]) == 0
+
     def test_bad_potential_kind_exits_64(self, tmp_path, capsys):
         path = write_config(tmp_path, potential={"kind": "mystery"})
         assert main(["pressure", str(path)]) == 64
@@ -505,7 +525,8 @@ class TestConfigValidation:
         + [(c, "tree_depth", 0) for c in ("equilibrium", "correlations", "audit-all")]
         + [("norms", "scale", 0), ("norms", "scale", -1), ("norms", "alpha", 1.5),
            ("appendix", "gap", 0), ("appendix", "gap", -1),
-           ("correlations", "observables[0]", [{"lo": 0.6, "hi": 0.2}])],
+           ("correlations", "observables[0]", [{"lo": 0.6, "hi": 0.2}]),
+           ("pressure", "x0", 5.0), ("audit-all", "x0", 0.5), ("curve", "x0", -0.1)],
         ids=str,
     )
     def test_out_of_range_param_exits_64_naming_the_key(

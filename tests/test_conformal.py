@@ -26,7 +26,7 @@ from thermomap.conformal import (
     transition_parameter,
     uniform_atoms,
     weak_limit,
-    window_start,
+    window,
 )
 from thermomap.errors import DomainError
 from thermomap.maps import full_linear_map, golden_tent_map
@@ -49,7 +49,7 @@ def point_mass(x):
 
 def window_sums(imap, potential, n_max, x0=0.3):
     """Level sums retaining exactly the levels weak_limit mixes."""
-    return level_sums(imap, potential, x0, n_max, retain_from=window_start(n_max))
+    return level_sums(imap, potential, x0, n_max, retain=window(n_max))
 
 
 class TestAtomicMeasure:
@@ -420,16 +420,26 @@ class TestWeakLimit:
             weak_limit(window_sums(tent_map(), None, 3), c=LOG2)
 
     def test_rejects_sums_without_the_window(self):
-        sums = level_sums(tent_map(), None, 0.3, 12, retain_from=window_start(12) + 1)
+        sums = level_sums(tent_map(), None, 0.3, 12, retain=window(12)[1:])
         with pytest.raises(DomainError, match="retain depths 7..12"):
             weak_limit(sums, c=LOG2)
         with pytest.raises(DomainError, match="retain depths"):
             weak_limit(level_sums(tent_map(), None, 0.3, 12), c=LOG2)
 
+    def test_window_is_the_deepest_half_up_to_window_max(self):
+        assert window(4) == range(3, 5)
+        assert window(12) == range(7, 13)
+        assert window(30) == range(20, 31)
+
+    def test_rejects_a_window_with_a_gap(self):
+        sums = level_sums(tent_map(), None, 0.3, 12, retain=range(7, 13, 2))
+        with pytest.raises(DomainError, match="retain depths 7..12"):
+            weak_limit(sums, c=LOG2)
+
     def test_deeper_walk_cut_to_depth_gives_same_measure(self, bernoulli_limit):
         # one walk retaining more levels, deeper than n_max, reduces to the
         # same weak limit once cut at n_max
-        sums = level_sums(tent_map(), bernoulli_potential(), 0.3, 20, retain_from=3)
+        sums = level_sums(tent_map(), bernoulli_potential(), 0.3, 20, retain=range(3, 21))
         res = weak_limit(sums.upto(18), c=C_BERN)
         assert res.window == bernoulli_limit.window
         np.testing.assert_array_equal(res.measure.points, bernoulli_limit.measure.points)
@@ -444,14 +454,13 @@ class TestWeakLimit:
         f, phi = full_linear_map(3), CosineSeriesPotential((0.3, -0.2))
         sums = window_sums(f, phi, 8, x0=0.5)
         res = weak_limit(sums, transition_parameter(sums).c)
-        points = np.concatenate(sums.points)
+        points = np.concatenate([lv.points for lv in sums.levels])
         assert points.size == 9720
         unique, inverse = np.unique(points, return_inverse=True)
         assert unique.size == 6561
         np.testing.assert_array_equal(res.measure.points, unique)
         s = float(res.s_values[-1])
-        depths = range(res.window[0], res.window[1] + 1)
-        logw = np.concatenate([birk - n * s for n, birk in zip(depths, sums.birkhoff)])
+        logw = np.concatenate([lv.birkhoff - lv.depth * s for lv in sums.levels])
         merged = np.bincount(inverse, weights=np.exp(logw - logsumexp(logw)))
         np.testing.assert_allclose(res.measure.masses, merged / merged.sum(),
                                    rtol=1e-15, atol=0)
@@ -463,10 +472,10 @@ class TestWeakLimit:
         sums = window_sums(f, phi, 12)
         res = weak_limit(sums, transition_parameter(sums).c)
         s = float(res.s_values[-1])
-        depths = range(res.window[0], res.window[1] + 1)
-        logw = np.concatenate([birk - n * s for n, birk in zip(depths, sums.birkhoff)])
+        logw = np.concatenate([lv.birkhoff - lv.depth * s for lv in sums.levels])
         want = reference_normalized(
-            np.concatenate(sums.points), np.exp(logw - logsumexp(logw)), sums.domain
+            np.concatenate([lv.points for lv in sums.levels]),
+            np.exp(logw - logsumexp(logw)), sums.domain,
         )
         assert res.measure.points.tobytes() == want.points.tobytes()
         assert res.measure.masses.tobytes() == want.masses.tobytes()
@@ -479,7 +488,7 @@ class TestWeakLimit:
         f, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
         sums = window_sums(f, phi, 16)
         c = transition_parameter(sums).c
-        atoms = sum(pts.size for pts in sums.points)
+        atoms = sum(lv.points.size for lv in sums.levels)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()

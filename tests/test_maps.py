@@ -180,9 +180,9 @@ def test_golden_tent_counts_match_transition_matrix_powers():
 
 def test_preimage_levels_invert_forward_orbit():
     f = golden_tent_map()
-    sums = level_sums(f, None, 0.3, 10, retain_from=1)
+    sums = level_sums(f, None, 0.3, 10, retain=range(1, 11))
     for n in (1, 5, 10):
-        pts = sums.points[n - 1].copy()
+        pts = sums.levels[n - 1].points.copy()
         for _ in range(n):
             pts = f.eval(pts)
         assert np.max(np.abs(pts - 0.3)) < 1e-8
@@ -279,8 +279,8 @@ def _walk(walk, f, phi, x0, n_max, budget):
 def _sums_bits(sums):
     err = sums.budget_error
     return (
-        _bits(sums.a_values), _bits(sums.counts), sums.retain_from,
-        [_bits(a) for a in sums.points], [_bits(a) for a in sums.birkhoff],
+        _bits(sums.a_values), _bits(sums.counts),
+        [(lv.depth, _bits(lv.points), _bits(lv.birkhoff)) for lv in sums.levels],
         None if err is None else (str(err), err.feasible_depth),
     )
 
@@ -301,12 +301,12 @@ class TestLeanWalk:
         stop=st.integers(min_value=0, max_value=9),
         slack=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         partial=st.booleans(),
-        retain_from=st.integers(min_value=1, max_value=10),
-        retain_len=st.integers(min_value=0, max_value=4),
+        retain=st.builds(range, st.integers(min_value=0, max_value=10),
+                         st.integers(min_value=0, max_value=12),
+                         st.integers(min_value=1, max_value=3)),
     )
     def test_bit_equal_to_reference_walk(self, map_name, phi_name, x0, n_max,
-                                         stop, slack, partial, retain_from,
-                                         retain_len):
+                                         stop, slack, partial, retain):
         f, phi = WALK_MAPS[map_name], WALK_POTENTIALS[phi_name]
         # a budget that admits exactly the levels 0..stop
         full, _ = _walk(reference_preimage_levels, f, None, x0, n_max, 10**9)
@@ -320,8 +320,8 @@ class TestLeanWalk:
 
         def sums():
             return _sums_bits(level_sums(
-                f, phi, x0, n_max, budget=budget, retain_from=retain_from,
-                retain_to=retain_from + retain_len, partial_on_budget=partial))
+                f, phi, x0, n_max, budget=budget, retain=retain,
+                partial_on_budget=partial))
 
         got = _outcome(sums)
         with mock.patch.object(pressure, "iter_preimage_levels",
@@ -545,9 +545,9 @@ def test_budget_error_reports_feasible_depth():
 def test_birkhoff_sums_accumulate_along_tree():
     f = tent_map()
     phi = CosineSeriesPotential((0.25,), offset=-0.1)
-    sums = level_sums(f, phi, 0.41, 8, retain_from=8)
-    direct = birkhoff_sum(f, phi, sums.points[-1], 8)
-    assert np.allclose(direct, sums.birkhoff[-1], atol=1e-9)
+    sums = level_sums(f, phi, 0.41, 8, retain=range(8, 9))
+    direct = birkhoff_sum(f, phi, sums.levels[-1].points, 8)
+    assert np.allclose(direct, sums.levels[-1].birkhoff, atol=1e-9)
 
 
 def test_markov_witness_golden_tent():

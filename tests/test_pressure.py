@@ -113,27 +113,47 @@ def test_tree_pressure_partial_budget_without_a_level_raises():
 class TestLevelSums:
     def test_sums_and_retained_levels(self):
         phi = CosineSeriesPotential((0.3, -0.2))
-        sums = level_sums(tent_map(), phi, 0.3, 9, retain_from=6, retain_to=8)
+        sums = level_sums(tent_map(), phi, 0.3, 9, retain=range(6, 9))
         assert sums.depth == 9 and sums.complete and sums.feasible_depth is None
-        assert [p.size for p in sums.points] == [64, 128, 256]
-        for birk, a in zip(sums.birkhoff, sums.a_values[5:8]):
-            assert np.log(np.sum(np.exp(birk))) == pytest.approx(a, abs=1e-12)
-        assert level_sums(tent_map(), phi, 0.3, 9).points == ()
+        assert [lv.points.size for lv in sums.levels] == [64, 128, 256]
+        for lv, a in zip(sums.levels, sums.a_values[5:8]):
+            assert np.log(np.sum(np.exp(lv.birkhoff))) == pytest.approx(a, abs=1e-12)
+        assert level_sums(tent_map(), phi, 0.3, 9).levels == ()
 
     def test_upto_cuts_sums_and_levels(self):
-        sums = level_sums(tent_map(), None, 0.3, 10, retain_from=4)
+        sums = level_sums(tent_map(), None, 0.3, 10, retain=range(4, 11))
         head = sums.upto(6)
         assert head.depth == 6
         np.testing.assert_array_equal(head.a_values, sums.a_values[:6])
         np.testing.assert_array_equal(head.counts, [2, 4, 8, 16, 32, 64])
-        assert [p.size for p in head.points] == [16, 32, 64]
+        assert [lv.points.size for lv in head.levels] == [16, 32, 64]
         assert sums.upto(10) is sums
         with pytest.raises(DomainError, match="stop at depth 10"):
             sums.upto(11)
 
+    def test_retain_keeps_exactly_the_depths_of_its_range(self):
+        phi = CosineSeriesPotential((0.3, -0.2))
+        walk = list(maps.iter_preimage_levels(tent_map(), phi, 0.3, 9))
+        sums = level_sums(tent_map(), phi, 0.3, 9, retain=range(3, 9, 2))
+        assert [lv.depth for lv in sums.levels] == [3, 5, 7]
+        for lv in sums.levels:
+            assert lv.points.tobytes() == walk[lv.depth].points.tobytes()
+            assert lv.birkhoff.tobytes() == walk[lv.depth].birkhoff.tobytes()
+
+    def test_upto_keeps_the_retained_levels_it_reaches_bit_for_bit(self):
+        phi = CosineSeriesPotential((0.3, -0.2))
+        sums = level_sums(tent_map(), phi, 0.3, 10, retain=range(3, 11, 2))
+        bits = {lv.depth: (lv.points.tobytes(), lv.birkhoff.tobytes())
+                for lv in sums.levels}
+        for n in (2, 3, 6, 9):
+            head = sums.upto(n)
+            assert [lv.depth for lv in head.levels] == [d for d in (3, 5, 7, 9) if d <= n]
+            for lv in head.levels:
+                assert (lv.points.tobytes(), lv.birkhoff.tobytes()) == bits[lv.depth]
+
     def test_report_of_one_walk_matches_streaming_estimator(self):
         phi = CosineSeriesPotential((0.3, -0.2))
-        sums = level_sums(tent_map(), phi, 0.3, 12, retain_from=7)
+        sums = level_sums(tent_map(), phi, 0.3, 12, retain=range(7, 13))
         for n_max in (12, 9):
             got = pressure_report(sums, n_max)
             ref = tree_pressure(tent_map(), phi, 0.3, n_max)
@@ -208,8 +228,8 @@ _LSE_ENTRIES = st.one_of(
 ))
 def test_in_place_level_lse_bit_equal_to_the_copying_call_and_scipy(a):
     # ties at the max come from the sampled values and -inf entries from
-    # the sampled -inf; inf, nan or every entry -inf send the max to scipy,
-    # which leaves the array as it was
+    # the sampled -inf; inf, nan or every entry -inf make the max the
+    # result, which leaves the array as it was
     want = np.float64(logsumexp(a)).tobytes()
     before = a.copy()
     assert np.float64(_level_lse(a)).tobytes() == want
@@ -307,12 +327,11 @@ def test_retained_levels_survive_the_in_place_reduction():
     phi = CosineSeriesPotential((0.3, -0.2))
     walk = list(maps.iter_preimage_levels(tent_map(), phi, 0.3, 9))
     for retain_from in (1, 7, 9):
-        sums = level_sums(tent_map(), phi, 0.3, 9, retain_from=retain_from,
-                          retain_to=9)
-        assert len(sums.points) == 10 - retain_from
-        for lv, pts, birk in zip(walk[retain_from:], sums.points, sums.birkhoff):
-            assert pts.tobytes() == lv.points.tobytes()
-            assert birk.tobytes() == lv.birkhoff.tobytes()
+        sums = level_sums(tent_map(), phi, 0.3, 9, retain=range(retain_from, 10))
+        assert len(sums.levels) == 10 - retain_from
+        for lv, kept in zip(walk[retain_from:], sums.levels):
+            assert kept.points.tobytes() == lv.points.tobytes()
+            assert kept.birkhoff.tobytes() == lv.birkhoff.tobytes()
         want = [_level_lse(lv.birkhoff) for lv in walk[1:]]
         assert sums.a_values.tobytes() == np.array(want).tobytes()
 

@@ -25,7 +25,7 @@ from thermomap.conformal import (
     transition_parameter,
     uniform_atoms,
     weak_limit,
-    window_start,
+    window,
 )
 from thermomap.errors import AuditError, DomainError
 from thermomap.maps import (
@@ -373,8 +373,7 @@ class TestEquilibriumState:
         # grid the potential mean is a grid sum, within O(G^-2) of nu's on
         # mu's 130560 atoms (the gap measured 5.3e-9)
         f, phi, depth = full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 16
-        sums = level_sums(f, phi, 0.3, depth, retain_from=window_start(depth),
-                          retain_to=depth)
+        sums = level_sums(f, phi, 0.3, depth, retain=window(depth))
         mu = weak_limit(sums, transition_parameter(sums).c, tol=1e-6).measure
         rep = power_iteration(f, phi, grid_size=4096, mu=mu)
         grid = rep.h.grid
@@ -488,7 +487,7 @@ def tent_cosine_limit(depth=18, grid_size=4096):
     """Tent + cos [0.3, -0.2]: the depth-`depth` weak limit and the eigenpair
     normalized against it."""
     imap, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
-    sums = level_sums(imap, phi, 0.3, depth, retain_from=window_start(depth))
+    sums = level_sums(imap, phi, 0.3, depth, retain=window(depth))
     mu = weak_limit(sums, transition_parameter(sums).c, tol=1e-6).measure
     return imap, phi, mu, power_iteration(imap, phi, grid_size=grid_size, mu=mu)
 
