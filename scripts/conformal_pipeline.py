@@ -49,7 +49,7 @@ def main():
           f"(exact {np.log(1 + np.exp(-1.0)):.10f})")
 
     trans = transition_parameter(sums)
-    limit = weak_limit(sums, trans.c, tol=1e-6)
+    limit = weak_limit(sums, trans.c)
     m = limit.measure
     print(f"weak limit         : {m.points.size} atoms, "
           f"converged={limit.converged}, stability={limit.stability:.2e}")

@@ -81,8 +81,8 @@ from .transfer import (
 )
 
 DEFAULT_GRID = 4096
-DEFAULT_TOL = 1e-12  # --tol, power iteration's only: the weak limit's is fixed
-WEAK_LIMIT_TOL = 1e-6
+# --tol is power iteration's only: the weak limit's is conformal.CAUCHY_TOL
+DEFAULT_TOL = 1e-12
 AUDIT_INTERVALS = 20  # audit-all's conformality test intervals
 AUDIT_BOUND = 1e-2  # audit-all's bound on the conformality and adjoint defects
 
@@ -424,7 +424,7 @@ def _conformal_pipeline(exp: Experiment, p: dict):
                       exp.budget, retain=window(n_max))
     head = sums.upto(n_max)
     trans = transition_parameter(head)
-    limit = weak_limit(head, trans.c, tol=WEAK_LIMIT_TOL)
+    limit = weak_limit(head, trans.c)
     tree = None if tree_depth is None else pressure_report(sums, tree_depth)
     return trans, limit, tree
 
@@ -502,8 +502,8 @@ def cmd_correlations(exp: Experiment, p: dict):
     on_grid = AtomicMeasure.normalized(grid, mu.hat_weights(grid), mu.domain)
     equilibrium_state(exp.potential, on_grid, eigen, hyper.verdict == "hyperbolic")
     status = "ok" if limit.converged and eigen.converged else "not_converged"
-    fns = p["observables"]
-    batch = correlation(exp.imap, fns, fns, mu, exp.potential, eigen, n_max=p["lags"])
+    batch = correlation(exp.imap, exp.potential, p["observables"], mu, eigen,
+                        n_max=p["lags"])
     rows = []
     for idx, rep in enumerate(batch.reports):
         for n, c, below in zip(rep.ns, rep.c_values, rep.below_resolution):
@@ -563,7 +563,7 @@ def cmd_curve(exp: Experiment, p: dict):
 
 
 def cmd_appendix(exp: Experiment, p: dict):
-    rep = appendix_construct(p["gap"], x0=p["x0"], n_max=p["n_max"], budget=exp.budget)
+    rep = appendix_construct(p["gap"], n_max=p["n_max"], budget=exp.budget)
     return [("appendix.csv", [{
         "gap": rep.gap,
         "sup_phi": rep.sup_phi,
@@ -688,7 +688,7 @@ COMMANDS: dict[str, tuple[dict, Callable[[Experiment, dict], list]]] = {
             spec, key, POTENTIALS, exp.imap.domain)),
     }, cmd_curve),
     "appendix": ({
-        "gap": (float(np.log(4.0)), _POSITIVE), "x0": (0.3, _REAL), "n_max": (11, _COUNT)
+        "gap": (float(np.log(4.0)), _POSITIVE), "n_max": (11, _COUNT)
     }, cmd_appendix),
     "audit-all": (_EIGEN, cmd_audit_all),
 }

@@ -25,10 +25,11 @@ from .pressure import LevelSums, _level_lse
 
 MASS_TOL = 1e-12
 
-# weak_limit: s_j = c + SCHEDULE_START * 2**-j, j <= MAX_STEPS, until Cauchy and
-# s - c <= ETA_FLOOR, over the deepest min(WINDOW_MAX, n_max // 2) levels,
-# with snapshots in BINS equal-width cells
+# weak_limit: s_j = c + SCHEDULE_START * 2**-j, j <= MAX_STEPS, until Cauchy
+# at CAUCHY_TOL and s - c <= ETA_FLOOR, over the deepest min(WINDOW_MAX,
+# n_max // 2) levels, with snapshots in BINS equal-width cells
 SCHEDULE_START = 0.5
+CAUCHY_TOL = 1e-6
 BINS = 64
 ETA_FLOOR = 0.05
 MAX_STEPS = 16
@@ -195,7 +196,6 @@ class TransitionSequence:
     intercept: float
     residual: float
     limsup_diagnostic: float
-    x0: float
 
 
 def transition_parameter(sums: LevelSums) -> TransitionSequence:
@@ -221,7 +221,6 @@ def transition_parameter(sums: LevelSums) -> TransitionSequence:
         intercept=float(intercept),
         residual=residual,
         limsup_diagnostic=limsup,
-        x0=sums.x0,
     )
 
 
@@ -244,7 +243,7 @@ def window(n_max: int) -> range:
     return range(n_max - min(WINDOW_MAX, n_max // 2) + 1, n_max + 1)
 
 
-def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
+def weak_limit(sums: LevelSums, c: float) -> WeakLimitResult:
     """Drive s down toward c and return the stabilized deep-tree measure.
 
     A truncated series at fixed n_max = sums.depth cannot follow s all the
@@ -253,7 +252,7 @@ def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
     surrogate used here mixes only the levels of depths window(n_max), which
     `sums` must retain, reweighted per s by their aggregate masses, and
     declares convergence when consecutive binned snapshots are Cauchy at
-    `tol` and s - c has dropped below ETA_FLOOR. Binned snapshots in BINS
+    CAUCHY_TOL and s - c has dropped below ETA_FLOOR. Binned snapshots in BINS
     cells at each s are cheap (per-level histograms are fixed), so the
     schedule runs entirely on the retained level data.
     """
@@ -285,7 +284,7 @@ def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
         cur = binned_at(s)
         if prev is not None:
             stability = float(np.max(np.abs(cur - prev)))
-            if stability < tol and (s - c) <= ETA_FLOOR:
+            if stability < CAUCHY_TOL and (s - c) <= ETA_FLOOR:
                 converged = True
                 prev = cur
                 break
@@ -309,7 +308,6 @@ def weak_limit(sums: LevelSums, c: float, tol: float = 1e-3) -> WeakLimitResult:
 
 @dataclass(frozen=True)
 class ConformalityReport:
-    intervals: tuple[tuple[float, float], ...]
     deltas: np.ndarray
     max_delta: float
 
@@ -356,7 +354,6 @@ def conformality_audit(
         deltas.append(abs(lhs - rhs))
     deltas = np.asarray(deltas)
     return ConformalityReport(
-        intervals=tuple((float(a), float(b)) for a, b in intervals),
         deltas=deltas,
         max_delta=float(deltas.max()) if deltas.size else 0.0,
     )

@@ -313,17 +313,15 @@ class NormChainAudit:
     c_star: float
 
 
-def norm_chain_audit(
-    report: NormReport, g: Optional[SampledFunction] = None
-) -> NormChainAudit:
+def norm_chain_audit(report: NormReport) -> NormChainAudit:
     """Audit the norm comparison chain of `report.h` on concrete data.
 
     (i)   BV_{1/alpha} norm against the Holder norm times max{1, diam^alpha};
     (ii)  Keller norm against 2^alpha times the BV norm;
     (iii) the oscillation-power integral against 2 eps Var^{1/alpha} on the
           eps-grid;
-    (iv)  the product norm of h*g (g defaults to h) against 2 C_* times the
-          factor norms.
+    (iv)  the product norm of h*h against 2 C_* times the squared Keller
+          norm of h.
 
     The continuum proofs of (ii) and (iii) assume an atom-free reference
     measure. Against an atomic one each packing ball can overshoot by at
@@ -334,13 +332,11 @@ def norm_chain_audit(
 
     h, the measure, alpha and A all come from `report`. Its `keller` profile
     gives the achieving eps of (ii) and the left sides of (iii), so past the
-    report only h*g and g are scanned. For a report of p != 1/alpha only
+    report only h*h is scanned. For a report of p != 1/alpha only
     Var^{1/alpha} is recomputed.
     """
     h, m, kel = report.h, report.measure, report.keller
     alpha, A = kel.alpha, kel.A
-    if g is None:
-        g = h
     p = 1.0 / alpha
     var, bv_norm = report.var_p, report.bv_norm
     if report.p != p:
@@ -356,8 +352,7 @@ def norm_chain_audit(
     rhs_e = 2.0 * (kel.eps_values + max_mass) * var**p
     worst = int(np.argmax(kel.osc_power_values - rhs_e))
     cstar = c_star(alpha, A, float(m.masses.sum()))
-    g_norm = kel.norm if g is h else keller_seminorm(g, m, alpha, A).norm
-    product_rhs = 2.0 * cstar * kel.norm * g_norm
+    product_rhs = 2.0 * cstar * kel.norm * kel.norm
     checks = (
         _check("bv_le_scaled_holder", bv_norm, holder_rhs,
                FLOAT_SLACK * max(1.0, holder_rhs), f"diam={diam:.6g}"),
@@ -366,7 +361,7 @@ def norm_chain_audit(
         _check("osc_power_le_var", float(kel.osc_power_values[worst]),
                float(rhs_e[worst]), 2.0 * max_mass * var**p,
                f"worst eps={kel.eps_values[worst]:.6g}"),
-        _check("product_bound", keller_seminorm(h * g, m, alpha, A).norm, product_rhs,
+        _check("product_bound", keller_seminorm(h * h, m, alpha, A).norm, product_rhs,
                FLOAT_SLACK * max(1.0, product_rhs), f"C*={cstar:.6g}"),
     )
     return NormChainAudit(checks, all(c.passed for c in checks), cstar)

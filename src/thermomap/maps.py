@@ -281,13 +281,14 @@ class MarkovReport:
     endpoint_defect: float
 
 
-def markov_witness(imap: IntervalMap, tol: float = TOL_CONTINUITY) -> MarkovReport:
+def markov_witness(imap: IntervalMap) -> MarkovReport:
     """Test whether branch images align with the branch partition itself.
 
-    Every branch endpoint must map onto a partition point (within tol);
-    monotonicity then forces each branch image to be a union of contiguous
-    cells, read off into a 0/1 transition matrix. Primitivity is checked by
-    boolean matrix powers up to the Wielandt bound (k-1)**2 + 1.
+    Every branch endpoint must map onto a partition point (within
+    TOL_CONTINUITY); monotonicity then forces each branch image to be a
+    union of contiguous cells, read off into a 0/1 transition matrix.
+    Primitivity is checked by boolean matrix powers up to the Wielandt
+    bound (k-1)**2 + 1.
     """
     pts = imap.breakpoints
     k = len(imap.branches)
@@ -298,9 +299,9 @@ def markov_witness(imap: IntervalMap, tol: float = TOL_CONTINUITY) -> MarkovRepo
         for v in (ilo, ihi):
             defect = max(defect, float(np.min(np.abs(pts - v))))
         for j in range(k):
-            if pts[j] >= ilo - tol and pts[j + 1] <= ihi + tol:
+            if pts[j] >= ilo - TOL_CONTINUITY and pts[j + 1] <= ihi + TOL_CONTINUITY:
                 transition[i, j] = 1
-    is_markov = defect <= tol
+    is_markov = defect <= TOL_CONTINUITY
     primitive = False
     power = np.eye(k, dtype=bool)
     mat = transition.astype(bool)

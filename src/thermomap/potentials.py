@@ -179,11 +179,11 @@ class AveragedPotential(Potential):
 
 
 def potential_range(
-    potential: Potential, domain: tuple[float, float], grid: int = 4096
+    potential: Potential, domain: tuple[float, float]
 ) -> tuple[float, float]:
-    """Numerical (inf, sup) over a dense grid plus declared candidates."""
+    """Numerical (inf, sup) over a 4096-node grid plus declared candidates."""
     lo, hi = domain
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, 4096)
     cand = potential.extremum_candidates()
     if cand.size:
         cand = cand[(cand >= lo) & (cand <= hi)]

@@ -35,6 +35,7 @@ from .potentials import PiecewiseLinearPotential, Potential, potential_range
 BREAKPOINT_REJECT_TOL = 1e-12
 CURVE_FIT_WINDOW = 0.2
 SEPARATED_BLOCK = 128  # candidates per vectorized step of the greedy packing
+APPENDIX_X0 = 0.3  # appendix_construct's base point, off every breakpoint
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,17 @@ class PressureReport:
     depths: np.ndarray
     p_values: np.ndarray
     a_values: np.ndarray
-    x0: float
     requested_depth: int
     complete: bool
     feasible_depth: Optional[int] = None
 
 
 def reject_base_point(imap: IntervalMap, x0: float) -> None:
-    """Raise DomainError for a base point the tree walks refuse: one on a
-    breakpoint, whose branch word is ambiguous, or outside the domain."""
-    gaps = np.abs(imap.breakpoints - x0)
-    if np.min(gaps) <= BREAKPOINT_REJECT_TOL:
+    """Raise DomainError for a base point the tree walks refuse: one on an
+    interior breakpoint, whose branch word is ambiguous, or outside the
+    domain. The domain's ends lie in one branch each, so they are walked."""
+    gaps = np.abs(imap.interior_breakpoints - x0)
+    if gaps.size and np.min(gaps) <= BREAKPOINT_REJECT_TOL:
         raise DomainError(
             f"base point {x0} sits on a breakpoint; its branch word is ambiguous"
         )
@@ -76,7 +77,6 @@ class LevelSums:
     levels, ascending in depth; and ``budget_error`` is set when the node
     budget stopped the walk early."""
 
-    x0: float
     domain: tuple[float, float]
     a_values: np.ndarray
     counts: np.ndarray
@@ -173,7 +173,6 @@ def level_sums(
             raise
         budget_error = exc
     return LevelSums(
-        x0=float(x0),
         domain=imap.domain,
         a_values=np.asarray(a_values),
         counts=np.asarray(counts, dtype=np.int64),
@@ -200,7 +199,6 @@ def pressure_report(sums: LevelSums, n_max: int) -> PressureReport:
         depths=depths,
         p_values=p_vals,
         a_values=sums.a_values,
-        x0=sums.x0,
         requested_depth=n_max,
         complete=sums.complete,
         feasible_depth=sums.feasible_depth,
@@ -238,8 +236,6 @@ class SeparatedSetEstimate:
     """
 
     value: float
-    n: int
-    epsilon: float
     points: np.ndarray
     count: int
     grid_size: int
@@ -286,8 +282,6 @@ def separated_pressure(
     points = xs[chosen]
     return SeparatedSetEstimate(
         value=float(logsumexp(weights[chosen]) / n),
-        n=n,
-        epsilon=epsilon,
         points=points,
         count=chosen.size,
         grid_size=grid_size,
@@ -495,7 +489,7 @@ def pressure_curve(
         del level, phi_sums, chi_sums, row
     counts = np.asarray(counts, dtype=np.int64)
     reports = [
-        pressure_report(LevelSums(float(x0), imap.domain, a, counts), n_max)
+        pressure_report(LevelSums(imap.domain, a, counts), n_max)
         for a in a_values
     ]
     estimates = np.array([rep.estimate for rep in reports])
@@ -552,10 +546,7 @@ class AppendixReport:
 
 
 def appendix_construct(
-    gap: float,
-    x0: float = 0.3,
-    n_max: int = 11,
-    budget: int = DEFAULT_NODE_BUDGET,
+    gap: float, n_max: int = 11, budget: int = DEFAULT_NODE_BUDGET
 ) -> AppendixReport:
     if gap <= 0:
         raise DomainError("gap must be positive")
@@ -574,7 +565,7 @@ def appendix_construct(
     # one walk serves both reports: zero-potential level sums factorize (4^n
     # preimages), so depth 6 already gives the entropy exactly, and their
     # log-sum-exp is log #f^{-n}(x0), which the walk counts anyway
-    sums = level_sums(imap, phi, x0, max(n_max, 6), budget)
+    sums = level_sums(imap, phi, APPENDIX_X0, max(n_max, 6), budget)
     pressure = pressure_report(sums, n_max)
     entropy = pressure_report(replace(sums, a_values=np.log(sums.counts)), 6)
     hyper = hyperbolicity_check(imap, phi, pressure.estimate, n_max=1)

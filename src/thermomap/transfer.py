@@ -7,7 +7,7 @@ integrates against an atomic measure as `AtomicMeasure.hat_weights(grid)`
 dotted with its values, one weight vector per (grid, measure), so no
 integral evaluates the function at the atoms. The leading eigenpair comes
 from sup-normalized power iteration. Correlations against the equilibrium
-state nu = h mu take the dual route: psi h is pushed through the normalized
+state nu = h mu take the dual route: phi h is pushed through the normalized
 operator, each lag is one integral against mu, and the signed sequence is
 fitted with a geometric decay down to the measure's invariance defect.
 """
@@ -285,7 +285,7 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class CorrelationBatch:
-    """Lags shared by a batch of observable pairs, one report per pair."""
+    """Lags shared by a batch of observables, one report per observable."""
 
     ns: np.ndarray
     reports: tuple[CorrelationReport, ...]
@@ -309,31 +309,30 @@ def fit_decay(ns: np.ndarray, c_values: np.ndarray, floor: float) -> Correlation
 
 def correlation(
     imap: IntervalMap,
-    phi_obs: Sequence[Callable],
-    psi: Sequence[Callable],
-    mu: AtomicMeasure,
     potential: Optional[Potential],
+    observables: Sequence[Callable],
+    mu: AtomicMeasure,
     eigen: EigenReport,
     n_max: int = 12,
 ) -> CorrelationBatch:
-    """Signed C_n = int phi L-hat^n(psi h) dmu - int phi dnu int psi dnu, n = 1..n_max.
+    """Signed C_n = int phi L-hat^n(phi h) dmu - (int phi dnu)^2, n = 1..n_max,
+    for each observable phi.
 
     mu is the conformal measure and `eigen` the eigenpair of (imap,
     potential); L-hat is the operator normalized by eigen's log eigenvalue
-    and nu = h mu / int h dmu, so the first term is int phi(f^n) psi dnu.
-    The observables, callables acting pointwise, are sampled on h's grid:
-    psi h is pushed through L-hat n_max times and each lag is one dot
+    and nu = h mu / int h dmu, so the first term is int phi(f^n) phi dnu.
+    Each observable, a callable acting pointwise, is sampled once on h's
+    grid: phi h is pushed through L-hat n_max times and each lag is one dot
     product with mu.hat_weights of that grid.
 
-    `phi_obs` and `psi` are two equal-length sequences; the batch holds one
-    report per pair (phi_obs[k], psi[k]). A pair's floor is sup_grid
-    |phi_obs[k]| times |int L-hat(psi h) dmu - int psi h dmu|, mu's
-    invariance defect read from the first image, and at least
-    CORRELATION_FLOOR; `fit_decay` flags the lags below it.
+    The batch holds one report per observable. Its floor is sup_grid |phi|
+    times |int L-hat(phi h) dmu - int phi h dmu|, mu's invariance defect
+    read from the first image, and at least CORRELATION_FLOOR; `fit_decay`
+    flags the lags below it.
     """
-    phis, psis = list(phi_obs), list(psi)
-    if not phis or len(phis) != len(psis):
-        raise DomainError("need equal-length, nonempty observable sequences")
+    observables = list(observables)
+    if not observables:
+        raise DomainError("need a nonempty observable sequence")
     if n_max < 5:
         raise DomainError("need n_max >= 5")
     grid = eigen.h.grid
@@ -341,18 +340,18 @@ def correlation(
     h = eigen.h.values / float(w @ eigen.h.values)
     ns = np.arange(1, n_max + 1)
     reports = []
-    for phi, ps in zip(phis, psis):
+    for phi in observables:
         phi_vals = np.asarray(phi(grid), dtype=float)
-        work = eigen.h.with_values(np.asarray(ps(grid), dtype=float) * h)
-        psi_mean = float(w @ work.values)
+        work = eigen.h.with_values(phi_vals * h)
+        phi_mean = float(w @ work.values)
         images = []
         for _ in range(n_max):
             work = apply_transfer(imap, potential, work, p_hat=eigen.log_eigenvalue)
             images.append(work.values)
         # one dot product per lag, so C_n does not depend on n_max
         wphi = w * phi_vals
-        cs = np.array([wphi @ v for v in images]) - float(wphi @ h) * psi_mean
-        defect = abs(float(w @ images[0]) - psi_mean)
+        cs = np.array([wphi @ v for v in images]) - float(wphi @ h) * phi_mean
+        defect = abs(float(w @ images[0]) - phi_mean)
         floor = max(CORRELATION_FLOOR, float(np.max(np.abs(phi_vals))) * defect)
         reports.append(fit_decay(ns, cs, floor))
     return CorrelationBatch(ns=ns, reports=tuple(reports))

@@ -188,7 +188,7 @@ def lockstep_curve_reports(imap, phi, chi, ts, x0, n_max, budget):
             counts.append(phi_level.points.size)
     counts = np.asarray(counts, dtype=np.int64)
     return [
-        pressure_report(LevelSums(float(x0), imap.domain, a, counts), n_max)
+        pressure_report(LevelSums(imap.domain, a, counts), n_max)
         for a in a_values
     ]
 

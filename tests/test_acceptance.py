@@ -328,7 +328,7 @@ def tent_lebesgue_correlation(obs, atoms):
     at grid 4096, 20 lags of one autocorrelation."""
     mu = uniform_atoms(atoms)
     eigen = power_iteration(TENT, None, grid_size=4096, mu=mu)
-    return correlation(TENT, [obs], [obs], mu, None, eigen, n_max=20).reports[0]
+    return correlation(TENT, None, [obs], mu, eigen, n_max=20).reports[0]
 
 
 def test_cosine_autocorrelation_floor():

@@ -366,12 +366,13 @@ class TestConfigValidation:
         ("pressure", "n_min"), ("entropy", "n_min"), ("conformal", "bins"),
         ("conformal", "theta"), ("equilibrium", "bins"), ("correlations", "theta"),
         ("audit-all", "intervals"), ("audit-all", "conformality_bound"),
-        ("audit-all", "adjoint_bound"),
+        ("audit-all", "adjoint_bound"), ("appendix", "x0"),
     ])
     def test_fixed_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch,
                                              command, key):
-        # the weak limit's bins and depth weights, the reports' first depth and
-        # audit-all's intervals and bounds are constants, not settings
+        # the weak limit's bins and depth weights, the reports' first depth,
+        # audit-all's intervals and bounds and appendix's base point are
+        # constants, not settings
         def walked(*args, **kwargs):
             raise AssertionError("the tree walk ran")
 
@@ -541,6 +542,15 @@ class TestConfigValidation:
         assert main([command, str(path)]) == 64
         assert f"command_params.{key} must be" in capsys.readouterr().err
         assert list((tmp_path / "out").glob("*.csv")) == []
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0])
+    def test_domain_end_is_a_base_point(self, tmp_path, x0):
+        # an end of the domain lies in one branch only, so the walk takes it;
+        # only the interior breakpoint 0.5 is refused (exit 64 above)
+        path = write_config(tmp_path, command_params={"x0": x0, "n_max": 6})
+        assert main(["pressure", str(path)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "pressure.csv")
+        assert [row[header.index("status")] for row in rows] == ["ok"] * 6
 
     def test_float_param_takes_an_int(self, tmp_path):
         files = []

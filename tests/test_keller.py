@@ -499,8 +499,7 @@ class TestNormChainAudit:
         for _ in range(25):
             for alpha in (0.5, 1.0):
                 h = draw_piecewise_holder(rng, alpha, m.points)
-                g = draw_piecewise_holder(rng, alpha, m.points)
-                audit = norm_chain_audit(norm_report(h, m, alpha, 0.5), g=g)
+                audit = norm_chain_audit(norm_report(h, m, alpha, 0.5))
                 assert audit.passed, [
                     (c.name, c.lhs, c.rhs) for c in audit.checks if not c.passed
                 ]
@@ -521,7 +520,7 @@ class TestNormChainAudit:
             assert check.detail.startswith(f"eps*={eps:.6g},")
 
     def test_report_fixes_measure_alpha_and_A(self):
-        # every input but g comes from the report: a reweighted measure sets
+        # every input comes from the report: a reweighted measure sets
         # the atomic factor of (ii), the report's alpha and A set C*
         m = uniform_atoms(128)
         h = step_function(m.points)
@@ -578,26 +577,23 @@ class TestNormChainAudit:
         audit = norm_chain_audit(rep)
         assert audit.checks == norm_chain_audit(norm_report(h, m, 0.5, 0.5)).checks
 
-    @pytest.mark.parametrize("with_g", [False, True])
-    def test_product_check_matches_full_reports(self, with_g):
+    def test_product_check_matches_full_reports(self):
         m = uniform_atoms(256)
         rng = np.random.default_rng(31)
         for _ in range(4):
             h = norms_draw(rng, m.points, 0.5)
-            g = norms_draw(rng, m.points, 0.5) if with_g else h
             rep = norm_report(h, m, 0.5, 0.5)
-            check = norm_chain_audit(rep, g=g if with_g else None).checks[3]
+            check = norm_chain_audit(rep).checks[3]
             cstar = c_star(0.5, 0.5)
-            assert check.lhs == norm_report(h * g, m, 0.5, 0.5).keller.norm
+            assert check.lhs == norm_report(h * h, m, 0.5, 0.5).keller.norm
             assert check.rhs == 2.0 * cstar * rep.keller.norm * norm_report(
-                g, m, 0.5, 0.5).keller.norm
+                h, m, 0.5, 0.5).keller.norm
 
     def test_product_check_builds_no_report(self, monkeypatch):
         import thermomap.keller as keller
 
         m = uniform_atoms(128)
-        rng = np.random.default_rng(37)
-        h, g = norms_draw(rng, m.points, 0.5), norms_draw(rng, m.points, 0.5)
+        h = norms_draw(np.random.default_rng(37), m.points, 0.5)
         rep = norm_report(h, m, 0.5, 0.5)
         calls = []
         real = keller.norm_report
@@ -605,7 +601,6 @@ class TestNormChainAudit:
             keller, "norm_report", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         norm_chain_audit(rep)
-        norm_chain_audit(rep, g=g)
         assert calls == []
 
     def test_audit_never_scans_h(self, monkeypatch):

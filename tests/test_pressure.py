@@ -19,6 +19,7 @@ from thermomap.maps import (
     full_linear_map,
     golden_tent_map,
     logistic4_map,
+    pw_linear_map,
 )
 from thermomap.potentials import (
     BranchConstantPotential,
@@ -37,6 +38,7 @@ from thermomap.pressure import (
     level_sums,
     pressure_curve,
     pressure_report,
+    reject_base_point,
     separated_pressure,
     tree_pressure,
 )
@@ -91,8 +93,24 @@ def test_golden_tent_entropy_estimate_carries_depth_drift():
 def test_tree_pressure_rejects_breakpoint_base():
     with pytest.raises(DomainError):
         tree_pressure(tent_map(), None, 0.5, 5)
-    with pytest.raises(DomainError):
-        tree_pressure(tent_map(), None, 0.0, 5)
+
+
+@pytest.mark.parametrize("x0, counts", [(0.0, [2, 3, 5, 9]), (1.0, [1, 2, 4, 8])])
+def test_tree_pressure_walks_the_domain_ends(x0, counts):
+    # an end lies in one branch only: 1 has the single preimage 1/2, where
+    # both branches meet, and 0 the preimages 0 and 1, so the walk from 0
+    # counts 2^(n-1) + 1 points and the one from 1 counts 2^(n-1)
+    sums = level_sums(tent_map(), None, x0, 4)
+    assert sums.counts.tolist() == counts
+    assert tree_pressure(tent_map(), None, x0, 4).complete
+
+
+def test_one_branch_map_has_no_breakpoint_to_reject():
+    flip = pw_linear_map([0.0, 1.0], [-1.0], [1.0])
+    for x0 in (0.0, 0.5, 1.0):
+        reject_base_point(flip, x0)
+    with pytest.raises(DomainError, match="outside domain"):
+        reject_base_point(flip, 1.5)
 
 
 def test_tree_pressure_partial_budget():
@@ -537,8 +555,6 @@ def test_separated_estimate_equals_the_oracle_packing(imap, phi, n, epsilon, gri
     chosen = greedy_separated(xs, orbit, np.argsort(-weights, kind="stable"), epsilon)
     expected = SeparatedSetEstimate(
         value=float(logsumexp(weights[chosen]) / n),
-        n=n,
-        epsilon=epsilon,
         points=xs[chosen],
         count=chosen.size,
         grid_size=grid,
@@ -850,7 +866,7 @@ def _assert_same_report(got, want):
 def test_appendix_reports_bit_equal_to_separate_walks(n_max):
     # the entropy reads the node counts of the weighted walk: log of a
     # count is the log-sum-exp of that many zeros, bit for bit
-    rep = appendix_construct(np.log(4.0), x0=0.3, n_max=n_max)
+    rep = appendix_construct(np.log(4.0), n_max=n_max)
     _assert_same_report(rep.entropy, tree_pressure(rep.imap, None, 0.3, 6))
     _assert_same_report(
         rep.pressure, tree_pressure(rep.imap, rep.potential, 0.3, n_max)

@@ -374,7 +374,7 @@ class TestEquilibriumState:
         # mu's 130560 atoms (the gap measured 5.3e-9)
         f, phi, depth = full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 16
         sums = level_sums(f, phi, 0.3, depth, retain=window(depth))
-        mu = weak_limit(sums, transition_parameter(sums).c, tol=1e-6).measure
+        mu = weak_limit(sums, transition_parameter(sums).c).measure
         rep = power_iteration(f, phi, grid_size=4096, mu=mu)
         grid = rep.h.grid
         on_grid = AtomicMeasure.normalized(grid, mu.hat_weights(grid), mu.domain)
@@ -477,9 +477,9 @@ def tent_lebesgue(grid_size):
     return mu, power_iteration(tent_map(), None, grid_size=grid_size, mu=mu)
 
 
-def tent_correlation(phis, psis, grid_size=4096, n_max=12):
+def tent_correlation(observables, grid_size=4096, n_max=12):
     mu, eigen = tent_lebesgue(grid_size)
-    return correlation(tent_map(), phis, psis, mu, None, eigen, n_max=n_max)
+    return correlation(tent_map(), None, observables, mu, eigen, n_max=n_max)
 
 
 @lru_cache(maxsize=None)
@@ -488,29 +488,28 @@ def tent_cosine_limit(depth=18, grid_size=4096):
     normalized against it."""
     imap, phi = full_linear_map(2), CosineSeriesPotential((0.3, -0.2))
     sums = level_sums(imap, phi, 0.3, depth, retain=window(depth))
-    mu = weak_limit(sums, transition_parameter(sums).c, tol=1e-6).measure
+    mu = weak_limit(sums, transition_parameter(sums).c).measure
     return imap, phi, mu, power_iteration(imap, phi, grid_size=grid_size, mu=mu)
 
 
 class TestCorrelation:
     def test_tent_cosine_autocorrelation_floor(self):
         cos = lambda x: np.cos(np.pi * np.asarray(x, dtype=float))
-        rep = tent_correlation([cos], [cos]).reports[0]
+        rep = tent_correlation([cos]).reports[0]
         assert np.max(np.abs(rep.c_values)) <= 1e-10
         assert rep.below_resolution.all() and rep.rho is None
 
     def test_constant_observable_stays_at_its_floor(self):
-        # C_n = 2.5 (int L-hat^n(psi h) dmu - int psi h dmu): the defect
+        # C_n = 2.5 (int L-hat^n(2.5 h) dmu - int 2.5 h dmu): the defect
         # the floor is built from, so no lag resolves
         const = lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)
-        rep = tent_correlation([const], [lambda x: np.asarray(x, dtype=float)],
-                               n_max=6).reports[0]
+        rep = tent_correlation([const], n_max=6).reports[0]
         assert np.max(np.abs(rep.c_values)) <= 1e-13
         assert rep.below_resolution[0] and rep.rho is None
 
     def test_smoothed_indicator_fit(self):
         obs = smoothed_indicator(0.0, 0.5)
-        rep = tent_correlation([obs], [obs], n_max=10).reports[0]
+        rep = tent_correlation([obs], n_max=10).reports[0]
         assert rep.rho is not None
         assert rep.rho <= 0.55
         assert rep.r_squared >= 0.9
@@ -519,8 +518,7 @@ class TestCorrelation:
         # the step at 1/3 feeds the invariant Fourier pair (1/3 -> 2/3 ->
         # 2/3): on Lebesgue its signed correlations are -(-1/2)^n / 9; the
         # grid smears the jump over one cell, an error that grows with n
-        rep = tent_correlation([step_third], [step_third], grid_size=16384,
-                               n_max=7).reports[0]
+        rep = tent_correlation([step_third], grid_size=16384, n_max=7).reports[0]
         expected = -((-0.5) ** rep.ns) / 9.0
         assert np.array_equal(np.sign(rep.c_values), np.sign(expected))
         rel = np.abs(rep.c_values / expected - 1.0)
@@ -535,7 +533,7 @@ class TestCorrelation:
         # measure's own error, under the first image's defect floor
         imap, phi, mu, eigen = tent_cosine_limit()
         sine = lambda x: np.sin(2 * np.pi * np.asarray(x, dtype=float))
-        rep = correlation(imap, [sine], [sine], mu, phi, eigen, n_max=20).reports[0]
+        rep = correlation(imap, phi, [sine], mu, eigen, n_max=20).reports[0]
         ratios = rep.c_values[5:10] / rep.c_values[4:9]  # C_n / C_{n-1}, n = 6..10
         assert np.all((0.27 <= ratios) & (ratios <= 0.28))
         assert np.all(np.abs(rep.c_values[14:]) >= 1e-9)
@@ -545,14 +543,13 @@ class TestCorrelation:
 
     def test_floor_is_the_adjoint_defect_of_the_first_image(self):
         imap, phi, mu, eigen = tent_cosine_limit(depth=12, grid_size=512)
-        obs = smoothed_indicator(0.2, 0.5)
-        sine = lambda x: 3.0 * np.sin(2 * np.pi * np.asarray(x, dtype=float))
-        rep = correlation(imap, [sine], [obs], mu, phi, eigen).reports[0]
+        obs = lambda x: 3.0 * smoothed_indicator(0.2, 0.5)(x)
+        rep = correlation(imap, phi, [obs], mu, eigen).reports[0]
         defect = adjoint_invariance_audit(
             imap, phi, eigen.log_eigenvalue, mu, [lambda x: obs(x) * eigen.h(x)],
             grid_size=512,
         )
-        sup = np.max(np.abs(sine(eigen.h.grid)))  # on the grid: below 3
+        sup = np.max(np.abs(obs(eigen.h.grid)))  # on the grid: below 3
         assert rep.floor == pytest.approx(sup * defect, rel=1e-9)
         assert rep.floor > transfer.CORRELATION_FLOOR
 
@@ -561,25 +558,17 @@ class TestCorrelation:
         imap, phi, mu, eigen = tent_cosine_limit(depth=12, grid_size=512)
         scaled = dataclasses.replace(eigen, h=eigen.h.with_values(3.0 * eigen.h.values))
         obs = smoothed_indicator(0.2, 0.5)
-        want = correlation(imap, [obs], [obs], mu, phi, eigen).reports[0]
-        got = correlation(imap, [obs], [obs], mu, phi, scaled).reports[0]
+        want = correlation(imap, phi, [obs], mu, eigen).reports[0]
+        got = correlation(imap, phi, [obs], mu, scaled).reports[0]
         np.testing.assert_allclose(got.c_values, want.c_values, rtol=1e-12, atol=1e-18)
 
     def test_rejects_short_window(self):
         with pytest.raises(DomainError):
-            tent_correlation([np.cos], [np.cos], n_max=3)
+            tent_correlation([np.cos], n_max=3)
 
-    @pytest.mark.parametrize(
-        "phis, psis",
-        [
-            ([np.cos], [np.cos, np.sin]),
-            ([], []),
-        ],
-        ids=["unequal", "empty"],
-    )
-    def test_rejects_mismatched_observables(self, phis, psis):
+    def test_rejects_empty_observables(self):
         with pytest.raises(DomainError):
-            tent_correlation(phis, psis, grid_size=64, n_max=5)
+            tent_correlation([], grid_size=64, n_max=5)
 
 
 class TestFitDecay:
@@ -624,39 +613,34 @@ def observable(draw):
 
 
 class TestBatchedCorrelation:
-    """Each pair of a batch is reduced on its own, with no atom moved."""
+    """Each observable of a batch is reduced on its own, with no atom moved."""
 
     @settings(deadline=None, max_examples=30)
     @given(
-        pairs=st.lists(
-            st.tuples(observable(), observable(), st.booleans()),
-            min_size=1, max_size=3,
-        ),
+        observables=st.lists(observable(), min_size=1, max_size=3),
         n_max=st.integers(5, 9),
     )
-    def test_each_report_equals_its_pair_alone(self, pairs, n_max):
-        phis = [phi for phi, _, _ in pairs]
-        psis = [phi if same else psi for phi, psi, same in pairs]
-        batch = tent_correlation(phis, psis, grid_size=256, n_max=n_max)
+    def test_each_report_equals_its_observable_alone(self, observables, n_max):
+        batch = tent_correlation(observables, grid_size=256, n_max=n_max)
         assert isinstance(batch, CorrelationBatch)
         assert np.array_equal(batch.ns, np.arange(1, n_max + 1))
-        assert len(batch.reports) == len(pairs)
-        for phi, psi, rep in zip(phis, psis, batch.reports):
-            (alone,) = tent_correlation([phi], [psi], grid_size=256, n_max=n_max).reports
+        assert len(batch.reports) == len(observables)
+        for phi, rep in zip(observables, batch.reports):
+            (alone,) = tent_correlation([phi], grid_size=256, n_max=n_max).reports
             assert_same_report(rep, alone)
 
     def test_prefix_refit_equals_shorter_run(self):
         # the floor is read from the first image, so it does not depend on n_max
-        (rep,) = tent_correlation([step_third], [step_third], n_max=12).reports
+        (rep,) = tent_correlation([step_third], n_max=12).reports
         for window in range(5, 13):
-            (short,) = tent_correlation([step_third], [step_third], n_max=window).reports
+            (short,) = tent_correlation([step_third], n_max=window).reports
             assert_same_report(
                 fit_decay(rep.ns[:window], rep.c_values[:window], rep.floor), short
             )
 
-    @pytest.mark.parametrize("pairs", [1, 2, 3])
-    def test_no_atom_moves(self, monkeypatch, pairs):
-        # one normalized application per pair and lag, and no map evaluation
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_no_atom_moves(self, monkeypatch, count):
+        # one normalized application per observable and lag, and no map evaluation
         evals, applied = [], []
         real_eval = IntervalMap.eval
 
@@ -672,17 +656,17 @@ class TestBatchedCorrelation:
         log_lam = tent_lebesgue(256)[1].log_eigenvalue
         monkeypatch.setattr(IntervalMap, "eval", counting)
         monkeypatch.setattr(transfer, "apply_transfer", applying)
-        fns = [smoothed_indicator(0.1 * k, 0.1 * k + 0.3) for k in range(pairs)]
-        batch = tent_correlation(fns, fns[::-1], grid_size=256, n_max=7)
-        assert len(batch.reports) == pairs
+        fns = [smoothed_indicator(0.1 * k, 0.1 * k + 0.3) for k in range(count)]
+        batch = tent_correlation(fns, grid_size=256, n_max=7)
+        assert len(batch.reports) == count
         assert evals == []
-        assert applied == [log_lam] * (7 * pairs)
+        assert applied == [log_lam] * (7 * count)
 
 
 def test_tent_step_correlations_decay_at_half():
     # the sharp step at 1/3 feeds every frequency, so its autocorrelation
     # carries the essential rate 1/2
-    rep = tent_correlation([step_third], [step_third], n_max=7).reports[0]
+    rep = tent_correlation([step_third], n_max=7).reports[0]
     assert 0.45 <= rep.rho <= 0.55
     assert rep.r_squared >= 0.9
 
