@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 from .errors import DomainError
 # unused here (estimators reduce a LevelSums); kept bound because the benchmark
 # harness test checks that its tracer wraps this module's copy too
-from .maps import IntervalMap, iter_preimage_levels  # noqa: F401
+from .maps import IntervalMap, PreimageLevel, iter_preimage_levels  # noqa: F401
 from .potentials import Potential
 from .pressure import LevelSums, _level_lse
 
@@ -243,6 +243,14 @@ def window(n_max: int) -> range:
     return range(n_max - min(WINDOW_MAX, n_max // 2) + 1, n_max + 1)
 
 
+def _window_masses(levels: Sequence[PreimageLevel], s: float) -> np.ndarray:
+    """The masses exp(S_n phi - n s), normalized by their log-sum-exp, of
+    the window's levels in order, computed in place in one array."""
+    logw = np.concatenate([lv.birkhoff - lv.depth * s for lv in levels])
+    logw -= _level_lse(logw)
+    return np.exp(logw, out=logw)
+
+
 def weak_limit(sums: LevelSums, c: float) -> WeakLimitResult:
     """Drive s down toward c and return the stabilized deep-tree measure.
 
@@ -290,11 +298,13 @@ def weak_limit(sums: LevelSums, c: float) -> WeakLimitResult:
                 break
         prev = cur
     s_final = s_values[-1]
-    logw_all = np.concatenate([lv.birkhoff - lv.depth * s_final for lv in kept])
-    points = np.concatenate([lv.points for lv in kept])
-    logw_all -= _level_lse(logw_all)  # scipy's logsumexp, on one temporary
-    masses = np.exp(logw_all, out=logw_all)  # in place: one window-sized array less
-    measure = AtomicMeasure.normalized(points, masses, sums.domain)
+    # no name here holds the window's points or masses, so `normalized`
+    # frees each once its sorted copy exists
+    measure = AtomicMeasure.normalized(
+        np.concatenate([lv.points for lv in kept]),
+        _window_masses(kept, s_final),
+        sums.domain,
+    )
     return WeakLimitResult(
         measure=measure,
         binned=prev,

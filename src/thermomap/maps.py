@@ -22,10 +22,10 @@ TOL_CONTINUITY = 1e-9
 TOL_COVER = 1e-12
 TOL_DEDUP = 1e-12
 # cumulative nodes of one preimage walk; a streaming tree_pressure peaks near
-# 20 B per node of its deepest level (scripts/walk_peak.py at depth 20: 2.50
+# 16 B per node of its deepest level (scripts/walk_peak.py at depth 20: 2.00
 # float64 arrays of that size on the doubling map with a cosine potential,
-# 2.62 on the golden tent, 2.50 on logistic4 with a cosine potential), so a
-# doubling-map walk stopped here (8.4M deepest nodes) needs about 0.17 GB
+# 2.24 on the golden tent, 2.00 on logistic4 with a cosine potential), so a
+# doubling-map walk stopped here (8.4M deepest nodes) needs about 0.13 GB
 DEFAULT_NODE_BUDGET = 20_000_000
 POTENTIAL_CHUNK = 16384  # level points per potential call in the preimage walk
 
@@ -331,7 +331,8 @@ class PreimageLevel:
     ``points[i]`` satisfies f^depth(points[i]) = x0 and ``birkhoff[..., i]``
     is the forward Birkhoff sum of the potential along its orbit down to x0
     (zeros without one), of shape (size,), or (k, size) for a potential with
-    k rows. Points are ascending.
+    k rows. Points are ascending. The deepest level of a walk that does not
+    keep its points has a read-only all-nan ``points`` of its size instead.
     """
 
     depth: int
@@ -352,6 +353,7 @@ def iter_preimage_levels(
     x0: float,
     n_max: int,
     budget: int = DEFAULT_NODE_BUDGET,
+    deepest_points: bool = True,
 ) -> Iterator[PreimageLevel]:
     """Yield preimage levels 0..n_max, raising BudgetError when too large.
 
@@ -371,12 +373,16 @@ def iter_preimage_levels(
     can leave two blocks out of order, and such a level is sorted. A level
     is built in two passes: the points pass writes every block's points and
     settles its merges, and the exact count is checked; then the parent
-    points are dropped, and the sums pass copies each block's parent sums
-    less the merged ones. So the walk holds at most the parent's sums and
-    the new level. The potential is added POTENTIAL_CHUNK points at
-    a time, so it must act pointwise; one returning k rows, shape (k, n)
-    for n points (learnt from a call on no points), gives k sums per point,
-    each as its row alone.
+    points are dropped, and the sums pass adds the potential,
+    POTENTIAL_CHUNK points at a time, to each block's parent sums less the
+    merged ones. So the walk holds at most the parent's sums and the new
+    level. The potential must act pointwise; one returning k rows,
+    shape (k, n) for n points (learnt from a call on no points), gives k
+    sums per point, each as its row alone. Without ``deepest_points``,
+    level n_max yields a read-only all-nan ``points`` of its size that
+    holds no memory, and when its sums have one row and its blocks are in
+    order they are written over its own points buffer, so the walk's last
+    build holds the parent's sums and one array of the new level's size.
     """
     check_in_domain(imap, x0)
     lo, hi = imap.domain
@@ -449,19 +455,36 @@ def iter_preimage_levels(
         if unsorted:
             order = np.argsort(pts, kind="stable")
             pts = pts[order]
-        # sums pass: each block copies its parents' sums, less the merged ones
-        new_birk = np.empty(rows + (size,))
+        # sums pass: the potential and each block's parent sums, less the
+        # merged ones. An unwanted deepest level in order with one row of
+        # sums takes them over its own points buffer, so the potential, which
+        # reads the points, is written first; any other level takes them in
+        # a fresh array, where the potential comes last, after the parent
+        # sums are dropped. Addition commutes, so both orders give one sum
+        bare = depth == n_max and not deepest_points
+        in_place = bare and not rows and not unsorted
+        phi_first = in_place and potential is not None
+        new_birk = pts if in_place else np.empty(rows + (size,))
+        if phi_first:
+            for at in range(0, size, POTENTIAL_CHUNK):
+                part = slice(at, at + POTENTIAL_CHUNK)
+                new_birk[part] = potential(pts[part])
         for at, n, start, stop, step, merged in blocks:
             sums = birk[..., start:stop][..., ::step]
             if merged.size:
                 sums = np.delete(sums, merged, axis=-1)
-            new_birk[..., at:at + n] = sums
+            if phi_first:
+                new_birk[at:at + n] += sums
+            else:
+                new_birk[..., at:at + n] = sums
         del sums  # the last view of the parent sums
         birk = new_birk[..., order] if unsorted else new_birk
-        if potential is not None:
+        if potential is not None and not phi_first:
             for at in range(0, size, POTENTIAL_CHUNK):
                 part = slice(at, at + POTENTIAL_CHUNK)
                 birk[..., part] += np.asarray(potential(pts[part]), dtype=float)
+        if bare:
+            pts = np.broadcast_to(np.nan, (size,))
         yield PreimageLevel(depth, pts, birk)
 
 

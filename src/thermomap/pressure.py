@@ -147,22 +147,26 @@ def level_sums(
     """Walk the preimage tree of x0 once to depth n_max, keeping the
     max-shifted log-sum-exp a_n of every level and the levels of the depths
     in `retain`. Each other level dies once the walk has built the next from
-    it, and level n_max, unless retained, is reduced in place, since nothing
-    reads it afterwards, so the walk peaks at the build of its deepest level.
-    With partial_on_budget the levels that fit the budget are returned."""
+    it, and level n_max, unless retained, keeps no points: the walk writes
+    its sums over its points buffer, and they are reduced in place, since
+    nothing reads them afterwards, so a streaming walk peaks at the points
+    pass of its deepest level. With partial_on_budget the levels that fit
+    the budget are returned."""
     reject_base_point(imap, x0)
     a_values: list[float] = []
     counts: list[int] = []
     levels: list[PreimageLevel] = []
     budget_error = None
     try:
-        for level in iter_preimage_levels(imap, potential, x0, n_max, budget):
+        for level in iter_preimage_levels(
+            imap, potential, x0, n_max, budget, deepest_points=n_max in retain
+        ):
             if level.depth == 0:
                 continue
             kept = level.depth in retain
             last = level.depth == n_max and not kept
             a_values.append(_level_lse(level.birkhoff, overwrite=last))
-            counts.append(level.points.size)
+            counts.append(level.birkhoff.shape[-1])
             if kept:
                 levels.append(level)
             # unless retained, this level's arrays die once the walk has

@@ -121,13 +121,15 @@ def orbit(imap, x, n):
     return np.array(pts)
 
 
-def reference_preimage_levels(imap, potential, x0, n_max, budget):
+def reference_preimage_levels(imap, potential, x0, n_max, budget,
+                              deepest_points=True):
     """The preimage walk that gathers every level through parent indices:
     candidates of all branches in one table, merged at shared breakpoints,
     then selected with flatnonzero, so its levels come in branch-word order.
-    Each level is yielded reordered by a stable argsort on its points. The
-    oracle for maps.iter_preimage_levels, whose points and Birkhoff sums
-    must be bit-equal to these."""
+    Each level is yielded reordered by a stable argsort on its points, and
+    without deepest_points level n_max yields a read-only all-nan points of
+    its size. The oracle for maps.iter_preimage_levels, whose points and
+    Birkhoff sums must be bit-equal to these."""
     lo, hi = imap.domain
     if not lo - TOL_CONTINUITY <= x0 <= hi + TOL_CONTINUITY:
         raise DomainError(f"base point {x0} outside domain [{lo}, {hi}]")
@@ -165,7 +167,10 @@ def reference_preimage_levels(imap, potential, x0, n_max, budget):
         else:
             birk = birk[parent]
         order = np.argsort(pts, kind="stable")
-        yield PreimageLevel(depth, pts[order], birk[order])
+        pts, birk = pts[order], birk[order]
+        if depth == n_max and not deepest_points:
+            pts = np.broadcast_to(np.nan, pts.shape)
+        yield PreimageLevel(depth, pts, birk)
 
 
 def lockstep_curve_reports(imap, phi, chi, ts, x0, n_max, budget):

@@ -813,6 +813,28 @@ class TestExitThree:
         _, rows = read_csv(tmp_path / "out" / name)
         assert rows and all(r[-1] == "not_converged" for r in rows)
 
+    def test_weak_limit_on_a_period_two_map_is_not_converged(self, tmp_path):
+        # each half of [0, 1] maps onto the other, so the levels alternate
+        # halves, and the potential piles each level's mass near 0 or 1/2.
+        # Over the even window 7..12 the binned snapshot then moves about a
+        # quarter of a cell's mass per unit of s, 1.9e-6 over the last step
+        # of 0.5 * 2**-16, above CAUCHY_TOL = 1e-6: no flag is forced here
+        cells = [0.0, 0.25, 0.5, 0.75, 1.0]
+        path = write_config(
+            tmp_path,
+            map={"kind": "pw_linear", "breakpoints": cells,
+                 "slopes": [2.0, -2.0, 2.0, -2.0],
+                 "intercepts": [0.5, 1.5, -1.0, 2.0]},
+            potential={"kind": "branch_pw_constant", "segments": cells,
+                       "values": [20.0, 0.0, 20.0, 0.0]},
+            command_params={"n_max": 12},
+        )
+        assert main(["conformal", str(path)]) == 3
+        header, rows = read_csv(tmp_path / "out" / "conformal.csv")
+        row = dict(zip(header, rows[0]))
+        assert (row["converged"], row["status"]) == ("false", "not_converged")
+        assert float(row["stability"]) > 1e-6
+
     # doubling + cos(0.3, -0.2): at --tol 1e-300 power iteration runs out of
     # iterations on the 64-point grid, while the weak limit converges
     @pytest.mark.parametrize("command, files", [

@@ -266,11 +266,11 @@ def _bits(a):
     return (a.dtype.str, a.shape, a.tobytes())
 
 
-def _walk(walk, f, phi, x0, n_max, budget):
+def _walk(walk, f, phi, x0, n_max, budget, deepest_points=True):
     levels = []
 
     def run():
-        for lv in walk(f, phi, x0, n_max, budget):
+        for lv in walk(f, phi, x0, n_max, budget, deepest_points):
             levels.append((lv.depth, _bits(lv.points), _bits(lv.birkhoff)))
 
     return levels, _outcome(run)[1]
@@ -288,8 +288,9 @@ def _sums_bits(sums):
 class TestLeanWalk:
     """The walk is bit-equal to the parent-index walk it replaced with each
     level stably sorted by its points (helpers.reference_preimage_levels),
-    level by level and through level_sums, whatever the map, potential and
-    budget stop."""
+    level by level, with or without the deepest level's points (then its
+    sums are written over its points buffer), and through level_sums,
+    whatever the map, potential and budget stop."""
 
     @settings(deadline=None, max_examples=120)
     @given(
@@ -304,9 +305,11 @@ class TestLeanWalk:
         retain=st.builds(range, st.integers(min_value=0, max_value=10),
                          st.integers(min_value=0, max_value=12),
                          st.integers(min_value=1, max_value=3)),
+        deepest_points=st.booleans(),
     )
     def test_bit_equal_to_reference_walk(self, map_name, phi_name, x0, n_max,
-                                         stop, slack, partial, retain):
+                                         stop, slack, partial, retain,
+                                         deepest_points):
         f, phi = WALK_MAPS[map_name], WALK_POTENTIALS[phi_name]
         # a budget that admits exactly the levels 0..stop
         full, _ = _walk(reference_preimage_levels, f, None, x0, n_max, 10**9)
@@ -314,8 +317,9 @@ class TestLeanWalk:
         stop = min(stop, len(cum) - 1)
         room = int(cum[stop + 1] - cum[stop]) if stop + 1 < cum.size else 2
         budget = int(cum[stop]) + int(slack * room)
-        new = _walk(iter_preimage_levels, f, phi, x0, n_max, budget)
-        ref = _walk(reference_preimage_levels, f, phi, x0, n_max, budget)
+        new = _walk(iter_preimage_levels, f, phi, x0, n_max, budget, deepest_points)
+        ref = _walk(reference_preimage_levels, f, phi, x0, n_max, budget,
+                    deepest_points)
         assert new == ref
 
         def sums():
@@ -332,14 +336,17 @@ class TestLeanWalk:
 
 @pytest.mark.parametrize("map_name", ["golden_tent", "sawtooth3"])
 @pytest.mark.parametrize("phi_name", ["cosine", "branch_constant"])
+@pytest.mark.parametrize("deepest_points", [True, False])
 def test_chunked_potential_bit_equal_to_reference_walk(monkeypatch, map_name,
-                                                       phi_name):
+                                                       phi_name, deepest_points):
     # chunks of 7 points split every level of more than 7 points, on a
-    # masked map (golden tent) and on a full one
+    # masked map (golden tent) and on a full one; without the deepest
+    # points, each chunk of the potential overwrites the points it was
+    # called on
     monkeypatch.setattr(maps, "POTENTIAL_CHUNK", 7)
     f, phi = WALK_MAPS[map_name], WALK_POTENTIALS[phi_name]
-    new = _walk(iter_preimage_levels, f, phi, 0.3, 9, 10**6)
-    ref = _walk(reference_preimage_levels, f, phi, 0.3, 9, 10**6)
+    new = _walk(iter_preimage_levels, f, phi, 0.3, 9, 10**6, deepest_points)
+    ref = _walk(reference_preimage_levels, f, phi, 0.3, 9, 10**6, deepest_points)
     assert new == ref
     levels, error = new
     depth, (_, shape, _), _ = levels[-1]
@@ -405,6 +412,53 @@ def test_overlapping_branch_domains_still_ascend():
         assert np.all(np.diff(lv.points) >= 0), lv.depth
     pts = levels[4].points
     assert 0.5 in pts and np.any((pts > 0.5) & (pts <= 0.5 + 5e-13))
+
+
+@pytest.mark.parametrize(
+    "f, phi_name, x0, n_max",
+    [
+        # merged preimages at depth 1 only, whose block loses an entry
+        (tent_map(), "cosine", 1.0, 1),
+        (tent_map(), "cosine", 1.0, 6),
+        (golden_tent_map(), "none", 0.3, 12),
+        (full_linear_map(2), "none", 0.3, 10),
+        # every level from depth 4 on has two blocks out of order
+        (OVERLAPPING, "cosine", 0.0, 8),
+        (OVERLAPPING, "none", 0.0, 8),
+    ],
+    ids=["merging-1", "merging-6", "entropy-golden", "entropy-doubling",
+         "unsorted", "unsorted-entropy"],
+)
+def test_streamed_deepest_level_sums_as_retained(monkeypatch, f, phi_name, x0,
+                                                 n_max):
+    # a streaming walk does not keep the deepest points: that level yields a
+    # read-only nan placeholder of its size, and its sums, written over its
+    # points buffer when it is in order, reduce bit for bit as when retained
+    phi = WALK_POTENTIALS[phi_name]
+    walk, yielded = pressure.iter_preimage_levels, []
+
+    def recording(*args, **kwargs):
+        for lv in walk(*args, **kwargs):
+            yielded.append(lv)
+            yield lv
+
+    monkeypatch.setattr(pressure, "iter_preimage_levels", recording)
+    streamed = level_sums(f, phi, x0, n_max)
+    deepest = yielded[-1]
+    retained = level_sums(f, phi, x0, n_max, retain=range(n_max, n_max + 1))
+    shallow = level_sums(f, phi, x0, n_max, retain=range(1, n_max))
+    for sums in (retained, shallow):
+        assert _bits(sums.a_values) == _bits(streamed.a_values)
+        assert _bits(sums.counts) == _bits(streamed.counts)
+    assert deepest.depth == n_max and not deepest.points.flags.writeable
+    assert deepest.points.size == streamed.counts[-1]
+    assert np.isnan(deepest.points).all()
+    assert streamed.levels == ()
+    assert [lv.depth for lv in shallow.levels + retained.levels] == list(
+        range(1, n_max + 1))
+    for lv in retained.levels + shallow.levels:
+        assert lv.points.flags.writeable and np.isfinite(lv.points).all()
+        assert lv.points.size == streamed.counts[lv.depth - 1]
 
 
 @pytest.mark.parametrize("name", [*sorted(WALK_MAPS), "overlapping"])

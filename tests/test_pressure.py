@@ -309,20 +309,20 @@ def _peak_arrays(run, deepest):
     "imap, phi, x0, n, levels",
     [
         (full_linear_map(2), BranchConstantPotential((0.0, 0.5, 1.0), (0.0, -1.0)),
-         0.31, 18, 2.6),
-        (golden_tent_map(), None, 0.3, 26, 2.75),
-        (full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 0.31, 18, 2.6),
+         0.31, 18, 2.1),
+        (golden_tent_map(), None, 0.3, 26, 2.3),
+        (full_linear_map(2), CosineSeriesPotential((0.3, -0.2)), 0.31, 18, 2.1),
     ],
     ids=["doubling-bernoulli", "golden-tent", "doubling-cosine"],
 )
 def test_tree_pressure_peaks_at_the_deepest_build(imap, phi, x0, n, levels):
     # the walk builds a level's points, drops its parent's, and only then
-    # allocates the level's sums: the parent's sums and the deepest points
-    # and sums, 2.5 arrays on a full map (2.62 where levels grow by the
-    # golden ratio), while the unretained deepest level is reduced in place.
+    # writes the level's sums; the unretained deepest level takes them over
+    # its own points and is reduced in place. So the peak is the deepest
+    # points pass: the parent's points and sums and the deepest points, 2.0
+    # arrays on a full map (2.24 where levels grow by the golden ratio).
     # The potential's temporaries of POTENTIAL_CHUNK points come on top of
-    # the deepest level alone, so the cosine runs deep enough for them to
-    # stay under half an array
+    # the parent's sums and the deepest level alone, 1.5 arrays
     deepest = int(level_sums(imap, None, x0, n).counts[-1])
     arrays = _peak_arrays(lambda: tree_pressure(imap, phi, x0, n), deepest)
     assert arrays <= levels, arrays
