@@ -11,7 +11,8 @@ produce byte-identical artifacts regardless of the ``--threads`` flag,
 which is accepted for interface stability but never changes results
 (orchestration is single-threaded by design).
 
-Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure,
+Exit codes: 0 success, 2 audit failure, 3 budget or convergence failure
+(a transfer operator that overflows or annihilates its iterate among them),
 64 malformed command line, or malformed or unreadable configuration or
 output directory (message naming the key path; an unknown key is anchored
 to its line). On exit 3 a flagged result is still written, with status

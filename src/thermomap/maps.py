@@ -1,12 +1,13 @@
 """Piecewise-monotone interval maps and preimage-tree expansion.
 
-A map is a finite ordered list of monotone branches over contiguous
-subintervals of its domain. Branches are linear or one of the two monotone
-halves of the degree-4 logistic family, which keeps inverse branches
-closed-form and numerically stable. The preimage walk enumerates f^{-n}(x0)
-level by level, each level ascending, together with backward Birkhoff sums
-of a potential, holding at most one level and its parent's sums, under an
-explicit node budget that fails loudly instead of thrashing memory.
+A map is a finite ordered list of monotone branches, each wider than
+4 TOL_DEDUP, over subintervals of its domain where adjacent ones share their
+endpoint exactly. Branches are linear or one of the two monotone halves of
+the degree-4 logistic family, which keeps inverse branches closed-form and
+numerically stable. The preimage walk enumerates f^{-n}(x0) level by level,
+each level ascending, together with backward Birkhoff sums of a potential,
+holding at most one level and its parent's sums, under an explicit node
+budget that fails loudly instead of thrashing memory.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ class Branch:
     intercept: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.hi > self.lo:
-            raise DomainError(f"branch domain [{self.lo}, {self.hi}] is degenerate")
+        if not self.hi - self.lo > 4 * TOL_DEDUP:
+            raise DomainError(
+                f"branch domain [{self.lo}, {self.hi}] is not wider than "
+                f"{4 * TOL_DEDUP:g}"
+            )
         if self.kind == "linear":
             if self.slope == 0.0:
                 raise DomainError("linear branch must have nonzero slope")
@@ -135,7 +139,7 @@ class IntervalMap:
         if not self.branches:
             raise DomainError("map needs at least one branch")
         for left, right in zip(self.branches, self.branches[1:]):
-            if abs(left.hi - right.lo) > TOL_DEDUP:
+            if left.hi != right.lo:
                 raise DomainError(
                     f"branch domains not contiguous at {left.hi} vs {right.lo}"
                 )
@@ -360,29 +364,29 @@ def iter_preimage_levels(
     Every level is ascending, so the parents one branch covers form one
     slice, found by two searchsorted calls, and the branch writes their
     inverses into its own block of the next level, through a reversed view
-    when it decreases; the Birkhoff sums are copied the same way. Blocks
-    follow the branch order, so the level ascends. Preimages by adjacent
+    when it decreases; the Birkhoff sums are copied the same way. Inverses
+    are clipped to the branch domain, and adjacent domains share their
+    endpoint, so the blocks, in branch order, ascend. Preimages by adjacent
     branches of one parent that coincide at their shared breakpoint (within
     1e-12) are merged, keeping the lower branch, so each geometric preimage
-    appears once; only the entries of a block within 2e-12 of the previous
-    branch's end, its head, can merge, so only those are tested. Merges
-    drop only parents two adjacent slices share whose inverse lands in the
-    head, so a level whose slice lengths less the count of those parents
-    (two searchsorted calls on the head's image) exceed the budget raises
-    before it is built. Branch domains that overlap by less than TOL_DEDUP
-    can leave two blocks out of order, and such a level is sorted. A level
-    is built in two passes: the points pass writes every block's points and
-    settles its merges, and the exact count is checked; then the parent
-    points are dropped, and the sums pass adds the potential,
-    POTENTIAL_CHUNK points at a time, to each block's parent sums less the
-    merged ones. So the walk holds at most the parent's sums and the new
-    level. The potential must act pointwise; one returning k rows,
+    appears once; only the entries of a block within 2e-12 of the branch's
+    start, its head, can merge, so only those are tested. No parent merges
+    twice, which would need a branch at most 3e-12 wide. Merges drop only
+    parents two adjacent slices share whose inverse lands in the head, so a
+    level whose slice lengths less the count of those parents (two
+    searchsorted calls on the head's image) exceed the budget raises before
+    it is built. A level is built in two passes: the points pass writes
+    every block's points and settles its merges, and the exact count is
+    checked; then the parent points are dropped, and the sums pass adds the
+    potential, POTENTIAL_CHUNK points at a time, to each block's parent sums
+    less the merged ones. So the walk holds at most the parent's sums and
+    the new level. The potential must act pointwise; one returning k rows,
     shape (k, n) for n points (learnt from a call on no points), gives k
-    sums per point, each as its row alone. Without ``deepest_points``,
-    level n_max yields a read-only all-nan ``points`` of its size that
-    holds no memory, and when its sums have one row and its blocks are in
-    order they are written over its own points buffer, so the walk's last
-    build holds the parent's sums and one array of the new level's size.
+    sums per point, each as its row alone. Without ``deepest_points``, level
+    n_max yields a read-only all-nan ``points`` of its size that holds no
+    memory, and when its sums have one row they are written over its own
+    points buffer, so the walk's last build holds the parent's sums and one
+    array of the new level's size.
     """
     check_in_domain(imap, x0)
     lo, hi = imap.domain
@@ -393,8 +397,8 @@ def iter_preimage_levels(
     # taken 1e-12 wider than the 2e-12 tested below and TOL_COVER wider in
     # y, so rounding in the inverse cannot put a merge outside it
     heads = []
-    for left, br in zip(branches, branches[1:]):
-        ends = br.forward(np.array([br.lo, min(left.hi + 3 * TOL_DEDUP, br.hi)]))
+    for br in branches[1:]:
+        ends = br.forward(np.array([br.lo, br.lo + 3 * TOL_DEDUP]))
         heads.append((ends.min() - TOL_COVER, ends.max() + TOL_COVER))
     pts = np.array([float(np.clip(x0, lo, hi))])
     rows = () if potential is None else np.shape(potential(pts[:0]))[:-1]
@@ -422,47 +426,38 @@ def iter_preimage_levels(
         new_pts = np.empty(total)
         blocks = []
         size = 0
-        unsorted = False
-        dropped = np.empty(0, dtype=np.intp)  # parents merged out of the last block
         for b, (br, (start, stop)) in enumerate(zip(branches, spans)):
             n = stop - start
             block = new_pts[size:size + n]
             step = 1 if increasing[b] else -1
             br.inverse(pts[start:stop], out=block[::step])
-            # only the block's head, within 2e-12 of the previous branch's
-            # end, can hold preimages that merge with that branch's
+            # only the block's head, within 2e-12 of the branch's start, can
+            # hold preimages that merge with the previous branch's
             m = 0 if b == 0 else int(np.searchsorted(
-                block, branches[b - 1].hi + 2 * TOL_DEDUP, side="right"))
+                block, br.lo + 2 * TOL_DEDUP, side="right"))
             parent = start + np.arange(m) if step == 1 else stop - 1 - np.arange(m)
             left_start, left_stop = spans[b - 1]
             shared = (parent >= left_start) & (parent < left_stop)
-            shared &= ~np.isin(parent, dropped)
             left = branches[b - 1].inverse(pts[parent])
             dup = shared & (np.abs(block[:m] - left) <= TOL_DEDUP)
-            dropped = parent[dup]
             merged = np.flatnonzero(dup)
             if merged.size:
                 n -= merged.size
                 block[:n] = np.delete(block, merged)
-            if n and size:
-                unsorted |= bool(new_pts[size - 1] > new_pts[size])
             blocks.append((size, n, start, stop, step, merged))
             size += n
         if used + size > budget:
             raise BudgetError(depth - 1, n_max, budget)
         used += size
         pts = new_pts[:size]  # the parent points die here
-        if unsorted:
-            order = np.argsort(pts, kind="stable")
-            pts = pts[order]
         # sums pass: the potential and each block's parent sums, less the
-        # merged ones. An unwanted deepest level in order with one row of
-        # sums takes them over its own points buffer, so the potential, which
-        # reads the points, is written first; any other level takes them in
-        # a fresh array, where the potential comes last, after the parent
-        # sums are dropped. Addition commutes, so both orders give one sum
+        # merged ones. An unwanted deepest level with one row of sums takes
+        # them over its own points buffer, so the potential, which reads the
+        # points, is written first; any other level takes them in a fresh
+        # array, where the potential comes last, after the parent sums are
+        # dropped. Addition commutes, so both orders give one sum
         bare = depth == n_max and not deepest_points
-        in_place = bare and not rows and not unsorted
+        in_place = bare and not rows
         phi_first = in_place and potential is not None
         new_birk = pts if in_place else np.empty(rows + (size,))
         if phi_first:
@@ -478,7 +473,7 @@ def iter_preimage_levels(
             else:
                 new_birk[..., at:at + n] = sums
         del sums  # the last view of the parent sums
-        birk = new_birk[..., order] if unsorted else new_birk
+        birk = new_birk
         if potential is not None and not phi_first:
             for at in range(0, size, POTENTIAL_CHUNK):
                 part = slice(at, at + POTENTIAL_CHUNK)

@@ -545,7 +545,6 @@ class AppendixReport:
     hyperbolic: bool
     hyperbolic_margin: float
     bounded_range: bool
-    fixed_point: float
     phi_at_fixed_point: float
 
 
@@ -586,6 +585,5 @@ def appendix_construct(
         hyperbolic=hyper.verdict == "hyperbolic",
         hyperbolic_margin=hyper.margin,
         bounded_range=phi_range < entropy.estimate,
-        fixed_point=fixed_point,
         phi_at_fixed_point=float(phi(np.asarray(fixed_point))),
     )

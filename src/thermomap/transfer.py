@@ -85,31 +85,36 @@ def apply_transfer(
 
     Nodewise (L psi)(x) = sum over branches whose image covers x of
     exp(potential(y_b)) psi(y_b). Passing p_hat gives the normalized
-    operator, which multiplies by exp(-p_hat).
+    operator, which multiplies by exp(-p_hat). An image that is not finite,
+    as when the weights overflow, raises ConvergenceError.
     """
     x = psi.grid
     lo, hi = imap.domain
     if x[0] < lo - 1e-9 or x[-1] > hi + 1e-9:
         raise DomainError("grid must lie inside the map domain")
     acc = np.zeros(x.size)
-    for br in imap.branches:
-        mask = br.covers(x)
-        if not np.any(mask):
-            continue
-        y = br.inverse(x[mask])
-        if potential is not None:
-            # a preimage landing exactly on a shared branch endpoint must
-            # carry this branch's one-sided potential value, not the value
-            # the global left-owner lookup would assign to the edge point
-            y_phi = np.clip(
-                y, np.nextafter(br.lo, br.hi), np.nextafter(br.hi, br.lo)
-            )
-            weight = np.exp(potential(y_phi))
-        else:
-            weight = 1.0
-        acc[mask] += weight * psi(y)
-    if p_hat is not None:
-        acc *= np.exp(-p_hat)
+    # an overflow, or inf times 0, is reported below as a ConvergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for br in imap.branches:
+            mask = br.covers(x)
+            if not np.any(mask):
+                continue
+            y = br.inverse(x[mask])
+            if potential is not None:
+                # a preimage landing exactly on a shared branch endpoint must
+                # carry this branch's one-sided potential value, not the value
+                # the global left-owner lookup would assign to the edge point
+                y_phi = np.clip(
+                    y, np.nextafter(br.lo, br.hi), np.nextafter(br.hi, br.lo)
+                )
+                weight = np.exp(potential(y_phi))
+            else:
+                weight = 1.0
+            acc[mask] += weight * psi(y)
+        if p_hat is not None:
+            acc *= np.exp(-p_hat)
+    if not np.isfinite(acc).all():
+        raise ConvergenceError("transfer operator overflowed the iterate")
     return psi.with_values(acc)
 
 

@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,23 @@ def tent_map():
     return full_linear_map(2)
 
 
+def traced_peak(run):
+    """Run ``run()`` and return (peak traced bytes above what was live
+    before it, its result). Starts tracemalloc unless it is already
+    tracing, and then stops it again."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def tent_bernoulli_atoms(p, depth):
     """Exact depth-k cylinder measure for the tent map with branch weights.
 
@@ -88,6 +106,45 @@ def reference_normalized(points, masses, domain=None):
     if domain is None:
         domain = (float(points[0]), float(points[-1]))
     return AtomicMeasure(points, masses / total, domain)
+
+
+def chebyshev_transfer(imap, potential, n):
+    """Dense Chebyshev collocation of the transfer operator: a spectral oracle.
+
+    L f(x) = sum over the branches b whose image covers x of
+    exp(potential(g_b x)) f(g_b x), with g_b the inverse of branch b and no
+    weight when ``potential`` is None. The cells are cut at the map's
+    breakpoints; each holds n first-kind Chebyshev nodes, and f(g_b x) is
+    read from the interpolant on the cell holding g_b x by the barycentric
+    formula. Returns the nodes, cell by cell, and the (cells n)-square
+    matrix acting on the values there.
+
+    Its range: the breakpoints must form a Markov partition, so each branch
+    image is a union of cells and g_b maps each cell it covers into one cell,
+    and every inverse branch and the potential must be analytic on each
+    cell. There the eigenvalues converge geometrically in n. A non-Markov
+    map, or a potential with a kink or jump inside a cell, is outside it.
+    """
+    edges = imap.breakpoints
+    j = np.arange(n)
+    theta = (2 * j + 1) * np.pi / (2 * n)
+    bary = (-1.0) ** j * np.sin(theta)  # barycentric weights of these nodes
+    mid, half = (edges[1:] + edges[:-1]) / 2, np.diff(edges) / 2
+    cells = mid[:, None] + half[:, None] * np.cos(theta)
+    nodes = cells.ravel()
+    mat = np.zeros((nodes.size, nodes.size))
+    for br in imap.branches:
+        rows = np.flatnonzero(br.covers(nodes))
+        y = br.inverse(nodes[rows])
+        weight = np.ones(y.size) if potential is None else np.exp(potential(y))
+        cell = np.searchsorted(edges[1:-1], y)
+        diff = y[:, None] - cells[cell]
+        hit = diff == 0  # y on a node reads that node's value
+        coef = np.where(hit.any(axis=1, keepdims=True), hit,
+                        bary / np.where(hit, 1.0, diff))
+        coef *= (weight / coef.sum(axis=1))[:, None]
+        mat[rows[:, None], cell[:, None] * n + j] += coef
+    return nodes, mat
 
 
 def draw_piecewise_holder(rng, alpha, positions):

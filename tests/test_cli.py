@@ -12,7 +12,6 @@ import dataclasses
 import filecmp
 import json
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from thermomap.maps import pw_linear_map
 from thermomap.potentials import CosineSeriesPotential
 from thermomap.pressure import pressure_curve, tree_pressure
 
-from helpers import tent_bernoulli_atoms
+from helpers import tent_bernoulli_atoms, traced_peak
 
 LOG2 = float(np.log(2.0))
 
@@ -304,17 +303,12 @@ class TestFloatTableStreaming:
         assert got == expected.encode()
 
     def test_memory_bounded_by_chunk(self, tmp_path):
-        def traced_peak(n_rows):
+        def write_peak(n_rows):
             table = np.random.default_rng(n_rows).random((n_rows, 2))
-            tracemalloc.start()
-            try:
-                write_csv(tmp_path / "t.csv", ("a", "b"), table)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: write_csv(tmp_path / "t.csv", ("a", "b"), table))[0]
 
-        traced_peak(10)  # the digit tables are built once, on first use
-        small, large = traced_peak(50_000), traced_peak(200_000)
+        write_peak(10)  # the digit tables are built once, on first use
+        small, large = write_peak(50_000), write_peak(200_000)
         assert large <= 1.1 * small, (small, large)
 
     @settings(max_examples=5, deadline=None)
@@ -682,8 +676,12 @@ class TestMalformedValues:
         [({"potential": {**BERNOULLI, "segments": [0.0, 0.6, 0.2, 1.0],
                          "values": [0.0, -1.0, 0.5]}}, "potential"),
          ({"potential": {**BERNOULLI, "values": [0.0]}}, "potential"),
-         ({"map": {**TENT, "slopes": [2.0]}}, "map")],
-        ids=["unsorted-segments", "segments-values-lengths", "map-lengths"],
+         ({"map": {**TENT, "slopes": [2.0]}}, "map"),
+         ({"map": {**TENT, "breakpoints": [0.0, 0.5, 0.5 + 2e-12, 1.0],
+                   "slopes": [2.0, 1.0, -2.0], "intercepts": [0.0, 0.0, 2.0]}},
+          "map")],
+        ids=["unsorted-segments", "segments-values-lengths", "map-lengths",
+             "narrow-branch"],
     )
     def test_inconsistent_values_exit_64_naming_the_object(
         self, tmp_path, capsys, overrides, key
@@ -992,16 +990,25 @@ class TestEquilibriumCommand:
         nu = read_measure(tmp_path / "out" / "nu.csv")
         assert abs(float(nu.masses.sum()) - 1.0) < 1e-9
 
-    def test_annihilated_iterate_is_a_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value, message", [(-800.0, "annihilated"),
+                                                (800.0, "overflowed")])
+    def test_annihilated_iterate_is_a_numerical_failure(
+        self, tmp_path, capsys, value, message
+    ):
         # a valid config whose weights exp(-800) underflow the transfer
-        # operator to zero: a convergence failure (3), not a config error
+        # operator to zero, or exp(800) overflow it: a convergence failure
+        # (3), not a config error, with no RuntimeWarning, and nothing is
+        # written
         path = write_config(
             tmp_path,
-            potential={"kind": "constant", "values": [-800.0]},
+            potential={"kind": "constant", "values": [value]},
             command_params={"n_max": 10},
         )
-        assert main(["equilibrium", str(path)]) == 3
-        assert "annihilated" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["equilibrium", str(path)]) == 3
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestCorrelationsCommand:

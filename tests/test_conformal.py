@@ -8,7 +8,6 @@ small correction, pinning the fitted slope.
 """
 
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from helpers import reference_normalized, tent_map
+from helpers import reference_normalized, tent_map, traced_peak
 from thermomap.conformal import (
     BINS,
     AtomicMeasure,
@@ -491,17 +490,7 @@ class TestWeakLimit:
         sums = window_sums(f, phi, 16)
         c = transition_parameter(sums).c
         atoms = sum(lv.points.size for lv in sums.levels)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            res = weak_limit(sums, c)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak, res = traced_peak(lambda: weak_limit(sums, c))
         assert res.measure.size == atoms
         assert peak < 4.2 * 8 * atoms, peak / (8 * atoms)
 

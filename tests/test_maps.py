@@ -1,7 +1,6 @@
 """Map evaluation, forward orbits, preimage trees, and Markov witnesses."""
 
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +14,7 @@ from helpers import (
     preimage_words,
     reference_preimage_levels,
     tent_map,
+    traced_peak,
 )
 from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
@@ -140,6 +140,15 @@ def test_branch_validation_errors():
         Branch(0.0, 0.7, "logistic_left")
     with pytest.raises(DomainError):
         IntervalMap((Branch(0.0, 0.4, "linear", 2.0, 0.0), Branch(0.5, 1.0, "linear", -2.0, 2.0)))
+    # adjacent branches share their endpoint exactly: an overlap or a gap
+    # of 5e-13, below TOL_DEDUP, is rejected too
+    for end in (0.5 + 5e-13, 0.5 - 5e-13):
+        with pytest.raises(DomainError, match="not contiguous"):
+            IntervalMap((Branch(0.0, end, "linear", -0.5 / end, 0.5),
+                         Branch(0.5, 1.0, "linear", -2.0, 2.0)))
+    # a branch no wider than 4 TOL_DEDUP could merge one parent twice
+    with pytest.raises(DomainError, match="not wider than"):
+        Branch(0.5, 0.5 + 3e-12, "linear", 2.0, 0.0)
     with pytest.raises(DomainError):
         # image escapes the domain
         pw_linear_map([0.0, 0.5, 1.0], [3.0, -2.0], [0.0, 2.0])
@@ -393,27 +402,6 @@ def test_merged_preimages_keep_the_lower_branch(f, x0):
     assert merged > 0
 
 
-# the branch domains overlap on [0.5, 0.5 + 5e-13], where the first
-# branch's preimage of 0 lies above the second's preimage of 1, which puts
-# two blocks out of order from depth 4 on; the walk sorts such a level
-OVERLAPPING = IntervalMap((
-    Branch(0.0, 0.5 + 5e-13, "linear", -0.5 / (0.5 + 5e-13), 0.5),
-    Branch(0.5, 1.0, "linear", -2.0, 2.0),
-))
-
-
-def test_overlapping_branch_domains_still_ascend():
-    # clipping at the first branch's image ends makes equal points (0 and
-    # -0), whose order the sort leaves open, so values are compared
-    f = OVERLAPPING
-    levels = list(iter_preimage_levels(f, None, 0.0, 7))
-    for lv, ref in zip(levels, reference_preimage_levels(f, None, 0.0, 7, 10**6)):
-        assert np.array_equal(lv.points, ref.points), lv.depth
-        assert np.all(np.diff(lv.points) >= 0), lv.depth
-    pts = levels[4].points
-    assert 0.5 in pts and np.any((pts > 0.5) & (pts <= 0.5 + 5e-13))
-
-
 @pytest.mark.parametrize(
     "f, phi_name, x0, n_max",
     [
@@ -422,18 +410,14 @@ def test_overlapping_branch_domains_still_ascend():
         (tent_map(), "cosine", 1.0, 6),
         (golden_tent_map(), "none", 0.3, 12),
         (full_linear_map(2), "none", 0.3, 10),
-        # every level from depth 4 on has two blocks out of order
-        (OVERLAPPING, "cosine", 0.0, 8),
-        (OVERLAPPING, "none", 0.0, 8),
     ],
-    ids=["merging-1", "merging-6", "entropy-golden", "entropy-doubling",
-         "unsorted", "unsorted-entropy"],
+    ids=["merging-1", "merging-6", "entropy-golden", "entropy-doubling"],
 )
 def test_streamed_deepest_level_sums_as_retained(monkeypatch, f, phi_name, x0,
                                                  n_max):
     # a streaming walk does not keep the deepest points: that level yields a
     # read-only nan placeholder of its size, and its sums, written over its
-    # points buffer when it is in order, reduce bit for bit as when retained
+    # points buffer, reduce bit for bit as when retained
     phi = WALK_POTENTIALS[phi_name]
     walk, yielded = pressure.iter_preimage_levels, []
 
@@ -461,25 +445,24 @@ def test_streamed_deepest_level_sums_as_retained(monkeypatch, f, phi_name, x0,
         assert lv.points.size == streamed.counts[lv.depth - 1]
 
 
-@pytest.mark.parametrize("name", [*sorted(WALK_MAPS), "overlapping"])
+@pytest.mark.parametrize("name", sorted(WALK_MAPS))
 def test_row_walk_bit_equal_to_one_walk_per_row(monkeypatch, name):
     # a potential with k rows gives k Birkhoff sums per point, each the
     # sums of a walk with that row alone; chunks of 7 points split levels
     monkeypatch.setattr(maps, "POTENTIAL_CHUNK", 7)
-    f = WALK_MAPS.get(name, OVERLAPPING)
-    x0 = 0.0 if name == "overlapping" else 0.3
+    f = WALK_MAPS[name]
     pots = [WALK_POTENTIALS["cosine"], WALK_POTENTIALS["branch_constant"],
             CosineSeriesPotential((0.0, 0.0, 1.0))]
 
     def rows(x):
         return np.stack([phi(x) for phi in pots])
 
-    walk = _levels_until_error(f, x0, 9, rows)
+    walk = _levels_until_error(f, 0.3, 9, rows)
     assert len(walk) > 5
     for lv in walk:
         assert lv.birkhoff.shape == (3, lv.points.size)
     for row, phi in enumerate(pots):
-        single = _levels_until_error(f, x0, 9, phi)
+        single = _levels_until_error(f, 0.3, 9, phi)
         assert len(single) == len(walk)
         for lv, one in zip(walk, single):
             assert _bits(lv.points) == _bits(one.points)
@@ -500,24 +483,19 @@ def test_budget_boundaries_exact_on_merging_walks(f, x0):
             assert len(new[0]) == depth + (budget == cum[depth])
 
 
+def _overflow(f, x0, n_max, budget):
+    with pytest.raises(BudgetError) as exc:
+        for _ in iter_preimage_levels(f, None, x0, n_max, budget):
+            pass
+    return exc
+
+
 def test_certain_overflow_raises_before_building_the_level():
     # both doubling-map slices cover the whole depth-15 level, so the next
     # level holds at least one copy of it, which overflows this budget:
     # the walk raises before allocating the depth-16 level
     f, depth = full_linear_map(2), 15
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with pytest.raises(BudgetError) as exc:
-            for _ in iter_preimage_levels(f, None, 0.3, depth + 1, 2 ** (depth + 1) - 1):
-                pass
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak, exc = traced_peak(lambda: _overflow(f, 0.3, depth + 1, 2 ** (depth + 1) - 1))
     assert exc.value.feasible_depth == depth
     # building depth 15 from depth 14 holds 1.5 times the depth-15 points
     # and sums; building depth 16 as well would hold 3 times them
@@ -531,19 +509,7 @@ def test_overflow_within_two_copies_raises_before_building_the_level():
     # copies) still overflows: the walk raises before allocating it
     f, depth = full_linear_map(2), 19
     budget = 2 ** (depth + 1) - 1 + 700_000
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with pytest.raises(BudgetError) as exc:
-            for _ in iter_preimage_levels(f, None, 0.3, depth + 1, budget):
-                pass
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak, exc = traced_peak(lambda: _overflow(f, 0.3, depth + 1, budget))
     assert (exc.value.feasible_depth, exc.value.budget) == (depth, budget)
     # building depth 19 from depth 18 holds 1.5 times the depth-19 points
     # and sums (12.6 MB); building depth 20 as well would hold 3 times them
@@ -563,19 +529,7 @@ def test_overcounted_merge_raises_before_allocating_the_child_sums():
     x0 = float(y[0])
     assert 1.0 - list(iter_preimage_levels(f, None, x0, depth))[-1].points[-1] < 7e-12
     budget = 2 ** (depth + 2) - 2
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with pytest.raises(BudgetError) as exc:
-            for _ in iter_preimage_levels(f, None, x0, depth + 1, budget):
-                pass
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak, exc = traced_peak(lambda: _overflow(f, x0, depth + 1, budget))
     assert (exc.value.feasible_depth, exc.value.budget) == (depth, budget)
     # the depth-15 points and sums and the depth-16 points make 2 arrays of
     # the depth-16 size, and the depth-16 sums would make 3; an early raise

@@ -1,7 +1,6 @@
 """Tree and separated-set pressure, classifiers, curve probe, construction."""
 
 import dataclasses
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from helpers import greedy_separated, lockstep_curve_reports, tent_map, verify_separated
+from helpers import (
+    greedy_separated,
+    lockstep_curve_reports,
+    tent_map,
+    traced_peak,
+    verify_separated,
+)
 from thermomap import maps, pressure
 from thermomap.errors import BudgetError, DomainError
 from thermomap.maps import (
@@ -275,34 +280,14 @@ def test_tree_pressure_peak_memory_is_a_few_deepest_levels(
     # reduction one level-sized temporary: under 4 float64 arrays of the
     # deepest level on a full map, under 5 where masked levels are gathered
     deepest = int(level_sums(imap, None, x0, n).counts[-1])
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tree_pressure(imap, phi, x0, n)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak, _ = traced_peak(lambda: tree_pressure(imap, phi, x0, n))
     assert peak <= levels * 8 * deepest, peak / (8 * deepest)
 
 
 def _peak_arrays(run, deepest):
     """Traced peak of run() above what was live before, in float64 arrays
     of `deepest` entries."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return (tracemalloc.get_traced_memory()[1] - base) / (8 * deepest)
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    return traced_peak(run)[0] / (8 * deepest)
 
 
 @pytest.mark.parametrize(
